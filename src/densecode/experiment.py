@@ -62,6 +62,59 @@ def noisy_output_density(
     return noise.ensemble_average(seq, sys, params, rho0, seed=seed)
 
 
+def _simulated_experiments(
+    sys: nmrsim.SpinSystem,
+    epsilon: float,
+    params: noise.ErrorParams,
+    messages: tuple[int, ...],
+    variant: BellVariant,
+    seed: int,
+    refocus: bool,
+) -> list[np.ndarray]:
+    """Extracted experimental matrices for ``messages``, in order.
+
+    The member errors are drawn once for ``(params, seed)``.  Each shared
+    block (Bell preparation, encodings, decode, averaging prefixes) is
+    compiled once as a per-member propagator stack, and each program is
+    composed as U_dec @ U_enc(m) @ U_prep @ U_prefix.  Every (message, prefix)
+    run is averaged with T2 over its own free-evolution time.
+    """
+    rho_th = nmrsim.thermal_state(sys, epsilon)
+    beta = nmrsim.pseudo_pure_beta(sys, epsilon)
+    draws = noise._draw_errors(params, seed)
+
+    def stack(seq: nmrsim.PulseSequence) -> np.ndarray:
+        return noise._noisy_unitaries(seq, sys, params, draws)
+
+    prep = nmrsim.bell_prep_sequence(sys, variant, refocus=refocus)
+    decode = nmrsim.decode_sequence(sys, refocus=refocus)
+    u_prep, u_decode = stack(prep), stack(decode)
+    prefixes = [
+        (stack(prefix), prefix.total_delay())
+        for prefix in nmrsim.permutation_sequences(sys, refocus=refocus)
+    ]
+
+    results = []
+    for m in messages:
+        encode = nmrsim.encoding_pulse(m)
+        u_circuit = u_decode @ stack(encode) @ u_prep
+        circuit_delay = (prep + encode + decode).total_delay()
+        total = np.zeros((4, 4), dtype=complex)
+        for u_prefix, prefix_delay in prefixes:
+            total += noise._average(
+                u_circuit @ u_prefix, rho_th, params, prefix_delay + circuit_delay
+            )
+        rho_avg = total / 3.0
+
+        reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_avg))
+        rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
+        rho_exp = (rho_exp + rho_exp.conj().T) / 2.0
+        if float(np.min(np.linalg.eigvalsh(rho_exp))) < -1e-6:
+            rho_exp = tomo.clip_to_density(rho_exp)
+        results.append(rho_exp)
+    return results
+
+
 def simulated_experiment(
     sys: nmrsim.SpinSystem,
     epsilon: float,
@@ -75,24 +128,13 @@ def simulated_experiment(
 
     The three temporal-averaging runs and all panels share one seed: the
     inhomogeneity pattern is a static property of the sample, identical in
-    every run.  The averaged state is reconstructed by tomography, then the
-    pseudo-pure deviation is rescaled to a unit-weight matrix; eigenvalue
-    clipping is applied only if the extraction dips meaningfully negative.
+    every run, so the member errors are drawn once per ``(params, seed)``
+    and reused by every run.  The averaged state is reconstructed by
+    tomography, then the pseudo-pure deviation is rescaled to a unit-weight
+    matrix; eigenvalue clipping is applied only if the extraction dips
+    meaningfully negative.
     """
-    rho_th = nmrsim.thermal_state(sys, epsilon)
-    circuit = nmrsim.dense_coding_sequence(sys, m, variant, refocus)
-    total = np.zeros((4, 4), dtype=complex)
-    for prefix in nmrsim.permutation_sequences(sys, refocus=refocus):
-        total += noise.ensemble_average(prefix + circuit, sys, params, rho_th, seed=seed)
-    rho_avg = total / 3.0
-
-    reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_avg))
-    beta = nmrsim.pseudo_pure_beta(sys, epsilon)
-    rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
-    rho_exp = (rho_exp + rho_exp.conj().T) / 2.0
-    if float(np.min(np.linalg.eigvalsh(rho_exp))) < -1e-6:
-        rho_exp = tomo.clip_to_density(rho_exp)
-    return rho_exp
+    return _simulated_experiments(sys, epsilon, params, (m,), variant, seed, refocus)[0]
 
 
 def fig4_panels(
@@ -102,13 +144,17 @@ def fig4_panels(
     seed: int = noise.DEMO_SEED,
     refocus: bool = True,
 ) -> list[Fig4Panel]:
-    """Theory/experiment matrix pairs for all four encodings."""
+    """Theory/experiment matrix pairs for all four encodings.
+
+    One draw of the member errors and one compilation of each shared pulse
+    block serve all four experiments (see ``simulated_experiment``).
+    """
+    experiments = _simulated_experiments(
+        sys, epsilon, params, protocol.MESSAGES, BellVariant.MINUS_PHI, seed, refocus
+    )
     panels = []
-    for m in protocol.MESSAGES:
+    for m, experimental in zip(protocol.MESSAGES, experiments):
         theory = ideal_output_density(m)
-        experimental = simulated_experiment(
-            sys, epsilon, params, m, seed=seed, refocus=refocus
-        )
         panels.append(
             Fig4Panel(
                 message=m,

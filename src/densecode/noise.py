@@ -8,7 +8,11 @@ does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
 Results are deterministic for a fixed seed: member k always consumes the
-k-th spawned seed and the average runs in member order.
+k-th spawned seed and the average runs in member order.  The draws depend
+only on ``(params, seed)``, not on the pulse program, so they are taken once
+per ``(params, seed)`` and reused across sequences: the fig4 pipeline draws
+once and composes its twelve programs from per-member block propagators
+compiled once each.
 """
 
 from __future__ import annotations
@@ -42,14 +46,16 @@ class ErrorParams:
 
     def __post_init__(self) -> None:
         for name in ("rf_spread", "offset_spread_hz"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"ErrorParams.{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"ErrorParams.{name} must be finite and >= 0")
         if not math.isfinite(self.calib_offset):
             raise ValueError("ErrorParams.calib_offset must be finite")
         for name in ("t2_a", "t2_b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"ErrorParams.{name} must be positive")
-        if not (isinstance(self.ensemble_size, int) and self.ensemble_size >= 1):
+        size = self.ensemble_size
+        if isinstance(size, bool) or not (isinstance(size, int) and size >= 1):
             raise ValueError("ErrorParams.ensemble_size must be an integer >= 1")
 
 
@@ -90,16 +96,22 @@ def _member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
     return delta, off_a, off_b
 
 
+def _draw_errors(p: ErrorParams, seed) -> np.ndarray:
+    """Per-member (RF deviation, offset a, offset b), shape (n, 3).
+
+    Member k uses the k-th child of SeedSequence(seed).  The draws depend on
+    ``(p, seed)`` only, so one draw serves every sequence run on the sample.
+    """
+    children = np.random.SeedSequence(seed).spawn(p.ensemble_size)
+    return np.array([_member_draws(p, child) for child in children])
+
+
 def _noisy_unitaries(
-    seq: PulseSequence,
-    sys: SpinSystem,
-    p: ErrorParams,
-    deltas: np.ndarray,
-    offs_a: np.ndarray,
-    offs_b: np.ndarray,
+    seq: PulseSequence, sys: SpinSystem, p: ErrorParams, draws: np.ndarray
 ) -> np.ndarray:
-    """Stack of per-member propagators, shape (n, 4, 4)."""
-    n = len(deltas)
+    """Stack of per-member propagators of ``seq``, shape (n, 4, 4)."""
+    deltas, offs_a, offs_b = draws.T
+    n = len(draws)
     u = np.broadcast_to(qcore.ID4, (n, 4, 4)).copy()
     for ev in seq:
         if isinstance(ev, Rf):
@@ -130,10 +142,8 @@ def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_se
     With all spreads and the calibration offset at zero this equals the
     noise-free compilation exactly.
     """
-    delta, off_a, off_b = _member_draws(p, sample_seed)
-    return _noisy_unitaries(
-        seq, sys, p, np.array([delta]), np.array([off_a]), np.array([off_b])
-    )[0]
+    draws = np.array([_member_draws(p, sample_seed)])
+    return _noisy_unitaries(seq, sys, p, draws)[0]
 
 
 def _t2_damping(rho: np.ndarray, t_total: float, p: ErrorParams) -> np.ndarray:
@@ -143,6 +153,16 @@ def _t2_damping(rho: np.ndarray, t_total: float, p: ErrorParams) -> np.ndarray:
     col_a, row_a = np.meshgrid(_ZA_DIAG, _ZA_DIAG)
     damp = np.where(row_b != col_b, f_b, 1.0) * np.where(row_a != col_a, f_a, 1.0)
     return rho * damp
+
+
+def _average(u: np.ndarray, rho0: np.ndarray, p: ErrorParams, t_total: float) -> np.ndarray:
+    """Mean over members of U_k rho0 U_k^H, T2-damped over ``t_total`` seconds
+    of free evolution; input and output are checked as density matrices."""
+    v = u @ qcore.check_density_matrix(rho0)
+    rho = np.einsum("nij,nkj->ik", v, u.conj()) / len(u)
+    rho = _t2_damping(rho, t_total, p)
+    rho = (rho + rho.conj().T) / 2.0
+    return qcore.check_density_matrix(rho)
 
 
 def ensemble_average(
@@ -155,14 +175,10 @@ def ensemble_average(
     """Bulk-sample output state: mean over members of U_k rho0 U_k^H, then T2.
 
     Member k uses the k-th child of SeedSequence(seed) and members are summed
-    in order, so the result is bit-identical for a fixed seed.
+    in order, so the result is bit-identical for a fixed seed.  The draws are
+    a function of ``(p, seed)`` alone: every sequence run with the same
+    ``(p, seed)`` sees the same sample, and callers running several sequences
+    on one sample (the fig4 pipeline) draw once and reuse the draws.
     """
-    rho0 = qcore.check_density_matrix(rho0)
-    children = np.random.SeedSequence(seed).spawn(p.ensemble_size)
-    draws = np.array([_member_draws(p, child) for child in children])
-    u = _noisy_unitaries(seq, sys, p, draws[:, 0], draws[:, 1], draws[:, 2])
-    v = u @ rho0
-    rho = np.einsum("nij,nkj->ik", v, u.conj()) / p.ensemble_size
-    rho = _t2_damping(rho, seq.total_delay(), p)
-    rho = (rho + rho.conj().T) / 2.0
-    return qcore.check_density_matrix(rho)
+    u = _noisy_unitaries(seq, sys, p, _draw_errors(p, seed))
+    return _average(u, rho0, p, seq.total_delay())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from densecode import experiment, nmrsim, noise, qcore
+from densecode import experiment, nmrsim, noise, protocol, qcore, tomo
 from densecode.gates import BellVariant
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
 
@@ -45,6 +45,9 @@ class TestErrorParams:
             {"t2_b": -2.0},
             {"ensemble_size": 0},
             {"calib_offset": math.nan},
+            {"ensemble_size": True},
+            {"rf_spread": math.inf},
+            {"offset_spread_hz": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -194,3 +197,40 @@ def test_simulated_experiment_zero_noise_recovers_ideal(system):
     rho = experiment.simulated_experiment(system, 1e-5, p, m=2, seed=4)
     ideal = experiment.ideal_output_density(2)
     assert np.max(np.abs(rho - ideal)) < 1e-7
+
+
+def reference_simulated_experiment(system, epsilon, params, m, seed, refocus):
+    """The fig4 extraction with one public ensemble average per prefix run."""
+    rho_th = nmrsim.thermal_state(system, epsilon)
+    circuit = nmrsim.dense_coding_sequence(system, m, BellVariant.MINUS_PHI, refocus)
+    total = np.zeros((4, 4), dtype=complex)
+    for prefix in nmrsim.permutation_sequences(system, refocus=refocus):
+        total += noise.ensemble_average(prefix + circuit, system, params, rho_th, seed=seed)
+    reconstructed = tomo.reconstruct(tomo.simulate_readouts(total / 3.0))
+    beta = nmrsim.pseudo_pure_beta(system, epsilon)
+    rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
+    rho_exp = (rho_exp + rho_exp.conj().T) / 2.0
+    if float(np.min(np.linalg.eigvalsh(rho_exp))) < -1e-6:
+        rho_exp = tomo.clip_to_density(rho_exp)
+    return rho_exp
+
+
+@pytest.mark.parametrize("refocus", [True, False])
+def test_shared_block_composition_matches_per_program_averages(system, refocus):
+    """Finite T2 pins each (message, prefix) run's own free-evolution time."""
+    params = replace(noise.DEMO_PARAMS, ensemble_size=64)
+    seed = 77
+    panels = experiment.fig4_panels(system, 1e-5, params, seed=seed, refocus=refocus)
+    for m, panel in zip(protocol.MESSAGES, panels):
+        expected = reference_simulated_experiment(system, 1e-5, params, m, seed, refocus)
+        assert np.max(np.abs(panel.experimental - expected)) < 1e-10
+    single = experiment.simulated_experiment(system, 1e-5, params, m=3, seed=seed, refocus=refocus)
+    assert np.max(np.abs(single - panels[2].experimental)) < 1e-10
+
+
+def test_fig4_panels_bit_identical_reruns(system):
+    params = replace(noise.DEMO_PARAMS, ensemble_size=64)
+    first = experiment.fig4_panels(system, 1e-5, params, seed=5)
+    second = experiment.fig4_panels(system, 1e-5, params, seed=5)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.experimental, b.experimental)
