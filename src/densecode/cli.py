@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys as _sys
@@ -39,29 +40,48 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_value(section: dict, name: str, key: str, default, integer: bool = False):
+    """``section[key]`` (or ``default``), which must be a JSON number and not
+    a boolean; the error names the key as ``name.key``."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"config {name}.{key} must be {kind}, got {value!r}")
+    return value
+
+
+def _config_section(section, name: str) -> dict:
+    if not isinstance(section, dict):
+        raise ValueError(f"config {name} must be a JSON object")
+    return section
+
+
 def spin_system_from_config(cfg: dict) -> tuple[nmrsim.SpinSystem, float]:
-    sc = cfg.get("spin_system", {})
+    sc = _config_section(cfg.get("spin_system", {}), "spin_system")
+    value = functools.partial(_config_value, sc, "spin_system")
     system = nmrsim.SpinSystem(
-        freq_a=sc.get("freq_a_mhz", nmrsim.DEFAULT_FREQ_A_MHZ),
-        freq_b=sc.get("freq_b_mhz", nmrsim.DEFAULT_FREQ_B_MHZ),
-        j_coupling=sc.get("j_hz", nmrsim.DEFAULT_J_HZ),
-        t2_a=sc.get("t2_a_s", nmrsim.DEFAULT_T2_S),
-        t2_b=sc.get("t2_b_s", nmrsim.DEFAULT_T2_S),
+        freq_a=value("freq_a_mhz", nmrsim.DEFAULT_FREQ_A_MHZ),
+        freq_b=value("freq_b_mhz", nmrsim.DEFAULT_FREQ_B_MHZ),
+        j_coupling=value("j_hz", nmrsim.DEFAULT_J_HZ),
+        t2_a=value("t2_a_s", nmrsim.DEFAULT_T2_S),
+        t2_b=value("t2_b_s", nmrsim.DEFAULT_T2_S),
     )
-    return system, float(sc.get("epsilon", DEFAULT_EPSILON))
+    return system, float(value("epsilon", DEFAULT_EPSILON))
 
 
 def error_params_from_config(nc: dict) -> tuple[noise.ErrorParams, int]:
+    nc = _config_section(nc, "noise")
+    value = functools.partial(_config_value, nc, "noise")
     base = noise.DEMO_PARAMS
     params = noise.ErrorParams(
-        rf_spread=nc.get("rf_spread", base.rf_spread),
-        calib_offset=nc.get("calib_offset", base.calib_offset),
-        offset_spread_hz=nc.get("offset_spread_hz", base.offset_spread_hz),
-        t2_a=nc.get("t2_a_s", base.t2_a),
-        t2_b=nc.get("t2_b_s", base.t2_b),
-        ensemble_size=int(nc.get("ensemble_size", base.ensemble_size)),
+        rf_spread=value("rf_spread", base.rf_spread),
+        calib_offset=value("calib_offset", base.calib_offset),
+        offset_spread_hz=value("offset_spread_hz", base.offset_spread_hz),
+        t2_a=value("t2_a_s", base.t2_a),
+        t2_b=value("t2_b_s", base.t2_b),
+        ensemble_size=value("ensemble_size", base.ensemble_size, integer=True),
     )
-    return params, int(nc.get("seed", noise.DEMO_SEED))
+    return params, value("seed", noise.DEMO_SEED, integer=True)
 
 
 def _resolve_noise(args, cfg: dict) -> tuple[noise.ErrorParams | None, int]:

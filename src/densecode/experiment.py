@@ -131,8 +131,8 @@ def simulated_experiment(
     every run, so the member errors are drawn once per ``(params, seed)``
     and reused by every run.  The averaged state is reconstructed by
     tomography, then the pseudo-pure deviation is rescaled to a unit-weight
-    matrix; eigenvalue clipping is applied only if the extraction dips
-    meaningfully negative.
+    matrix, which is replaced by the nearest density matrix
+    (``tomo.clip_to_density``) only if the extraction dips below -1e-6.
     """
     return _simulated_experiments(sys, epsilon, params, (m,), variant, seed, refocus)[0]
 

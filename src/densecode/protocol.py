@@ -112,14 +112,18 @@ def table1() -> tuple[tuple[DecodedOutput, ...], ...]:
     )
 
 
+#: Readout bits -> message for each variant: the columns of table1() inverted,
+#: once at import.
+_DECODING = {
+    v: {(out.y, out.x): m for m, out in zip(MESSAGES, column)}
+    for v, column in zip(BELL_VARIANT_ORDER, zip(*table1()))
+}
+
+
 def recover_message(bits: tuple[int, int], variant: BellVariant) -> int:
     """Invert the correspondence column of ``variant``: readout bits -> message."""
-    inverse = {}
-    for m in MESSAGES:
-        out = run_network(m, variant)
-        inverse[(out.y, out.x)] = m
     try:
-        return inverse[tuple(bits)]
+        return _DECODING[BellVariant(variant)][tuple(bits)]
     except KeyError:
         raise ValueError(f"readout bits {bits!r} not produced by any message") from None
 

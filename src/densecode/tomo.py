@@ -6,7 +6,14 @@ the fit only consumes what NMR detection can see: the single-quantum
 transverse terms of each spin (in-phase and antiphase, 8 values per
 experiment).  Through the 9 rotations those terms determine all 15 free
 coefficients of the product-operator expansion, so the reconstruction is an
-overdetermined linear least squares.
+overdetermined linear least squares (linear-inversion tomography, James et
+al., PRA 64, 052312 (2001)).
+
+The map is constant: the 9 readout unitaries and each readout's 8x15 block
+of the design matrix are built once at import, so simulating the readouts
+is one batched conjugation and a reconstruction stacks the blocks of its
+records for a single ``lstsq``.  A fit that dips below -1e-6 is replaced by
+the nearest density matrix (``clip_to_density``, an exact projection).
 """
 
 from __future__ import annotations
@@ -72,65 +79,70 @@ class ReadoutRecord:
         object.__setattr__(self, "observed", obs)
 
 
+_PULSES = {
+    "I": qcore.ID2,
+    "X90": qcore.pauli_rotation("X", np.pi / 2),
+    "Y90": qcore.pauli_rotation("Y", np.pi / 2),
+}
+
+
 def readout_unitary(readout_b: str, readout_a: str) -> np.ndarray:
     """Two-spin unitary of a readout pulse pair."""
-    pulse = {
-        "I": qcore.ID2,
-        "X90": qcore.pauli_rotation("X", np.pi / 2),
-        "Y90": qcore.pauli_rotation("Y", np.pi / 2),
-    }
-    return np.kron(pulse[readout_b], pulse[readout_a])
+    return np.kron(_PULSES[readout_b], _PULSES[readout_a])
 
 
-def _expectations(rho: np.ndarray) -> np.ndarray:
-    return np.array([float(np.real(np.trace(op @ rho))) for op in PRODUCT_OPS])
+#: The 9 readout pulse pairs, in record order, and their unitaries (9, 4, 4).
+READOUT_PAIRS = tuple(product(READOUT_PULSES, READOUT_PULSES))
+_READOUT_INDEX = {pair: r for r, pair in enumerate(READOUT_PAIRS)}
+_READOUT_UNITARIES = np.array([readout_unitary(rb, ra) for rb, ra in READOUT_PAIRS])
+_READOUT_ADJOINTS = _READOUT_UNITARIES.conj().transpose(0, 2, 1)
+
+_PRODUCT_STACK = np.array(PRODUCT_OPS)
+_DETECTABLE_OPS = _PRODUCT_STACK[list(DETECTABLE_INDICES)]
+_FIT_OPS = _PRODUCT_STACK[list(_FIT_INDICES)]
+
+#: Design block of each readout, (9, 8, 15): entry [r, i, j] is
+#: tr(U_r^H Q_i U_r P_j)/4, the response of detectable observable Q_i after
+#: readout r to coefficient c_j of the fitted product operator P_j.
+_DESIGN_BLOCKS = np.einsum(
+    "riad,jda->rij",
+    _READOUT_ADJOINTS[:, None] @ _DETECTABLE_OPS @ _READOUT_UNITARIES[:, None],
+    _FIT_OPS,
+).real / 4.0
 
 
 def simulate_readouts(rho: np.ndarray) -> list[ReadoutRecord]:
     """Deterministic, noise-free readout records for all 9 pulse pairs."""
     rho = qcore.check_density_matrix(rho, psd_floor=1e-6)
-    records = []
-    for rb, ra in product(READOUT_PULSES, READOUT_PULSES):
-        u = readout_unitary(rb, ra)
-        rotated = u @ rho @ u.conj().T
-        records.append(
-            ReadoutRecord(readout_b=rb, readout_a=ra, observed=_expectations(rotated))
-        )
-    return records
+    rotated = _READOUT_UNITARIES @ rho @ _READOUT_ADJOINTS
+    # tr(P rotated_r) for every readout r and product operator P
+    observed = np.einsum("pab,rba->rp", _PRODUCT_STACK, rotated).real
+    return [
+        ReadoutRecord(readout_b=rb, readout_a=ra, observed=obs)
+        for (rb, ra), obs in zip(READOUT_PAIRS, observed)
+    ]
 
 
 def reconstruct(records: list[ReadoutRecord]) -> np.ndarray:
     """Least-squares fit of rho = (I + sum_P c_P P)/4 from readout records.
 
-    Hermiticity and unit trace hold by construction.  Eigenvalues are
-    clipped to zero (with trace renormalization) only when the fit dips
-    below -1e-6; smaller negative dips are left untouched.
+    The design matrix stacks the precomputed block of each record's pulse
+    pair, so any record list (permuted, duplicated or partial) is fitted
+    the same way.  Hermiticity and unit trace hold by construction.
+    Eigenvalues are projected (see ``clip_to_density``) only when the fit
+    dips below -1e-6; smaller negative dips are left untouched.
     """
     if not records:
         raise RankDeficiencyError("no readout records supplied")
-    rows = []
-    values = []
-    for rec in records:
-        u = readout_unitary(rec.readout_b, rec.readout_a)
-        udag = u.conj().T
-        for q in DETECTABLE_INDICES:
-            # tr(Q U P U^H)/4 is the response of measurement Q to coefficient c_P
-            back = udag @ PRODUCT_OPS[q] @ u
-            rows.append(
-                [float(np.real(np.trace(back @ PRODUCT_OPS[p]))) / 4.0 for p in _FIT_INDICES]
-            )
-            values.append(rec.observed[q])
-    design = np.array(rows)
-    target = np.array(values)
+    blocks = [_READOUT_INDEX[(rec.readout_b, rec.readout_a)] for rec in records]
+    design = _DESIGN_BLOCKS[blocks].reshape(-1, len(_FIT_INDICES))
+    target = np.array([rec.observed for rec in records])[:, DETECTABLE_INDICES].ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < len(_FIT_INDICES):
         raise RankDeficiencyError(
             f"records determine only {rank} of {len(_FIT_INDICES)} coefficients"
         )
-    rho = qcore.ID4.copy()
-    for c, p in zip(coeffs, _FIT_INDICES):
-        rho = rho + c * PRODUCT_OPS[p]
-    rho = rho / 4.0
+    rho = (qcore.ID4 + np.tensordot(coeffs, _FIT_OPS, axes=1)) / 4.0
     rho = (rho + rho.conj().T) / 2.0
     if float(np.min(np.linalg.eigvalsh(rho))) < -1e-6:
         rho = clip_to_density(rho)
@@ -138,15 +150,21 @@ def reconstruct(records: list[ReadoutRecord]) -> np.ndarray:
 
 
 def clip_to_density(rho: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix to the nearest PSD one and renormalize trace."""
+    """Nearest unit-trace PSD matrix to a Hermitian matrix, in Frobenius norm.
+
+    The eigenvectors are kept and the eigenvalues are projected onto the
+    probability simplex: all are shifted down by one common amount and the
+    ones that fall below zero are set to zero (Smolin, Gambetta and Smith,
+    PRL 108, 070502 (2012)).
+    """
     rho = np.asarray(rho, dtype=complex)
     rho = (rho + rho.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    total = float(np.sum(vals))
-    if total <= 0:
-        raise ValueError("matrix has no positive weight to renormalize")
-    return (vecs * (vals / total)) @ vecs.conj().T
+    desc = vals[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, vals.size + 1)
+    # the largest eigenvalues still positive after their own shift stay in
+    shift = shifts[np.flatnonzero(desc > shifts)[-1]]
+    return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)

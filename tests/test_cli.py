@@ -257,6 +257,44 @@ class TestMutationSanity:
         assert not result.passed
 
 
+BAD_CONFIG_VALUES = [
+    ("noise", "rf_spread", "0.05"),
+    ("noise", "calib_offset", True),
+    ("noise", "ensemble_size", "1000"),
+    ("noise", "ensemble_size", False),
+    ("noise", "seed", None),
+    ("noise", "seed", 1.5),
+    ("spin_system", "j_hz", "215"),
+    ("spin_system", "freq_a_mhz", True),
+    ("spin_system", "epsilon", [1e-5]),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("section,key,value", BAD_CONFIG_VALUES)
+    @pytest.mark.parametrize(
+        "command", [["run", "-m", "1", "--layer", "pulse", "--noise"], ["fig4"], ["validate"]]
+    )
+    def test_mistyped_value_is_usage_error(self, capsys, tmp_path, command, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code, out, err = run_cli(
+            capsys, command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{section}.{key}" in err
+
+    @pytest.mark.parametrize("section", ["noise", "spin_system"])
+    def test_section_must_be_an_object(self, capsys, tmp_path, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: [1, 2]}))
+        code, _, err = run_cli(capsys, ["run", "-m", "1", "--layer", "pulse", "--config", str(cfg)])
+        assert code == 2
+        assert err == f"error: config {section} must be a JSON object\n"
+
+
 def test_error_params_from_config_defaults():
     params, seed = cli.error_params_from_config({})
     assert params == noise.DEMO_PARAMS

@@ -140,6 +140,26 @@ def test_recover_message_inverts_column():
             assert protocol.recover_message((out.y, out.x), v) == m
 
 
+def test_recover_message_reads_the_table_without_rerunning_the_network(monkeypatch):
+    grid = protocol.table1()
+
+    def no_network(m, v):
+        raise AssertionError("recover_message re-ran the network")
+
+    monkeypatch.setattr(protocol, "run_network", no_network)
+    for j, v in enumerate(BELL_VARIANT_ORDER):
+        for m, row in zip(protocol.MESSAGES, grid):
+            assert protocol.recover_message((row[j].y, row[j].x), v) == m
+            assert protocol.recover_message([row[j].y, row[j].x], v.value) == m
+
+
+def test_recover_message_rejects_unknown_bits():
+    with pytest.raises(ValueError):
+        protocol.recover_message((2, 0), BellVariant.MINUS_PHI)
+    with pytest.raises(ValueError):
+        protocol.recover_message((0, 0), "no-such-variant")
+
+
 def test_decoded_output_index_and_bits():
     out = protocol.DecodedOutput(y=1, x=1, phase=-1)
     assert out.index == 3

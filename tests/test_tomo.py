@@ -208,6 +208,99 @@ class TestMaxElementError:
         assert err.relative == pytest.approx(0.10)
 
 
+def old_design_rows(rb, ra):
+    """Design rows of one readout by explicit traces, one row per detectable
+    observable Q: tr(U^H Q U P)/4 for each fitted product operator P."""
+    u = tomo.readout_unitary(rb, ra)
+    fit = [p for p in range(16) if tomo.PRODUCT_LABELS[p] != "II"]
+    rows = []
+    for q in tomo.DETECTABLE_INDICES:
+        back = u.conj().T @ tomo.PRODUCT_OPS[q] @ u
+        rows.append([float(np.real(np.trace(back @ tomo.PRODUCT_OPS[p]))) / 4.0 for p in fit])
+    return np.array(rows)
+
+
+class TestConstantMap:
+    def test_design_blocks_match_trace_oracle(self):
+        assert tomo._DESIGN_BLOCKS.shape == (9, 8, 15)
+        for r, (rb, ra) in enumerate(tomo.READOUT_PAIRS):
+            assert np.max(np.abs(tomo._DESIGN_BLOCKS[r] - old_design_rows(rb, ra))) < 1e-14
+
+    def test_simulate_readouts_matches_trace_oracle(self):
+        rng = np.random.default_rng(113)
+        for _ in range(20):
+            rho = random_density(rng)
+            for rec in tomo.simulate_readouts(rho):
+                u = tomo.readout_unitary(rec.readout_b, rec.readout_a)
+                rotated = u @ rho @ u.conj().T
+                expected = [float(np.real(np.trace(op @ rotated))) for op in tomo.PRODUCT_OPS]
+                assert np.max(np.abs(rec.observed - expected)) < 1e-14
+
+    def test_record_order_and_multiplicity_do_not_matter(self):
+        rng = np.random.default_rng(127)
+        records = tomo.simulate_readouts(random_density(rng))
+        full = tomo.reconstruct(records)
+        permuted = [records[i] for i in rng.permutation(9)]
+        assert np.max(np.abs(tomo.reconstruct(permuted) - full)) < 1e-12
+        assert np.max(np.abs(tomo.reconstruct(records + records[:4]) - full)) < 1e-12
+        assert np.max(np.abs(tomo.reconstruct(records * 3) - full)) < 1e-12
+
+    @pytest.mark.parametrize("dropped", range(9))
+    def test_every_eight_of_nine_subset_is_full_rank(self, dropped):
+        rng = np.random.default_rng(131)
+        records = tomo.simulate_readouts(random_density(rng))
+        full = tomo.reconstruct(records)
+        subset = records[:dropped] + records[dropped + 1:]
+        assert np.max(np.abs(tomo.reconstruct(subset) - full)) < 1e-12
+
+    def test_repeated_single_readout_is_rank_deficient(self):
+        records = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
+        with pytest.raises(tomo.RankDeficiencyError):
+            tomo.reconstruct([record_for(records, "I", "I")] * 9)
+
+
+def random_hermitian(rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return (a + a.conj().T) / 4 + np.eye(4) / 4
+
+
+def random_state_of_rank(rng, rank):
+    a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestClipToDensity:
+    def test_no_density_matrix_is_closer(self):
+        # the unit-trace PSD set is convex, so beating every sampled state and
+        # every small step from the projection towards one is a brute-force
+        # check of the nearest point
+        rng = np.random.default_rng(137)
+        for _ in range(30):
+            h = random_hermitian(rng)
+            proj = tomo.clip_to_density(h)
+            qcore.check_density_matrix(proj)
+            best = np.linalg.norm(h - proj)
+            for _ in range(200):
+                sigma = random_state_of_rank(rng, int(rng.integers(1, 5)))
+                assert np.linalg.norm(h - sigma) >= best - 1e-12
+                for t in (1e-1, 1e-3):
+                    step = (1 - t) * proj + t * sigma
+                    assert np.linalg.norm(h - step) >= best - 1e-12
+
+    def test_density_matrix_comes_back_unchanged(self):
+        rng = np.random.default_rng(139)
+        for rank in (1, 2, 3, 4):
+            rho = random_state_of_rank(rng, rank)
+            assert np.max(np.abs(tomo.clip_to_density(rho) - rho)) < 1e-14
+
+    def test_shifts_eigenvalues_instead_of_rescaling(self):
+        # clipping the negatives and rescaling would give 0.6/1.1 and 0.5/1.1
+        m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+        proj = tomo.clip_to_density(m)
+        assert np.allclose(proj, np.diag([0.55, 0.45, 0.0, 0.0]), atol=1e-15)
+
+
 def test_clip_to_density_projects_and_renormalizes():
     m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     clipped = tomo.clip_to_density(m)
