@@ -84,18 +84,21 @@ def error_params_from_config(nc: dict) -> tuple[noise.ErrorParams, int]:
     return params, value("seed", noise.DEMO_SEED, integer=True)
 
 
-def _resolve_noise(args, cfg: dict) -> tuple[noise.ErrorParams | None, int]:
-    """Noise params for run/tomo: enabled only by --noise, parameters from the
-    given path, else the config's noise object, else the calibrated defaults."""
-    enabled = args.noise is not None
-    nc = cfg.get("noise", {})
+def _resolve_noise(args, cfg: dict) -> tuple[noise.ErrorParams | None, int | None]:
+    """Noise params and seed for run/tomo: enabled only by --noise, parameters
+    from the given path, else the config's noise object, else the calibrated
+    defaults.  Without --noise the section's values are neither read nor
+    checked, only its shape: (None, None)."""
+    nc = _config_section(cfg.get("noise", {}), "noise")
+    if args.noise is None:
+        return None, None
     if args.noise:  # a path was given
         loaded = load_config(args.noise)
         nc = loaded.get("noise", loaded)
     params, seed = error_params_from_config(nc)
     if args.seed is not None:
         seed = args.seed
-    return (params if enabled else None), seed
+    return params, seed
 
 
 def _variant(value: str) -> BellVariant:

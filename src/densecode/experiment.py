@@ -73,39 +73,43 @@ def _simulated_experiments(
 ) -> list[np.ndarray]:
     """Extracted experimental matrices for ``messages``, in order.
 
-    The member errors are drawn once for ``(params, seed)``.  Each shared
-    block (Bell preparation, encodings, decode, averaging prefixes) is
-    compiled once as a per-member propagator stack, and each program is
-    composed as U_dec @ U_enc(m) @ U_prep @ U_prefix.  Every (message, prefix)
-    run is averaged with T2 over its own free-evolution time.
+    The member errors are drawn once for ``(params, seed)``, chunk by chunk.
+    In each chunk every shared block (Bell preparation, encodings, decode,
+    averaging prefixes) is compiled once as a per-member propagator stack,
+    each prefix acting on a factor of the thermal state, and each program
+    is composed as U_dec @ U_enc(m) @ U_prep @ U_prefix.  Every
+    (message, prefix) run is averaged with T2 over its own free-evolution
+    time.
     """
     rho_th = nmrsim.thermal_state(sys, epsilon)
     beta = nmrsim.pseudo_pure_beta(sys, epsilon)
-    draws = noise._draw_errors(params, seed)
-
-    def stack(seq: nmrsim.PulseSequence) -> np.ndarray:
-        return noise._noisy_unitaries(seq, sys, params, draws)
-
+    v_th = qcore.psd_factor(qcore.check_density_matrix(rho_th))
     prep = nmrsim.bell_prep_sequence(sys, variant, refocus=refocus)
     decode = nmrsim.decode_sequence(sys, refocus=refocus)
-    u_prep, u_decode = stack(prep), stack(decode)
-    prefixes = [
-        (stack(prefix), prefix.total_delay())
-        for prefix in nmrsim.permutation_sequences(sys, refocus=refocus)
+    encodes = [nmrsim.encoding_pulse(m) for m in messages]
+    prefixes = nmrsim.permutation_sequences(sys, refocus=refocus)
+    t_totals = [
+        [prefix.total_delay() + (prep + encode + decode).total_delay() for prefix in prefixes]
+        for encode in encodes
     ]
 
-    results = []
-    for m in messages:
-        encode = nmrsim.encoding_pulse(m)
-        u_circuit = u_decode @ stack(encode) @ u_prep
-        circuit_delay = (prep + encode + decode).total_delay()
-        total = np.zeros((4, 4), dtype=complex)
-        for u_prefix, prefix_delay in prefixes:
-            total += noise._average(
-                u_circuit @ u_prefix, rho_th, params, prefix_delay + circuit_delay
-            )
-        rho_avg = total / 3.0
+    def second_moments(draws: np.ndarray) -> np.ndarray:
+        def stack(seq: nmrsim.PulseSequence, start: np.ndarray = qcore.ID4) -> np.ndarray:
+            return noise._propagate(seq, sys, params, draws, start)
 
+        u_prep, u_decode = stack(prep), stack(decode)
+        w_prefixes = [stack(prefix, v_th) for prefix in prefixes]
+        moments = np.empty((len(encodes), len(prefixes), 4, 4), dtype=complex)
+        for i, encode in enumerate(encodes):
+            u_circuit = u_decode @ stack(encode) @ u_prep
+            for j, w_prefix in enumerate(w_prefixes):
+                moments[i, j] = noise._second_moment(u_circuit @ w_prefix)
+        return moments
+
+    states = noise._mean_states(params, seed, second_moments, t_totals)
+    results = []
+    for runs in states:
+        rho_avg = runs.sum(axis=0) / 3.0
         reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_avg))
         rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
         rho_exp = (rho_exp + rho_exp.conj().T) / 2.0

@@ -7,23 +7,36 @@ the member, so refocusing pairs cancel them exactly the way a spin echo
 does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
+The ensemble average propagates a factor V of the input (rho0 = V V^H)
+rather than full propagators: an RF pulse is cos*U + sin*(a signed row
+permutation of U) and a delay is a diagonal phase, so no per-event matrix
+is built or multiplied.  Members are drawn, propagated and summed in
+chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded however
+large the ensemble is.
+
 Results are deterministic for a fixed seed: member k always consumes the
-k-th spawned seed and the average runs in member order.  The draws depend
-only on ``(params, seed)``, not on the pulse program, so they are taken once
-per ``(params, seed)`` and reused across sequences: the fig4 pipeline draws
-once and composes its twelve programs from per-member block propagators
-compiled once each.
+k-th spawned seed and the chunks are summed in member order.  The draws
+depend only on ``(params, seed)``, not on the pulse program, so programs
+run on one sample share them: the fig4 pipeline draws each chunk once and
+composes its twelve programs from per-member block propagators compiled
+once each.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
-from .nmrsim import PulseSequence, Rf, SpinSystem, _ZA_DIAG, _ZB_DIAG, _ZZ_DIAG
+from .nmrsim import AXES, SPINS, PulseSequence, Rf, SpinSystem, _ZA_DIAG, _ZB_DIAG, _ZZ_DIAG
+
+#: Members drawn, propagated and summed together in the ensemble average.
+CHUNK_SIZE = 2048
+#: Largest accepted ``ErrorParams.ensemble_size``.
+MAX_ENSEMBLE_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +68,12 @@ class ErrorParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"ErrorParams.{name} must be positive")
         size = self.ensemble_size
-        if isinstance(size, bool) or not (isinstance(size, int) and size >= 1):
-            raise ValueError("ErrorParams.ensemble_size must be an integer >= 1")
+        valid = isinstance(size, int) and not isinstance(size, bool)
+        if not (valid and 1 <= size <= MAX_ENSEMBLE_SIZE):
+            raise ValueError(
+                f"ErrorParams.ensemble_size must be an integer in [1, {MAX_ENSEMBLE_SIZE}], "
+                f"got {size!r}"
+            )
 
 
 #: Calibrated demonstration parameters: a coarse grid search over
@@ -96,35 +113,52 @@ def _member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
     return delta, off_a, off_b
 
 
-def _draw_errors(p: ErrorParams, seed) -> np.ndarray:
-    """Per-member (RF deviation, offset a, offset b), shape (n, 3).
+def _draw_chunks(p: ErrorParams, seed) -> Iterator[np.ndarray]:
+    """Per-member (RF deviation, offset a, offset b) in member order, in
+    chunks of shape (<= CHUNK_SIZE, 3).
 
-    Member k uses the k-th child of SeedSequence(seed).  The draws depend on
-    ``(p, seed)`` only, so one draw serves every sequence run on the sample.
+    Member k uses the k-th child of SeedSequence(seed): successive ``spawn``
+    calls on one SeedSequence continue its child numbering, so the chunks
+    are the draws of a single ``spawn(ensemble_size)``.
     """
-    children = np.random.SeedSequence(seed).spawn(p.ensemble_size)
-    return np.array([_member_draws(p, child) for child in children])
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, p.ensemble_size, CHUNK_SIZE):
+        children = parent.spawn(min(CHUNK_SIZE, p.ensemble_size - start))
+        yield np.array([_member_draws(p, child) for child in children])
 
 
-def _noisy_unitaries(
-    seq: PulseSequence, sys: SpinSystem, p: ErrorParams, draws: np.ndarray
+def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with -i*S @ U == phase[:, None] * U[perm] for the Pauli
+    operator S of ``axis`` on ``spin``: every row of S has one nonzero entry."""
+    sigma = {"X": qcore.SIGMA_X, "Y": qcore.SIGMA_Y, "Z": qcore.SIGMA_Z}[axis]
+    full = np.kron(sigma, qcore.ID2) if spin == "b" else np.kron(qcore.ID2, sigma)
+    perm = np.argmax(np.abs(full), axis=1)
+    return perm, -1j * full[np.arange(4), perm]
+
+
+#: (perm, phase) of each (spin, axis) pair; an RF pulse exp(-i*theta*S/2)
+#: acts as U -> cos(theta/2)*U + sin(theta/2)*phase[:, None]*U[perm].
+_RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
+
+
+def _propagate(
+    seq: PulseSequence,
+    sys: SpinSystem,
+    p: ErrorParams,
+    draws: np.ndarray,
+    start: np.ndarray = qcore.ID4,
 ) -> np.ndarray:
-    """Stack of per-member propagators of ``seq``, shape (n, 4, 4)."""
+    """Per-member U_k @ start for the propagators U_k of ``seq``, shape
+    (n, 4, k) for a (4, k) ``start``; the identity gives the propagators."""
     deltas, offs_a, offs_b = draws.T
-    n = len(draws)
-    u = np.broadcast_to(qcore.ID4, (n, 4, 4)).copy()
+    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
     for ev in seq:
         if isinstance(ev, Rf):
             angles = ev.angle * (1.0 + p.calib_offset + deltas) * ev.phase_sign
-            c = np.cos(angles / 2.0)
-            s = np.sin(angles / 2.0)
-            sigma = {"X": qcore.SIGMA_X, "Y": qcore.SIGMA_Y, "Z": qcore.SIGMA_Z}[ev.axis]
-            u2 = c[:, None, None] * qcore.ID2 - 1j * s[:, None, None] * sigma
-            if ev.spin == "b":
-                u4 = np.einsum("nab,cd->nacbd", u2, qcore.ID2).reshape(n, 4, 4)
-            else:
-                u4 = np.einsum("ab,ncd->nacbd", qcore.ID2, u2).reshape(n, 4, 4)
-            u = u4 @ u
+            perm, phase = _RF_ROWS[ev.spin, ev.axis]
+            c = np.cos(angles / 2.0)[:, None, None]
+            s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
+            u = c * u + s * u[:, perm, :]
         else:
             t = ev.duration
             angle = (
@@ -143,26 +177,47 @@ def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_se
     noise-free compilation exactly.
     """
     draws = np.array([_member_draws(p, sample_seed)])
-    return _noisy_unitaries(seq, sys, p, draws)[0]
+    return _propagate(seq, sys, p, draws)[0]
 
 
-def _t2_damping(rho: np.ndarray, t_total: float, p: ErrorParams) -> np.ndarray:
-    f_a = math.exp(-t_total / p.t2_a) if math.isfinite(p.t2_a) else 1.0
-    f_b = math.exp(-t_total / p.t2_b) if math.isfinite(p.t2_b) else 1.0
-    col_b, row_b = np.meshgrid(_ZB_DIAG, _ZB_DIAG)
-    col_a, row_a = np.meshgrid(_ZA_DIAG, _ZA_DIAG)
-    damp = np.where(row_b != col_b, f_b, 1.0) * np.where(row_a != col_a, f_a, 1.0)
-    return rho * damp
+def _second_moment(w: np.ndarray) -> np.ndarray:
+    """Sum over members of W_k W_k^H for a (n, 4, k) stack."""
+    return np.einsum("nik,njk->ij", w, w.conj())
 
 
-def _average(u: np.ndarray, rho0: np.ndarray, p: ErrorParams, t_total: float) -> np.ndarray:
-    """Mean over members of U_k rho0 U_k^H, T2-damped over ``t_total`` seconds
-    of free evolution; input and output are checked as density matrices."""
-    v = u @ qcore.check_density_matrix(rho0)
-    rho = np.einsum("nij,nkj->ik", v, u.conj()) / len(u)
-    rho = _t2_damping(rho, t_total, p)
-    rho = (rho + rho.conj().T) / 2.0
-    return qcore.check_density_matrix(rho)
+# Coherences damped by T2 of spin a / spin b: elements whose row and column
+# differ in that spin's label.
+_COHERENT_A = _ZA_DIAG[:, None] != _ZA_DIAG[None, :]
+_COHERENT_B = _ZB_DIAG[:, None] != _ZB_DIAG[None, :]
+
+
+def _mean_states(
+    p: ErrorParams,
+    seed,
+    second_moments: Callable[[np.ndarray], np.ndarray],
+    t_totals,
+) -> np.ndarray:
+    """Bulk-sample states of one or more programs run on one sample.
+
+    ``second_moments(draws)`` returns, for a chunk of member draws, the sum
+    over its members of W_k W_k^H for each program (shape
+    ``t_totals.shape + (4, 4)``, W_k = U_k times a factor of the input).
+    The chunks are summed in member order, so memory does not grow with the
+    ensemble and the result is bit-identical for a fixed seed.  The mean of
+    each program is T2-damped over its own free-evolution time in
+    ``t_totals`` (seconds) and checked as a density matrix.
+    """
+    t_totals = np.asarray(t_totals, dtype=float)
+    total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
+    for draws in _draw_chunks(p, seed):
+        total += second_moments(draws)
+    f_a = np.exp(-t_totals / p.t2_a)[..., None, None]
+    f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
+    rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    for state in rho.reshape(-1, 4, 4):
+        qcore.check_density_matrix(state)
+    return rho
 
 
 def ensemble_average(
@@ -174,11 +229,18 @@ def ensemble_average(
 ) -> np.ndarray:
     """Bulk-sample output state: mean over members of U_k rho0 U_k^H, then T2.
 
-    Member k uses the k-th child of SeedSequence(seed) and members are summed
-    in order, so the result is bit-identical for a fixed seed.  The draws are
-    a function of ``(p, seed)`` alone: every sequence run with the same
-    ``(p, seed)`` sees the same sample, and callers running several sequences
-    on one sample (the fig4 pipeline) draw once and reuse the draws.
+    Member k uses the k-th child of SeedSequence(seed); members are drawn,
+    propagated and summed in chunks of ``CHUNK_SIZE`` in member order, so the
+    result is bit-identical for a fixed seed and memory does not grow with
+    ``p.ensemble_size``.  Only a factor V of rho0 = V V^H is propagated (one
+    column for a pure input).  The draws are a function of ``(p, seed)``
+    alone: every sequence run with the same ``(p, seed)`` sees the same
+    sample, and callers running several sequences on one sample (the fig4
+    pipeline) draw once and reuse the draws.
     """
-    u = _noisy_unitaries(seq, sys, p, _draw_errors(p, seed))
-    return _average(u, rho0, p, seq.total_delay())
+    v = qcore.psd_factor(qcore.check_density_matrix(rho0))
+
+    def second_moment(draws: np.ndarray) -> np.ndarray:
+        return _second_moment(_propagate(seq, sys, p, draws, v))
+
+    return _mean_states(p, seed, second_moment, seq.total_delay())

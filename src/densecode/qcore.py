@@ -137,22 +137,27 @@ def probabilities(state: np.ndarray) -> np.ndarray:
     return np.real(np.diag(rho)).copy()
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+def psd_factor(rho: np.ndarray) -> np.ndarray:
+    """A factor V, shape (4, k), of a positive semidefinite ``rho`` = V V^H.
+
+    Eigenvalues at rounding level relative to the largest (the tolerance of
+    ``np.linalg.matrix_rank``) are dropped, so a pure state gives k = 1.
+    """
     vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    keep = vals > vals[-1] * len(vals) * np.finfo(float).eps
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
+    Computed as the squared sum of the singular values of A^H B for factors
+    rho = A A^H and sigma = B B^H, which equal those of sqrt(rho) sqrt(sigma).
     For pure sigma = |psi><psi| this reduces to <psi|rho|psi>.
     """
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    sr = _psd_sqrt(rho)
-    inner = _psd_sqrt(sr @ sigma @ sr)
-    f = float(np.real(np.trace(inner))) ** 2
+    a = psd_factor(check_density_matrix(rho))
+    b = psd_factor(check_density_matrix(sigma))
+    f = float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False))) ** 2
     return min(max(f, 0.0), 1.0)
 
 

@@ -273,7 +273,13 @@ BAD_CONFIG_VALUES = [
 class TestConfigTypes:
     @pytest.mark.parametrize("section,key,value", BAD_CONFIG_VALUES)
     @pytest.mark.parametrize(
-        "command", [["run", "-m", "1", "--layer", "pulse", "--noise"], ["fig4"], ["validate"]]
+        "command",
+        [
+            ["run", "-m", "1", "--layer", "pulse", "--noise"],
+            ["fig4"],
+            ["validate"],
+            ["tomo", "-m", "1", "--layer", "pulse", "--noise"],
+        ],
     )
     def test_mistyped_value_is_usage_error(self, capsys, tmp_path, command, section, key, value):
         cfg = tmp_path / "cfg.json"
@@ -307,3 +313,46 @@ def test_spin_system_from_config_defaults():
     assert system.freq_b == 125.77
     assert system.j_coupling == 215.0
     assert epsilon == 1e-5
+
+
+class TestNoiseSectionOnlyWithNoise:
+    """run/tomo read the config's noise values only when --noise is given;
+    with --noise a mistyped value is refused (TestConfigTypes)."""
+
+    @pytest.mark.parametrize("command", ["run", "tomo"])
+    def test_ignored_without_noise(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"rf_spread": "x"}}))
+        code, out, err = run_cli(
+            capsys, [command, "-m", "1", "--layer", "pulse", "--config", str(cfg), "--format", "json"]
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)
+
+
+class TestEnsembleSizeBound:
+    """An oversized ensemble is refused by the validator before any draw."""
+
+    TOO_LARGE = noise.MAX_ENSEMBLE_SIZE + 1
+
+    @pytest.mark.parametrize(
+        "command", [["run", "-m", "1", "--layer", "pulse", "--noise"], ["fig4"], ["validate"]]
+    )
+    def test_config_value_is_usage_error(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"ensemble_size": self.TOO_LARGE}}))
+        code, out, err = run_cli(
+            capsys, command + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ensemble_size" in err
+
+    def test_validate_option_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["validate", "--ensemble-size", str(self.TOO_LARGE)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ensemble_size" in err

@@ -54,6 +54,13 @@ class TestErrorParams:
         with pytest.raises(ValueError):
             noise.ErrorParams(**kwargs)
 
+    def test_ensemble_size_upper_bound(self):
+        assert noise.ErrorParams(ensemble_size=noise.MAX_ENSEMBLE_SIZE).ensemble_size == (
+            noise.MAX_ENSEMBLE_SIZE
+        )
+        with pytest.raises(ValueError, match="ensemble_size"):
+            noise.ErrorParams(ensemble_size=noise.MAX_ENSEMBLE_SIZE + 1)
+
 
 class TestNoisyCompile:
     def test_zero_noise_equals_clean_compile(self, system, bell_seq):
@@ -142,6 +149,84 @@ class TestEnsembleAverage:
         assert np.allclose(np.diag(damped), np.diag(clean), atol=1e-12)
         factor = math.exp(-0.05 / 0.1)
         assert abs(damped[0, 1]) == pytest.approx(abs(clean[0, 1]) * factor, rel=1e-9)
+
+
+def member_oracle(seq, system, p, rho0, seed):
+    """Mean of U_k rho0 U_k^H over the members of spawn(n), each U_k a product
+    of ``nmrsim.rf_unitary`` and diagonal delay matrices, then T2 damping."""
+    total = np.zeros((4, 4), dtype=complex)
+    for child in np.random.SeedSequence(seed).spawn(p.ensemble_size):
+        delta, off_a, off_b = noise._member_draws(p, child)
+        u = np.eye(4, dtype=complex)
+        for ev in seq:
+            if isinstance(ev, Rf):
+                angle = ev.angle * (1.0 + p.calib_offset + delta)
+                u = nmrsim.rf_unitary(ev.spin, ev.axis, angle, ev.phase_sign) @ u
+            else:
+                za = np.array([1, -1, 1, -1])
+                zb = np.array([1, 1, -1, -1])
+                phase = (
+                    np.pi * system.j_coupling * ev.duration / 2 * za * zb
+                    + np.pi * ev.duration * (off_a * za + off_b * zb)
+                )
+                u = np.diag(np.exp(-1j * phase)) @ u
+        total += u @ rho0 @ u.conj().T
+    t = seq.total_delay()
+    damp = np.ones((4, 4))
+    for i in range(4):
+        for j in range(4):
+            if i & 1 != j & 1:
+                damp[i, j] *= math.exp(-t / p.t2_a)
+            if i >> 1 != j >> 1:
+                damp[i, j] *= math.exp(-t / p.t2_b)
+    return total / p.ensemble_size * damp
+
+
+class TestRowPermutationEngine:
+    @pytest.mark.parametrize("phase_sign", [1, -1])
+    @pytest.mark.parametrize("axis", nmrsim.AXES)
+    @pytest.mark.parametrize("spin", nmrsim.SPINS)
+    def test_pulse_matches_rf_unitary(self, system, spin, axis, phase_sign):
+        p = noise.ErrorParams(calib_offset=0.03)
+        deltas = np.array([0.0, 0.07, -0.11, 0.4])
+        draws = np.column_stack([deltas, [5.0, -3.0, 0.0, 12.0], [1.0, 2.0, -7.0, 0.0]])
+        seq = PulseSequence((Rf(spin, axis, 1.3, phase_sign),))
+        stack = noise._propagate(seq, system, p, draws)
+        for u, delta in zip(stack, deltas):
+            expected = nmrsim.rf_unitary(spin, axis, 1.3 * (1.0 + 0.03 + delta), phase_sign)
+            assert np.max(np.abs(u - expected)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [
+            RHO00,
+            nmrsim.thermal_state(SpinSystem(), 1e-3),
+            np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex),
+        ],
+        ids=["pure", "thermal", "rank2"],
+    )
+    def test_chunked_average_matches_member_oracle(self, system, monkeypatch, rho0):
+        chunk = 5
+        monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
+        seq = nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI)
+        base = replace(noise.DEMO_PARAMS, t2_a=0.05, t2_b=0.08)
+        for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            p = replace(base, ensemble_size=size)
+            rho = noise.ensemble_average(seq, system, p, rho0, seed=size)
+            assert np.max(np.abs(rho - member_oracle(seq, system, p, rho0, size))) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_chunked_draws_equal_one_spawn(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
+        size = 2 * noise.CHUNK_SIZE + 1
+        p = replace(noise.DEMO_PARAMS, ensemble_size=size)
+        chunks = list(noise._draw_chunks(p, 99))
+        assert [len(c) for c in chunks] == [noise.CHUNK_SIZE, noise.CHUNK_SIZE, 1]
+        expected = np.array(
+            [noise._member_draws(p, c) for c in np.random.SeedSequence(99).spawn(size)]
+        )
+        assert np.array_equal(np.concatenate(chunks), expected)
 
 
 class TestRefocusing:

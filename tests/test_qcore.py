@@ -211,6 +211,23 @@ class TestFidelity:
         expected = float(np.real(psi.conj() @ rho @ psi))
         assert qcore.fidelity(rho, qcore.pure_density(psi)) == pytest.approx(expected, abs=1e-7)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pure_reference_is_overlap_to_rounding(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        rho = random_density(rng)
+        psi = random_state(rng)
+        expected = float(np.real(psi.conj() @ rho @ psi))
+        assert abs(qcore.fidelity(rho, qcore.pure_density(psi)) - expected) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_symmetric_to_rounding(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        rho = random_density(rng)
+        sigma = qcore.pure_density(random_state(rng))
+        assert abs(qcore.fidelity(rho, sigma) - qcore.fidelity(sigma, rho)) < 1e-12
+        other = random_density(rng)
+        assert abs(qcore.fidelity(rho, other) - qcore.fidelity(other, rho)) < 1e-12
+
     def test_rejects_non_psd(self):
         bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
         good = np.eye(4, dtype=complex) / 4
