@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -30,14 +30,55 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+#: Keys of a config document, and of its sections with the dataclass field
+#: each key sets (``None``: read by the loader itself).
+CONFIG_SECTIONS = ("spin_system", "noise")
+SPIN_SYSTEM_KEYS = {
+    "freq_a_mhz": "freq_a",
+    "freq_b_mhz": "freq_b",
+    "j_hz": "j_coupling",
+    "t2_a_s": "t2_a",
+    "t2_b_s": "t2_b",
+    "epsilon": None,
+}
+NOISE_KEYS = {
+    "rf_spread": "rf_spread",
+    "calib_offset": "calib_offset",
+    "offset_spread_hz": "offset_spread_hz",
+    "t2_a_s": "t2_a",
+    "t2_b_s": "t2_b",
+    "ensemble_size": "ensemble_size",
+    "seed": None,
+}
+
+
+def _read_object(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     return cfg
+
+
+def _check_keys(mapping: dict, name: str, known) -> dict:
+    """``mapping``, whose keys must all be in ``known``; an unknown key is
+    named as ``name.key``."""
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        prefix = f"{name}." if name else ""
+        raise ValueError(
+            "unknown config key " + ", ".join(prefix + key for key in unknown)
+            + " (known: " + ", ".join(known) + ")"
+        )
+    return mapping
+
+
+def load_config(path: str | None) -> dict:
+    """The config document at ``path`` ({} without one): a JSON object with
+    no key other than ``spin_system`` and ``noise``."""
+    if not path:
+        return {}
+    return _check_keys(_read_object(path), "", CONFIG_SECTIONS)
 
 
 def _config_value(section: dict, name: str, key: str, default, integer: bool = False):
@@ -50,55 +91,73 @@ def _config_value(section: dict, name: str, key: str, default, integer: bool = F
     return value
 
 
-def _config_section(section, name: str) -> dict:
+def _config_section(section, name: str, keys) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"config {name} must be a JSON object")
-    return section
+    return _check_keys(section, name, keys)
+
+
+def _from_section(cls, section: dict, name: str, keys: dict, base):
+    """``cls`` built from the fields ``keys`` maps ``section``'s keys to,
+    each defaulting to ``base``'s; a range error of ``cls`` is reported under
+    the config key (``config noise.t2_a_s must be positive``)."""
+    fields = {
+        field: _config_value(
+            section, name, key, getattr(base, field), integer=field == "ensemble_size"
+        )
+        for key, field in keys.items()
+        if field is not None
+    }
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        message = str(exc)
+        for key, field in keys.items():
+            prefix = f"{cls.__name__}.{field} "
+            if field is not None and message.startswith(prefix):
+                raise ValueError(f"config {name}.{key} {message[len(prefix):]}") from None
+        raise
+
+
+def _check_seed(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def spin_system_from_config(cfg: dict) -> tuple[nmrsim.SpinSystem, float]:
-    sc = _config_section(cfg.get("spin_system", {}), "spin_system")
-    value = functools.partial(_config_value, sc, "spin_system")
-    system = nmrsim.SpinSystem(
-        freq_a=value("freq_a_mhz", nmrsim.DEFAULT_FREQ_A_MHZ),
-        freq_b=value("freq_b_mhz", nmrsim.DEFAULT_FREQ_B_MHZ),
-        j_coupling=value("j_hz", nmrsim.DEFAULT_J_HZ),
-        t2_a=value("t2_a_s", nmrsim.DEFAULT_T2_S),
-        t2_b=value("t2_b_s", nmrsim.DEFAULT_T2_S),
+    sc = _config_section(cfg.get("spin_system", {}), "spin_system", SPIN_SYSTEM_KEYS)
+    system = _from_section(
+        nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
     )
-    return system, float(value("epsilon", DEFAULT_EPSILON))
+    epsilon = float(_config_value(sc, "spin_system", "epsilon", DEFAULT_EPSILON))
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError("config spin_system.epsilon must be finite and >= 0")
+    return system, epsilon
 
 
-def error_params_from_config(nc: dict) -> tuple[noise.ErrorParams, int]:
-    nc = _config_section(nc, "noise")
-    value = functools.partial(_config_value, nc, "noise")
-    base = noise.DEMO_PARAMS
-    params = noise.ErrorParams(
-        rf_spread=value("rf_spread", base.rf_spread),
-        calib_offset=value("calib_offset", base.calib_offset),
-        offset_spread_hz=value("offset_spread_hz", base.offset_spread_hz),
-        t2_a=value("t2_a_s", base.t2_a),
-        t2_b=value("t2_b_s", base.t2_b),
-        ensemble_size=value("ensemble_size", base.ensemble_size, integer=True),
-    )
-    return params, value("seed", noise.DEMO_SEED, integer=True)
+def error_params_from_config(nc: dict, seed: int | None = None) -> tuple[noise.ErrorParams, int]:
+    """Noise parameters and seed from a noise section (defaults: the
+    calibrated demonstration values); ``seed``, the ``--seed`` option,
+    overrides ``noise.seed``.  Both must be integers >= 0."""
+    nc = _config_section(nc, "noise", NOISE_KEYS)
+    params = _from_section(noise.ErrorParams, nc, "noise", NOISE_KEYS, noise.DEMO_PARAMS)
+    config_seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
+    return params, config_seed if seed is None else _check_seed(seed, "--seed")
 
 
 def _resolve_noise(args, cfg: dict) -> tuple[noise.ErrorParams | None, int | None]:
     """Noise params and seed for run/tomo: enabled only by --noise, parameters
     from the given path, else the config's noise object, else the calibrated
     defaults.  Without --noise the section's values are neither read nor
-    checked, only its shape: (None, None)."""
-    nc = _config_section(cfg.get("noise", {}), "noise")
+    checked, only its shape and keys: (None, None)."""
+    nc = _config_section(cfg.get("noise", {}), "noise", NOISE_KEYS)
     if args.noise is None:
         return None, None
-    if args.noise:  # a path was given
-        loaded = load_config(args.noise)
-        nc = loaded.get("noise", loaded)
-    params, seed = error_params_from_config(nc)
-    if args.seed is not None:
-        seed = args.seed
-    return params, seed
+    if args.noise:  # a path was given: a config document or a bare noise object
+        loaded = _read_object(args.noise)
+        nc = _check_keys(loaded, "", CONFIG_SECTIONS)["noise"] if "noise" in loaded else loaded
+    return error_params_from_config(nc, args.seed)
 
 
 def _variant(value: str) -> BellVariant:
@@ -273,9 +332,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
 def cmd_fig4(args) -> int:
     cfg = load_config(args.config)
     system, epsilon = spin_system_from_config(cfg)
-    params, seed = error_params_from_config(cfg.get("noise", {}))
-    if args.seed is not None:
-        seed = args.seed
+    params, seed = error_params_from_config(cfg.get("noise", {}), args.seed)
     panels = experiment.fig4_panels(system, epsilon, params, seed=seed)
 
     summary = {
@@ -413,9 +470,7 @@ def cmd_tomo(args, parser: argparse.ArgumentParser) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     system, epsilon = spin_system_from_config(cfg)
-    params, seed = error_params_from_config(cfg.get("noise", {}))
-    if args.seed is not None:
-        seed = args.seed
+    params, seed = error_params_from_config(cfg.get("noise", {}), args.seed)
     if args.ensemble_size is not None:
         from dataclasses import replace
 

@@ -14,12 +14,16 @@ is built or multiplied.  Members are drawn, propagated and summed in
 chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded however
 large the ensemble is.
 
-Results are deterministic for a fixed seed: member k always consumes the
-k-th spawned seed and the chunks are summed in member order.  The draws
-depend only on ``(params, seed)``, not on the pulse program, so programs
-run on one sample share them: the fig4 pipeline draws each chunk once and
-composes its twelve programs from per-member block propagators compiled
-once each.
+Results are deterministic for a fixed seed: member k draws from the stream
+of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
+in member order.  That stream is reached without spawning: the k-th child's
+seed words follow from the parent's entropy pool and k by numpy's
+SeedSequence hash, and its PCG64 state from those words by two LCG steps,
+so both are computed for a whole chunk at once and one generator is set to
+each member's state in turn.  The draws depend only on ``(params, seed)``,
+not on the pulse program, so programs run on one sample share them: the
+fig4 pipeline draws each chunk once and composes its twelve programs from
+per-member block propagators compiled once each.
 """
 
 from __future__ import annotations
@@ -113,18 +117,101 @@ def _member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
     return delta, off_a, off_b
 
 
-def _draw_chunks(p: ErrorParams, seed) -> Iterator[np.ndarray]:
-    """Per-member (RF deviation, offset a, offset b) in member order, in
-    chunks of shape (<= CHUNK_SIZE, 3).
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Member k uses the k-th child of SeedSequence(seed): successive ``spawn``
-    calls on one SeedSequence continue its child numbering, so the chunks
-    are the draws of a single ``spawn(ensemble_size)``.
+
+def _hash_constants(init: int, mult: int, skip: int, n: int) -> list[int]:
+    """Hash constants ``init * mult**j mod 2**32`` for j = skip .. skip + n."""
+    h = init * pow(mult, skip, 1 << 32) & _MASK32
+    out = [h]
+    for _ in range(n):
+        h = h * mult & _MASK32
+        out.append(h)
+    return out
+
+
+def _child_words(parent: np.random.SeedSequence, start: int, n: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of children ``start .. start + n - 1``
+    of ``parent``, a SeedSequence of integer entropy and no spawn key, shape
+    (n, 4), computed for all n at once.
+
+    A child's entropy is the seed's L uint32 words, zero-padded to the pool
+    size 4, followed by its spawn key k (one word: k < MAX_ENSEMBLE_SIZE <
+    2**32).  The parent fills a short pool with hashed zeros, so everything
+    before k is mixed exactly as in the parent: the child pool is the
+    parent's ``pool`` with k mixed into each word, under hash constants that
+    have advanced 16 + 4 * max(0, L - 4) steps.  The output hash then reads
+    the pool twice.
+    """
+    words = max(1, -(-int(parent.entropy).bit_length() // 32))
+    key = np.arange(start, start + n, dtype=np.uint32)
+    shift = np.uint32(16)
+    mixing = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4), 4)
+    pool = []
+    for i, word in enumerate(parent.pool.tolist()):
+        value = (key ^ np.uint32(mixing[i])) * np.uint32(mixing[i + 1])
+        value ^= value >> shift
+        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * value
+        pool.append(mixed ^ (mixed >> shift))
+    output = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+    state = np.empty((n, 8), dtype=np.uint32)
+    for j in range(8):
+        value = (pool[j % 4] ^ np.uint32(output[j])) * np.uint32(output[j + 1])
+        state[:, j] = value ^ (value >> shift)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """(states, incs) of ``PCG64`` seeded with each row of ``words``, the
+    (n, 4) uint64 output of ``generate_state(4, np.uint64)``: PCG64 sets
+    inc = 2 * initseq + 1 and takes two LCG steps from zero, adding
+    initstate after the first.  The 128-bit arithmetic runs on Python ints.
+    """
+    w0, w1, w2, w3 = words.astype(object).T
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
+    """Per-member (RF deviation, offset a, offset b) in member order, in
+    chunks of shape (<= CHUNK_SIZE, 3), for an integer ``seed`` >= 0.
+
+    Member k's draws are those of ``_member_draws(p, child_k)`` for the k-th
+    child of ``SeedSequence(seed).spawn(ensemble_size)``.  The children's
+    PCG64 states are computed per chunk from the parent's pool
+    (``_child_words``, ``_pcg64_states``) instead of spawned one by one; one
+    generator is set to each member's state in turn and draws three unit
+    normals.  The few members with a normal beyond 3 (the truncation) are
+    set back to their state and redrawn by ``_truncated_normal``, which
+    consumes the stream exactly as ``_member_draws`` does.
     """
     parent = np.random.SeedSequence(seed)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
     for start in range(0, p.ensemble_size, CHUNK_SIZE):
-        children = parent.spawn(min(CHUNK_SIZE, p.ensemble_size - start))
-        yield np.array([_member_draws(p, child) for child in children])
+        n = min(CHUNK_SIZE, p.ensemble_size - start)
+        states, incs = _pcg64_states(_child_words(parent, start, n))
+        z = np.empty((n, 3))
+        for row, member_state, inc in zip(z, states, incs):
+            pcg["state"], pcg["inc"] = member_state, inc
+            bits.state = state
+            rng.standard_normal(out=row)
+        for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1)):
+            pcg["state"], pcg["inc"] = states[k], incs[k]
+            bits.state = state
+            z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]
+        yield z * sigmas
 
 
 def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:

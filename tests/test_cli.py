@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +357,127 @@ class TestEnsembleSizeBound:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ensemble_size" in err
+
+
+CONFIG_COMMANDS = [
+    ["run", "-m", "1", "--layer", "pulse", "--noise"],
+    ["tomo", "-m", "1", "--layer", "pulse", "--noise"],
+    ["fig4"],
+    ["validate"],
+]
+
+
+def usage_error(capsys, tmp_path, argv, document=None):
+    """stderr of a command that must exit 2 with one ``error:`` line;
+    ``document`` is written to a config file appended as ``--config``."""
+    if document is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+class TestRangeErrorsNameConfigKeys:
+    """A value the dataclass refuses is reported under its config key."""
+
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ({"noise": {"t2_a_s": 0}}, "config noise.t2_a_s must be positive"),
+            ({"noise": {"t2_b_s": -1.0}}, "config noise.t2_b_s must be positive"),
+            ({"noise": {"rf_spread": -0.1}}, "config noise.rf_spread must be finite and >= 0"),
+            ({"noise": {"ensemble_size": 0}}, "config noise.ensemble_size must be an integer"),
+            ({"spin_system": {"j_hz": -1}}, "config spin_system.j_hz must be positive"),
+            ({"spin_system": {"freq_b_mhz": 0}}, "config spin_system.freq_b_mhz must be positive"),
+            ({"spin_system": {"t2_a_s": 0}}, "config spin_system.t2_a_s must be positive"),
+            ({"spin_system": {"epsilon": -1e-5}}, "config spin_system.epsilon must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
+    def test_message_names_config_key(self, capsys, tmp_path, command, document, message):
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err.startswith(f"error: {message}")
+
+    def test_dataclass_messages_kept_for_api_callers(self):
+        with pytest.raises(ValueError, match=r"^ErrorParams\.t2_a must be positive"):
+            noise.ErrorParams(t2_a=0)
+        with pytest.raises(ValueError, match=r"^SpinSystem\.j_coupling must be positive"):
+            cli.nmrsim.SpinSystem(j_coupling=-1)
+
+
+class TestClosedKeySet:
+    """A key the config does not define exits 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "document,key",
+        [
+            ({"noise": {"rf_sprad": 0.5}}, "noise.rf_sprad"),
+            ({"spin_system": {"j": 100.0}}, "spin_system.j"),
+            ({"nosie": {"rf_spread": 0.5}}, "nosie"),
+        ],
+    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_unknown_config_key(self, capsys, tmp_path, command, document, key):
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err.startswith(f"error: unknown config key {key} (known: ")
+
+    @pytest.mark.parametrize("command", ["run", "tomo"])
+    @pytest.mark.parametrize(
+        "document,key",
+        [
+            ({"rf_sprad": 0.5}, "noise.rf_sprad"),  # a bare noise object
+            ({"noise": {"seeed": 1}}, "noise.seeed"),
+            ({"noise": {}, "rf_spread": 0.5}, "rf_spread"),
+        ],
+    )
+    def test_unknown_key_in_noise_path(self, capsys, tmp_path, command, document, key):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(document))
+        err = usage_error(capsys, tmp_path, [command, "-m", "1", "--layer", "pulse", "--noise", str(path)])
+        assert err.startswith(f"error: unknown config key {key} (known: ")
+
+    def test_every_readme_key_is_accepted(self, capsys, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Configuration", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        document = json.loads(block)
+        assert set(document) == set(cli.CONFIG_SECTIONS)
+        assert set(document["spin_system"]) == set(cli.SPIN_SYSTEM_KEYS)
+        assert set(document["noise"]) == set(cli.NOISE_KEYS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        for command in CONFIG_COMMANDS:
+            out = tmp_path if command == ["fig4"] else tmp_path / "out.txt"
+            code, _, err = run_cli(capsys, command + ["--config", str(cfg), "--out", str(out)])
+            assert (code, err) == (0, "")
+
+
+class TestSeedContract:
+    """--seed and noise.seed must be integers >= 0; the error names which."""
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_negative_seed_option(self, capsys, tmp_path, command):
+        err = usage_error(capsys, tmp_path, command + ["--seed", "-3"])
+        assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_negative_config_seed(self, capsys, tmp_path, command):
+        err = usage_error(capsys, tmp_path, command, {"noise": {"seed": -1}})
+        assert err == "error: config noise.seed must be a non-negative integer, got -1\n"
+
+    def test_negative_seed_in_noise_path(self, capsys, tmp_path):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"seed": -5, "ensemble_size": 10}))
+        err = usage_error(capsys, tmp_path, ["run", "-m", "1", "--layer", "pulse", "--noise", str(path)])
+        assert "noise.seed" in err
+
+    def test_zero_and_large_seeds_run(self, capsys):
+        for seed in ("0", str(2**130 + 9)):
+            code, out, _ = run_cli(
+                capsys, ["run", "-m", "1", "--layer", "pulse", "--noise", "--seed", seed, "--format", "json"]
+            )
+            assert code == 0
+            assert json.loads(out)["seed"] == int(seed)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,62 @@ class TestRowPermutationEngine:
             [noise._member_draws(p, c) for c in np.random.SeedSequence(99).spawn(size)]
         )
         assert np.array_equal(np.concatenate(chunks), expected)
+
+
+# One-word, two-word and five-word seeds (more words than the pool of 4).
+SEEDS = [0, 5, 2**40 + 3, 2**130 + 9]
+
+
+class TestVectorisedDraws:
+    """_draw_chunks reaches member k's stream by computing the k-th child's
+    PCG64 state, not by spawning it; both must equal numpy's own."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_child_words_equal_spawn(self, seed):
+        children = np.random.SeedSequence(seed).spawn(40)
+        expected = np.array([c.generate_state(4, np.uint64) for c in children])
+        parent = np.random.SeedSequence(seed)
+        words = noise._child_words(parent, 0, 40)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+        assert np.array_equal(noise._child_words(parent, 25, 15), expected[25:])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pcg64_states_equal_seeded_generator(self, seed):
+        children = np.random.SeedSequence(seed).spawn(40)
+        states, incs = noise._pcg64_states(
+            noise._child_words(np.random.SeedSequence(seed), 0, 40)
+        )
+        for child, state, inc in zip(children, states, incs):
+            assert np.random.PCG64(child).state["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("rf_spread", [0.0, 0.05])
+    @pytest.mark.parametrize("chunk", [300, None])
+    def test_draw_chunks_equal_member_draws(self, monkeypatch, chunk, rf_spread):
+        if chunk is not None:
+            monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
+        c = noise.CHUNK_SIZE
+        seed = 4242
+        p = replace(noise.DEMO_PARAMS, rf_spread=rf_spread)
+        children = np.random.SeedSequence(seed).spawn(2 * c + 1)
+        expected = np.array([noise._member_draws(p, child) for child in children])
+        for size in (1, c - 1, c, c + 1, 2 * c + 1):
+            chunks = list(noise._draw_chunks(replace(p, ensemble_size=size), seed))
+            assert all(len(x) == c for x in chunks[:-1])
+            assert np.array_equal(np.concatenate(chunks), expected[:size])
+        # the sample exercises the redraw: some member's first three unit
+        # normals include one beyond the truncation at 3
+        assert any(
+            np.any(np.abs(np.random.default_rng(child).standard_normal(3)) > 3.0)
+            for child in children
+        )
+
+    def test_no_warnings(self):
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in SEEDS:
+                list(noise._draw_chunks(p, seed))
 
 
 class TestRefocusing:
