@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +38,6 @@ SPIN_SYSTEM_KEYS = {
     "freq_a_mhz": "freq_a",
     "freq_b_mhz": "freq_b",
     "j_hz": "j_coupling",
-    "t2_a_s": "t2_a",
-    "t2_b_s": "t2_b",
     "epsilon": None,
 }
 NOISE_KEYS = {
@@ -472,9 +471,11 @@ def cmd_validate(args) -> int:
     system, epsilon = spin_system_from_config(cfg)
     params, seed = error_params_from_config(cfg.get("noise", {}), args.seed)
     if args.ensemble_size is not None:
-        from dataclasses import replace
-
-        params = replace(params, ensemble_size=args.ensemble_size)
+        try:
+            params = replace(params, ensemble_size=args.ensemble_size)
+        except ValueError as exc:  # name the option, not the dataclass field
+            message = str(exc).replace("ErrorParams.ensemble_size", "--ensemble-size", 1)
+            raise ValueError(message) from None
     results = validation.run_validation(
         sys=system, epsilon=epsilon, params=params, seed=seed
     )

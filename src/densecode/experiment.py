@@ -95,7 +95,7 @@ def _simulated_experiments(
 
     def second_moments(draws: np.ndarray) -> np.ndarray:
         def stack(seq: nmrsim.PulseSequence, start: np.ndarray = qcore.ID4) -> np.ndarray:
-            return noise._propagate(seq, sys, params, draws, start)
+            return nmrsim._propagate(seq, sys, draws, params.calib_offset, start)
 
         u_prep, u_decode = stack(prep), stack(decode)
         w_prefixes = [stack(prefix, v_th) for prefix in prefixes]

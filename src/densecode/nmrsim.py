@@ -5,8 +5,10 @@ so X(pi) equals sigma_x and Y(pi) equals i*sigma_y up to a global phase.
 Free evolution acts in the doubly-rotating frame: only the weak J coupling
 survives, chemical shifts are zero unless the noise model injects offsets.
 
-Sequences compile by left-multiplying event unitaries in time order, i.e.
-``compile([e1, e2]) == U(e2) @ U(e1)``.
+One engine, ``_propagate``, applies every program's events in time order
+to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
+U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
+diagonal phase.  A noise-free program is one member with zero draws.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ AXES = ("X", "Y", "Z")
 DEFAULT_FREQ_A_MHZ = 500.13
 DEFAULT_FREQ_B_MHZ = 125.77
 DEFAULT_J_HZ = 215.0
-DEFAULT_T2_S = 0.3
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,10 @@ class SpinSystem:
     freq_a: float = DEFAULT_FREQ_A_MHZ  # MHz, spin a (1H)
     freq_b: float = DEFAULT_FREQ_B_MHZ  # MHz, spin b (13C)
     j_coupling: float = DEFAULT_J_HZ    # Hz
-    t2_a: float = DEFAULT_T2_S          # s
-    t2_b: float = DEFAULT_T2_S          # s
     polarization_ratio: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("freq_a", "freq_b", "j_coupling", "t2_a", "t2_b"):
+        for name in ("freq_a", "freq_b", "j_coupling"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"SpinSystem.{name} must be positive")
         if self.polarization_ratio is None:
@@ -117,41 +116,61 @@ class PulseSequence:
         return sum(ev.duration for ev in self.events if isinstance(ev, Delay))
 
 
-def rf_unitary(spin: str, axis: str, angle: float, phase_sign: int = 1) -> np.ndarray:
-    """Two-spin unitary of a single hard pulse."""
-    ev = Rf(spin, axis, angle, phase_sign)
-    u2 = qcore.pauli_rotation(ev.axis, ev.angle * ev.phase_sign)
-    if ev.spin == "b":
-        return np.kron(u2, qcore.ID2)
-    return np.kron(qcore.ID2, u2)
-
-
 # Diagonal signs of sigma_z on b, sigma_z on a, and sigma_z*sigma_z.
 _ZB_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 _ZA_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
 _ZZ_DIAG = _ZB_DIAG * _ZA_DIAG
 
 
-def j_evolution(sys: SpinSystem, t: float) -> np.ndarray:
-    """Weak-coupling free evolution exp(-i*2*pi*J*t*(sz_b/2)(sz_a/2))."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("evolution time must be finite and >= 0")
-    phases = np.exp(-1j * (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG)
-    return np.diag(phases)
+def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with -i*S @ U == phase[:, None] * U[perm] for the Pauli
+    operator S of ``axis`` on ``spin``: every row of S has one nonzero entry."""
+    sigma = {"X": qcore.SIGMA_X, "Y": qcore.SIGMA_Y, "Z": qcore.SIGMA_Z}[axis]
+    full = np.kron(sigma, qcore.ID2) if spin == "b" else np.kron(qcore.ID2, sigma)
+    perm = np.argmax(np.abs(full), axis=1)
+    return perm, -1j * full[np.arange(4), perm]
 
 
-def event_unitary(ev: PulseEvent, sys: SpinSystem) -> np.ndarray:
-    if isinstance(ev, Rf):
-        return rf_unitary(ev.spin, ev.axis, ev.angle, ev.phase_sign)
-    return j_evolution(sys, ev.duration)
+#: (perm, phase) of each (spin, axis) pair; an RF pulse exp(-i*theta*S/2)
+#: acts as U -> cos(theta/2)*U + sin(theta/2)*phase[:, None]*U[perm].
+_RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
+
+
+def _propagate(
+    seq: PulseSequence,
+    sys: SpinSystem,
+    draws: np.ndarray,
+    calib_offset: float,
+    start: np.ndarray = qcore.ID4,
+) -> np.ndarray:
+    """Per-member U_k @ start for the propagators U_k of ``seq``, shape
+    (n, 4, k) for a (4, k) ``start``; the identity gives the propagators.
+    Row k of the (n, 3) ``draws`` is member k's RF deviation and offsets (Hz)
+    of spins a and b; pulse angles scale by 1 + ``calib_offset`` + deviation."""
+    deltas, offs_a, offs_b = draws.T
+    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
+    for ev in seq:
+        if isinstance(ev, Rf):
+            angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
+            perm, phase = _RF_ROWS[ev.spin, ev.axis]
+            c = np.cos(angles / 2.0)[:, None, None]
+            s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
+            u = c * u + s * u[:, perm, :]
+        else:
+            t = ev.duration
+            angle = (
+                (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
+                + (math.pi * t) * (offs_b[:, None] * _ZB_DIAG[None, :])
+                + (math.pi * t) * (offs_a[:, None] * _ZA_DIAG[None, :])
+            )
+            u = np.exp(-1j * angle)[:, :, None] * u
+    return u
 
 
 def compile_sequence(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
-    """Compile a sequence to its two-spin propagator (later events applied later)."""
-    u = qcore.ID4.copy()
-    for ev in seq:
-        u = event_unitary(ev, sys) @ u
-    return u
+    """Compile a sequence to its two-spin propagator (later events applied
+    later): ``_propagate`` for one member with zero draws."""
+    return _propagate(seq, sys, np.zeros((1, 3)), 0.0)[0]
 
 
 def not_pulse(spin: str) -> PulseSequence:

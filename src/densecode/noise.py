@@ -8,11 +8,10 @@ does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
 The ensemble average propagates a factor V of the input (rho0 = V V^H)
-rather than full propagators: an RF pulse is cos*U + sin*(a signed row
-permutation of U) and a delay is a diagonal phase, so no per-event matrix
-is built or multiplied.  Members are drawn, propagated and summed in
-chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded however
-large the ensemble is.
+through the pulse engine of ``nmrsim`` (``nmrsim._propagate``, the one that
+also compiles noise-free programs), one row of draws per member.  Members
+are drawn, propagated and summed in chunks of ``CHUNK_SIZE``, in a fixed
+order, so memory stays bounded however large the ensemble is.
 
 Results are deterministic for a fixed seed: member k draws from the stream
 of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .nmrsim import AXES, SPINS, PulseSequence, Rf, SpinSystem, _ZA_DIAG, _ZB_DIAG, _ZZ_DIAG
+from .nmrsim import PulseSequence, SpinSystem, _ZA_DIAG, _ZB_DIAG, _propagate
 
 #: Members drawn, propagated and summed together in the ensemble average.
 CHUNK_SIZE = 2048
@@ -108,15 +107,6 @@ def _truncated_normal(rng: np.random.Generator, sigma: float) -> float:
     return float(sigma * z)
 
 
-def _member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
-    """(RF deviation, offset of spin a, offset of spin b) for one member."""
-    rng = np.random.default_rng(seed)
-    delta = _truncated_normal(rng, p.rf_spread)
-    off_a = _truncated_normal(rng, p.offset_spread_hz)
-    off_b = _truncated_normal(rng, p.offset_spread_hz)
-    return delta, off_a, off_b
-
-
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
 _MASK32 = 0xFFFFFFFF
@@ -184,14 +174,13 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
     """Per-member (RF deviation, offset a, offset b) in member order, in
     chunks of shape (<= CHUNK_SIZE, 3), for an integer ``seed`` >= 0.
 
-    Member k's draws are those of ``_member_draws(p, child_k)`` for the k-th
-    child of ``SeedSequence(seed).spawn(ensemble_size)``.  The children's
-    PCG64 states are computed per chunk from the parent's pool
-    (``_child_words``, ``_pcg64_states``) instead of spawned one by one; one
-    generator is set to each member's state in turn and draws three unit
+    Member k's draws are three ``_truncated_normal`` draws from
+    ``default_rng`` of the k-th child of ``SeedSequence(seed).spawn(n)``.
+    The children's PCG64 states are computed per chunk from the parent's
+    pool (``_child_words``, ``_pcg64_states``) instead of spawned one by one;
+    one generator is set to each member's state in turn and draws three unit
     normals.  The few members with a normal beyond 3 (the truncation) are
-    set back to their state and redrawn by ``_truncated_normal``, which
-    consumes the stream exactly as ``_member_draws`` does.
+    set back to their state and redrawn by ``_truncated_normal``.
     """
     parent = np.random.SeedSequence(seed)
     bits = np.random.PCG64(0)
@@ -212,59 +201,6 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
             bits.state = state
             z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]
         yield z * sigmas
-
-
-def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) with -i*S @ U == phase[:, None] * U[perm] for the Pauli
-    operator S of ``axis`` on ``spin``: every row of S has one nonzero entry."""
-    sigma = {"X": qcore.SIGMA_X, "Y": qcore.SIGMA_Y, "Z": qcore.SIGMA_Z}[axis]
-    full = np.kron(sigma, qcore.ID2) if spin == "b" else np.kron(qcore.ID2, sigma)
-    perm = np.argmax(np.abs(full), axis=1)
-    return perm, -1j * full[np.arange(4), perm]
-
-
-#: (perm, phase) of each (spin, axis) pair; an RF pulse exp(-i*theta*S/2)
-#: acts as U -> cos(theta/2)*U + sin(theta/2)*phase[:, None]*U[perm].
-_RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
-
-
-def _propagate(
-    seq: PulseSequence,
-    sys: SpinSystem,
-    p: ErrorParams,
-    draws: np.ndarray,
-    start: np.ndarray = qcore.ID4,
-) -> np.ndarray:
-    """Per-member U_k @ start for the propagators U_k of ``seq``, shape
-    (n, 4, k) for a (4, k) ``start``; the identity gives the propagators."""
-    deltas, offs_a, offs_b = draws.T
-    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
-    for ev in seq:
-        if isinstance(ev, Rf):
-            angles = ev.angle * (1.0 + p.calib_offset + deltas) * ev.phase_sign
-            perm, phase = _RF_ROWS[ev.spin, ev.axis]
-            c = np.cos(angles / 2.0)[:, None, None]
-            s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
-            u = c * u + s * u[:, perm, :]
-        else:
-            t = ev.duration
-            angle = (
-                (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
-                + (math.pi * t) * (offs_b[:, None] * _ZB_DIAG[None, :])
-                + (math.pi * t) * (offs_a[:, None] * _ZA_DIAG[None, :])
-            )
-            u = np.exp(-1j * angle)[:, :, None] * u
-    return u
-
-
-def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_seed) -> np.ndarray:
-    """Propagator of one ensemble member, with that member's drawn errors.
-
-    With all spreads and the calibration offset at zero this equals the
-    noise-free compilation exactly.
-    """
-    draws = np.array([_member_draws(p, sample_seed)])
-    return _propagate(seq, sys, p, draws)[0]
 
 
 def _second_moment(w: np.ndarray) -> np.ndarray:
@@ -328,6 +264,6 @@ def ensemble_average(
     v = qcore.psd_factor(qcore.check_density_matrix(rho0))
 
     def second_moment(draws: np.ndarray) -> np.ndarray:
-        return _second_moment(_propagate(seq, sys, p, draws, v))
+        return _second_moment(_propagate(seq, sys, draws, p.calib_offset, v))
 
     return _mean_states(p, seed, second_moment, seq.total_delay())

@@ -56,26 +56,27 @@ def message_bits(m: int) -> str:
     return format(check_message(m) - 1, "02b")
 
 
+#: The network's two-spin gates (H on b, CNOT, encodings, substitutions),
+#: each checked once where it is built (``tensor`` checks its factors).
+_H_B = qcore.tensor(gates.hadamard(), qcore.ID2)
+_CNOT = qcore.check_unitary(gates.cnot_ba())
+_ENCODINGS = {m: qcore.tensor(qcore.ID2, gates.encoding_unitary(m)) for m in MESSAGES}
+_SUBSTITUTIONS = {v: qcore.check_unitary(gates.bell_substitution(v)) for v in BELL_VARIANT_ORDER}
+
+
 def prepare_bell(variant: BellVariant) -> np.ndarray:
     """Run the preparation circuit on |00>: NOT substitution, H on b, CNOT."""
-    s = qcore.basis_state(0)
-    s = qcore.apply(gates.bell_substitution(variant), s)
-    s = qcore.apply(qcore.tensor(gates.hadamard(), qcore.ID2), s)
-    s = qcore.apply(gates.cnot_ba(), s)
-    return s
+    return _CNOT @ (_H_B @ (_SUBSTITUTIONS[variant] @ qcore.basis_state(0)))
 
 
 def encode(s: np.ndarray, m: int) -> np.ndarray:
     """Apply the m-th encoding to spin a only."""
-    u = qcore.tensor(qcore.ID2, gates.encoding_unitary(check_message(m)))
-    return qcore.apply(u, s)
+    return _ENCODINGS[check_message(m)] @ qcore.check_state(s)
 
 
 def decode(s: np.ndarray) -> np.ndarray:
     """Map the Bell basis onto the computational basis: CNOT then H on b."""
-    s = qcore.apply(gates.cnot_ba(), s)
-    s = qcore.apply(qcore.tensor(gates.hadamard(), qcore.ID2), s)
-    return s
+    return _H_B @ (_CNOT @ qcore.check_state(s))
 
 
 def readout(s: np.ndarray) -> DecodedOutput:

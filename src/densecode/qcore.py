@@ -172,15 +172,3 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     tr = complex(np.trace(v.conj().T @ u))
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
     return float(np.max(np.abs(u - phase * v)))
-
-
-def pauli_rotation(axis: str, angle: float) -> np.ndarray:
-    """Single-spin rotation exp(-i*angle*sigma_axis/2) for axis 'X', 'Y' or 'Z'."""
-    try:
-        sigma = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}[axis]
-    except KeyError:
-        raise ValueError(f"unknown rotation axis {axis!r}") from None
-    angle = float(angle)
-    if not np.isfinite(angle):
-        raise ValueError("rotation angle must be finite")
-    return np.cos(angle / 2) * ID2 - 1j * np.sin(angle / 2) * sigma

@@ -9,11 +9,12 @@ coefficients of the product-operator expansion, so the reconstruction is an
 overdetermined linear least squares (linear-inversion tomography, James et
 al., PRA 64, 052312 (2001)).
 
-The map is constant: the 9 readout unitaries and each readout's 8x15 block
-of the design matrix are built once at import, so simulating the readouts
-is one batched conjugation and a reconstruction stacks the blocks of its
-records for a single ``lstsq``.  A fit that dips below -1e-6 is replaced by
-the nearest density matrix (``clip_to_density``, an exact projection).
+The map is constant: the 9 readout unitaries (compiled from their pulses)
+and each readout's 8x15 block of the design matrix are built once at
+import, so simulating the readouts is one batched conjugation and a
+reconstruction stacks the blocks of its records for a single ``lstsq``.  A
+fit that dips below -1e-6 is replaced by the nearest density matrix
+(``clip_to_density``, an exact projection).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from . import qcore
+from . import nmrsim, qcore
 
 READOUT_PULSES = ("I", "X90", "Y90")
 
@@ -79,16 +80,15 @@ class ReadoutRecord:
         object.__setattr__(self, "observed", obs)
 
 
-_PULSES = {
-    "I": qcore.ID2,
-    "X90": qcore.pauli_rotation("X", np.pi / 2),
-    "Y90": qcore.pauli_rotation("Y", np.pi / 2),
-}
+#: Axis of the pi/2 pulse of each readout label ("I": no pulse).
+_READOUT_AXES = {"I": None, "X90": "X", "Y90": "Y"}
 
 
 def readout_unitary(readout_b: str, readout_a: str) -> np.ndarray:
-    """Two-spin unitary of a readout pulse pair."""
-    return np.kron(_PULSES[readout_b], _PULSES[readout_a])
+    """Two-spin unitary of a readout pulse pair, compiled from its RF pulses."""
+    pulses = (("b", _READOUT_AXES[readout_b]), ("a", _READOUT_AXES[readout_a]))
+    events = tuple(nmrsim.Rf(spin, axis, np.pi / 2) for spin, axis in pulses if axis)
+    return nmrsim.compile_sequence(nmrsim.PulseSequence(events), nmrsim.SpinSystem())
 
 
 #: The 9 readout pulse pairs, in record order, and their unitaries (9, 4, 4).

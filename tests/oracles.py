@@ -1,0 +1,86 @@
+"""Reference implementations the tests compare the library against.
+
+The library applies every pulse event through one row-permutation engine
+(``densecode.nmrsim._propagate``).  These oracles build the same objects the
+direct way: a pulse as the Kronecker product of a single-spin rotation
+matrix with the identity, a delay as a diagonal matrix, a program as the
+matrix product of its events, and one member's errors as three draws from a
+generator seeded with that member's spawned child.  ``noisy_compile``
+applies such draws with the library engine: it is the reference for the
+draws and the chunked ensemble average, not for the engine.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from densecode import nmrsim, qcore
+from densecode.nmrsim import PulseSequence, Rf, SpinSystem
+from densecode.noise import ErrorParams, _truncated_normal
+
+
+def pauli_rotation(axis: str, angle: float) -> np.ndarray:
+    """Single-spin rotation exp(-i*angle*sigma_axis/2) for axis 'X', 'Y' or 'Z'."""
+    try:
+        sigma = {"X": qcore.SIGMA_X, "Y": qcore.SIGMA_Y, "Z": qcore.SIGMA_Z}[axis]
+    except KeyError:
+        raise ValueError(f"unknown rotation axis {axis!r}") from None
+    angle = float(angle)
+    if not np.isfinite(angle):
+        raise ValueError("rotation angle must be finite")
+    return np.cos(angle / 2) * qcore.ID2 - 1j * np.sin(angle / 2) * sigma
+
+
+def rf_unitary(spin: str, axis: str, angle: float, phase_sign: int = 1) -> np.ndarray:
+    """Two-spin unitary of a single hard pulse."""
+    ev = Rf(spin, axis, angle, phase_sign)
+    u2 = pauli_rotation(ev.axis, ev.angle * ev.phase_sign)
+    if ev.spin == "b":
+        return np.kron(u2, qcore.ID2)
+    return np.kron(qcore.ID2, u2)
+
+
+#: Diagonal of sigma_z on b times sigma_z on a.
+_ZZ_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def j_evolution(sys: SpinSystem, t: float) -> np.ndarray:
+    """Weak-coupling free evolution exp(-i*2*pi*J*t*(sz_b/2)(sz_a/2))."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("evolution time must be finite and >= 0")
+    phases = np.exp(-1j * (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG)
+    return np.diag(phases)
+
+
+def kron_compile(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
+    """Noise-free propagator of ``seq``: event matrices left-multiplied in
+    time order."""
+    u = qcore.ID4.copy()
+    for ev in seq:
+        if isinstance(ev, Rf):
+            u = rf_unitary(ev.spin, ev.axis, ev.angle, ev.phase_sign) @ u
+        else:
+            u = j_evolution(sys, ev.duration) @ u
+    return u
+
+
+def member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
+    """(RF deviation, offset of spin a, offset of spin b) of the member whose
+    generator is seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    delta = _truncated_normal(rng, p.rf_spread)
+    off_a = _truncated_normal(rng, p.offset_spread_hz)
+    off_b = _truncated_normal(rng, p.offset_spread_hz)
+    return delta, off_a, off_b
+
+
+def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_seed) -> np.ndarray:
+    """Propagator of one ensemble member, with that member's drawn errors.
+
+    With all spreads and the calibration offset at zero this equals the
+    noise-free compilation exactly.
+    """
+    draws = np.array([member_draws(p, sample_seed)])
+    return nmrsim._propagate(seq, sys, draws, p.calib_offset)[0]

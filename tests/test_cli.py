@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densecode import cli, gates, noise, validation
+from densecode import cli, noise, protocol, validation
 
 
 def run_cli(capsys, argv):
@@ -238,13 +238,13 @@ class TestValidate:
 class TestMutationSanity:
     def test_corrupted_gate_fails_table_check(self, monkeypatch):
         wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # unitary, not H
-        monkeypatch.setattr(gates, "hadamard", lambda: wrong.copy())
+        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
         result = validation._check_table()
         assert not result.passed
 
     def test_corrupted_gate_makes_validate_exit_nonzero(self, monkeypatch, capsys, tmp_path):
         wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-        monkeypatch.setattr(gates, "hadamard", lambda: wrong.copy())
+        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"noise": {"ensemble_size": 50}}))
         code, out, _ = run_cli(capsys, ["validate", "--config", str(cfg)])
@@ -252,8 +252,8 @@ class TestMutationSanity:
         assert "FAIL table1-vs-brute-force" in out
 
     def test_corrupted_encoding_fails_eq2_check(self, monkeypatch):
-        monkeypatch.setattr(gates, "encoding_unitary",
-                            lambda i: np.eye(2, dtype=complex))
+        monkeypatch.setattr(protocol, "_ENCODINGS",
+                            {m: np.eye(4, dtype=complex) for m in protocol.MESSAGES})
         result = validation._check_eq2()
         assert not result.passed
 
@@ -352,11 +352,11 @@ class TestEnsembleSizeBound:
         assert "ensemble_size" in err
 
     def test_validate_option_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, ["validate", "--ensemble-size", str(self.TOO_LARGE)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "ensemble_size" in err
+        for size in (0, self.TOO_LARGE):
+            code, out, err = run_cli(capsys, ["validate", "--ensemble-size", str(size)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --ensemble-size ") and err.count("\n") == 1
 
 
 CONFIG_COMMANDS = [
@@ -393,7 +393,7 @@ class TestRangeErrorsNameConfigKeys:
             ({"noise": {"ensemble_size": 0}}, "config noise.ensemble_size must be an integer"),
             ({"spin_system": {"j_hz": -1}}, "config spin_system.j_hz must be positive"),
             ({"spin_system": {"freq_b_mhz": 0}}, "config spin_system.freq_b_mhz must be positive"),
-            ({"spin_system": {"t2_a_s": 0}}, "config spin_system.t2_a_s must be positive"),
+            ({"spin_system": {"freq_a_mhz": -2.0}}, "config spin_system.freq_a_mhz must be positive"),
             ({"spin_system": {"epsilon": -1e-5}}, "config spin_system.epsilon must be finite"),
         ],
     )
@@ -418,6 +418,9 @@ class TestClosedKeySet:
             ({"noise": {"rf_sprad": 0.5}}, "noise.rf_sprad"),
             ({"spin_system": {"j": 100.0}}, "spin_system.j"),
             ({"nosie": {"rf_spread": 0.5}}, "nosie"),
+            # T2 is a noise key only
+            ({"spin_system": {"t2_a_s": 0}}, "spin_system.t2_a_s"),
+            ({"spin_system": {"t2_b_s": 0.3}}, "spin_system.t2_b_s"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)

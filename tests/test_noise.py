@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from densecode import experiment, nmrsim, noise, protocol, qcore, tomo
 from densecode.gates import BellVariant
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
@@ -67,32 +68,32 @@ class TestNoisyCompile:
     def test_zero_noise_equals_clean_compile(self, system, bell_seq):
         p = noise.ErrorParams()
         clean = nmrsim.compile_sequence(bell_seq, system)
-        noisy = noise.noisy_compile(bell_seq, system, p, sample_seed=42)
+        noisy = oracles.noisy_compile(bell_seq, system, p, sample_seed=42)
         assert np.max(np.abs(noisy - clean)) < 1e-12
 
     def test_calibration_offset_scales_angle(self, system):
         eps = 0.03
         p = noise.ErrorParams(calib_offset=eps)
         seq = PulseSequence((Rf("b", "X", np.pi),))
-        noisy = noise.noisy_compile(seq, system, p, sample_seed=0)
-        expected = nmrsim.rf_unitary("b", "X", np.pi * (1 + eps))
+        noisy = oracles.noisy_compile(seq, system, p, sample_seed=0)
+        expected = oracles.rf_unitary("b", "X", np.pi * (1 + eps))
         assert np.max(np.abs(noisy - expected)) < 1e-12
 
     def test_deterministic_given_seed(self, system, bell_seq):
         p = noise.ErrorParams(rf_spread=0.05, offset_spread_hz=20.0)
-        a = noise.noisy_compile(bell_seq, system, p, sample_seed=7)
-        b = noise.noisy_compile(bell_seq, system, p, sample_seed=7)
+        a = oracles.noisy_compile(bell_seq, system, p, sample_seed=7)
+        b = oracles.noisy_compile(bell_seq, system, p, sample_seed=7)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, system, bell_seq):
         p = noise.ErrorParams(rf_spread=0.05)
-        a = noise.noisy_compile(bell_seq, system, p, sample_seed=1)
-        b = noise.noisy_compile(bell_seq, system, p, sample_seed=2)
+        a = oracles.noisy_compile(bell_seq, system, p, sample_seed=1)
+        b = oracles.noisy_compile(bell_seq, system, p, sample_seed=2)
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_output_is_unitary(self, system, bell_seq):
         p = noise.ErrorParams(rf_spread=0.1, calib_offset=0.05, offset_spread_hz=50.0)
-        qcore.check_unitary(noise.noisy_compile(bell_seq, system, p, sample_seed=3))
+        qcore.check_unitary(oracles.noisy_compile(bell_seq, system, p, sample_seed=3))
 
     def test_draws_truncated_at_three_sigma(self):
         rng = np.random.default_rng(0)
@@ -113,7 +114,7 @@ class TestEnsembleAverage:
         children = np.random.SeedSequence(seed).spawn(p.ensemble_size)
         total = np.zeros((4, 4), dtype=complex)
         for child in children:
-            u = noise.noisy_compile(bell_seq, system, p, sample_seed=child)
+            u = oracles.noisy_compile(bell_seq, system, p, sample_seed=child)
             total += u @ RHO00 @ u.conj().T
         expected = total / p.ensemble_size
         rho = noise.ensemble_average(bell_seq, system, p, RHO00, seed=seed)
@@ -154,15 +155,15 @@ class TestEnsembleAverage:
 
 def member_oracle(seq, system, p, rho0, seed):
     """Mean of U_k rho0 U_k^H over the members of spawn(n), each U_k a product
-    of ``nmrsim.rf_unitary`` and diagonal delay matrices, then T2 damping."""
+    of ``oracles.rf_unitary`` and diagonal delay matrices, then T2 damping."""
     total = np.zeros((4, 4), dtype=complex)
     for child in np.random.SeedSequence(seed).spawn(p.ensemble_size):
-        delta, off_a, off_b = noise._member_draws(p, child)
+        delta, off_a, off_b = oracles.member_draws(p, child)
         u = np.eye(4, dtype=complex)
         for ev in seq:
             if isinstance(ev, Rf):
                 angle = ev.angle * (1.0 + p.calib_offset + delta)
-                u = nmrsim.rf_unitary(ev.spin, ev.axis, angle, ev.phase_sign) @ u
+                u = oracles.rf_unitary(ev.spin, ev.axis, angle, ev.phase_sign) @ u
             else:
                 za = np.array([1, -1, 1, -1])
                 zb = np.array([1, 1, -1, -1])
@@ -192,9 +193,9 @@ class TestRowPermutationEngine:
         deltas = np.array([0.0, 0.07, -0.11, 0.4])
         draws = np.column_stack([deltas, [5.0, -3.0, 0.0, 12.0], [1.0, 2.0, -7.0, 0.0]])
         seq = PulseSequence((Rf(spin, axis, 1.3, phase_sign),))
-        stack = noise._propagate(seq, system, p, draws)
+        stack = nmrsim._propagate(seq, system, draws, p.calib_offset)
         for u, delta in zip(stack, deltas):
-            expected = nmrsim.rf_unitary(spin, axis, 1.3 * (1.0 + 0.03 + delta), phase_sign)
+            expected = oracles.rf_unitary(spin, axis, 1.3 * (1.0 + 0.03 + delta), phase_sign)
             assert np.max(np.abs(u - expected)) < 1e-14
 
     @pytest.mark.parametrize(
@@ -225,7 +226,7 @@ class TestRowPermutationEngine:
         chunks = list(noise._draw_chunks(p, 99))
         assert [len(c) for c in chunks] == [noise.CHUNK_SIZE, noise.CHUNK_SIZE, 1]
         expected = np.array(
-            [noise._member_draws(p, c) for c in np.random.SeedSequence(99).spawn(size)]
+            [oracles.member_draws(p, c) for c in np.random.SeedSequence(99).spawn(size)]
         )
         assert np.array_equal(np.concatenate(chunks), expected)
 
@@ -266,7 +267,7 @@ class TestVectorisedDraws:
         seed = 4242
         p = replace(noise.DEMO_PARAMS, rf_spread=rf_spread)
         children = np.random.SeedSequence(seed).spawn(2 * c + 1)
-        expected = np.array([noise._member_draws(p, child) for child in children])
+        expected = np.array([oracles.member_draws(p, child) for child in children])
         for size in (1, c - 1, c, c + 1, 2 * c + 1):
             chunks = list(noise._draw_chunks(replace(p, ensemble_size=size), seed))
             assert all(len(x) == c for x in chunks[:-1])

@@ -165,3 +165,14 @@ def test_decoded_output_index_and_bits():
     assert out.index == 3
     assert out.bits == "11"
     assert out.ket == "-|11>"
+
+
+@pytest.mark.parametrize(
+    "step", [lambda s: protocol.encode(s, 2), protocol.decode], ids=["encode", "decode"]
+)
+@pytest.mark.parametrize(
+    "state", [np.array([1, 1, 0, 0]), np.array([np.nan, 0, 0, 0])], ids=["unnormalized", "nan"]
+)
+def test_steps_check_the_supplied_state(step, state):
+    with pytest.raises(ValueError):
+        step(state.astype(complex))

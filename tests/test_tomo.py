@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from densecode import experiment, protocol, qcore, tomo
 from densecode.gates import BellVariant
 
@@ -221,6 +222,17 @@ def old_design_rows(rb, ra):
 
 
 class TestConstantMap:
+    def test_readout_unitaries_equal_kron_oracle(self):
+        pulses = {
+            "I": qcore.ID2,
+            "X90": oracles.pauli_rotation("X", np.pi / 2),
+            "Y90": oracles.pauli_rotation("Y", np.pi / 2),
+        }
+        expected = np.array([np.kron(pulses[rb], pulses[ra]) for rb, ra in tomo.READOUT_PAIRS])
+        assert np.array_equal(tomo._READOUT_UNITARIES, expected)
+        for r, (rb, ra) in enumerate(tomo.READOUT_PAIRS):
+            assert np.array_equal(tomo.readout_unitary(rb, ra), expected[r])
+
     def test_design_blocks_match_trace_oracle(self):
         assert tomo._DESIGN_BLOCKS.shape == (9, 8, 15)
         for r, (rb, ra) in enumerate(tomo.READOUT_PAIRS):
