@@ -1,11 +1,17 @@
 """Command-line interface.
 
 Commands: table, run, fig4, tomo, validate.
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O failure.
+Exit codes: 0 success, 1 validation failure, 2 usage error (malformed or
+out-of-range input), 3 I/O failure (an unreadable config path, an
+unwritable output).
 
 Runs are configured by a single JSON document with optional ``spin_system``
 and ``noise`` objects; every field has a default, so any run is reproducible
-from one file plus a seed.
+from one file plus a seed.  ``resolve`` reads, in order: the document's keys
+and sections; the spin system and epsilon; the noise parameters (always for
+fig4 and validate, only with ``--noise`` for run and tomo, where ``--noise
+PATH`` replaces the section by a whole document's or a bare noise object);
+``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
 """
 
 from __future__ import annotations
@@ -16,14 +22,12 @@ import io
 import json
 import math
 import sys as _sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import experiment, nmrsim, noise, protocol, qcore, tomo, validation
 from .gates import BELL_VARIANT_ORDER, BellVariant
-
-DEFAULT_EPSILON = validation.DEFAULT_EPSILON
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -32,7 +36,7 @@ EXIT_IO = 3
 
 
 #: Keys of a config document, and of its sections with the dataclass field
-#: each key sets (``None``: read by the loader itself).
+#: each key sets (``None``: read by the resolver itself).
 CONFIG_SECTIONS = ("spin_system", "noise")
 SPIN_SYSTEM_KEYS = {
     "freq_a_mhz": "freq_a",
@@ -51,9 +55,13 @@ NOISE_KEYS = {
 }
 
 
-def _read_object(path: str) -> dict:
+def _read_document(path: str) -> dict:
+    """The JSON object at ``path``; an unreadable path raises ``OSError``."""
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"config {path} is nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     return cfg
@@ -72,28 +80,29 @@ def _check_keys(mapping: dict, name: str, known) -> dict:
     return mapping
 
 
-def load_config(path: str | None) -> dict:
-    """The config document at ``path`` ({} without one): a JSON object with
-    no key other than ``spin_system`` and ``noise``."""
-    if not path:
-        return {}
-    return _check_keys(_read_object(path), "", CONFIG_SECTIONS)
+def _section(cfg: dict, name: str, keys) -> dict:
+    """``cfg[name]`` ({} when absent), which must be an object with no key
+    outside ``keys``."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {name} must be a JSON object")
+    return _check_keys(section, name, keys)
 
 
 def _config_value(section: dict, name: str, key: str, default, integer: bool = False):
     """``section[key]`` (or ``default``), which must be a JSON number and not
-    a boolean; the error names the key as ``name.key``."""
+    a boolean: an int if ``integer``, else converted to a float.  The error
+    names the key as ``name.key``."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"config {name}.{key} must be {kind}, got {value!r}")
-    return value
-
-
-def _config_section(section, name: str, keys) -> dict:
-    if not isinstance(section, dict):
-        raise ValueError(f"config {name} must be a JSON object")
-    return _check_keys(section, name, keys)
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config {name}.{key} is an integer too large for a float") from None
 
 
 def _from_section(cls, section: dict, name: str, keys: dict, base):
@@ -124,39 +133,48 @@ def _check_seed(value, name: str) -> int:
     return value
 
 
-def spin_system_from_config(cfg: dict) -> tuple[nmrsim.SpinSystem, float]:
-    sc = _config_section(cfg.get("spin_system", {}), "spin_system", SPIN_SYSTEM_KEYS)
+@dataclass(frozen=True)
+class Inputs:
+    """A command's resolved inputs; ``params`` and ``seed`` are ``None``
+    when the noise model is off."""
+
+    system: nmrsim.SpinSystem
+    epsilon: float
+    params: noise.ErrorParams | None
+    seed: int | None
+
+
+def resolve(args: argparse.Namespace) -> Inputs:
+    """The inputs of a run, fig4, tomo or validate command, resolved in the
+    order the module docstring gives.  Malformed or out-of-range values
+    raise ``ValueError`` naming the config key or option."""
+    cfg = _check_keys(_read_document(args.config), "", CONFIG_SECTIONS) if args.config else {}
+    sc = _section(cfg, "spin_system", SPIN_SYSTEM_KEYS)
     system = _from_section(
         nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
     )
-    epsilon = float(_config_value(sc, "spin_system", "epsilon", DEFAULT_EPSILON))
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError("config spin_system.epsilon must be finite and >= 0")
-    return system, epsilon
-
-
-def error_params_from_config(nc: dict, seed: int | None = None) -> tuple[noise.ErrorParams, int]:
-    """Noise parameters and seed from a noise section (defaults: the
-    calibrated demonstration values); ``seed``, the ``--seed`` option,
-    overrides ``noise.seed``.  Both must be integers >= 0."""
-    nc = _config_section(nc, "noise", NOISE_KEYS)
+    epsilon = _config_value(sc, "spin_system", "epsilon", validation.DEFAULT_EPSILON)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("config spin_system.epsilon must be finite and > 0")
+    nc = _section(cfg, "noise", NOISE_KEYS)
+    if args.command in ("run", "tomo"):
+        if args.noise is None:  # only the section's shape and keys are checked
+            return Inputs(system, epsilon, None, None)
+        if args.noise:  # a whole document, or a bare noise object
+            doc = _read_document(args.noise)
+            doc = _check_keys(doc, "", CONFIG_SECTIONS) if "noise" in doc else {"noise": doc}
+            nc = _section(doc, "noise", NOISE_KEYS)
     params = _from_section(noise.ErrorParams, nc, "noise", NOISE_KEYS, noise.DEMO_PARAMS)
-    config_seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
-    return params, config_seed if seed is None else _check_seed(seed, "--seed")
-
-
-def _resolve_noise(args, cfg: dict) -> tuple[noise.ErrorParams | None, int | None]:
-    """Noise params and seed for run/tomo: enabled only by --noise, parameters
-    from the given path, else the config's noise object, else the calibrated
-    defaults.  Without --noise the section's values are neither read nor
-    checked, only its shape and keys: (None, None)."""
-    nc = _config_section(cfg.get("noise", {}), "noise", NOISE_KEYS)
-    if args.noise is None:
-        return None, None
-    if args.noise:  # a path was given: a config document or a bare noise object
-        loaded = _read_object(args.noise)
-        nc = _check_keys(loaded, "", CONFIG_SECTIONS)["noise"] if "noise" in loaded else loaded
-    return error_params_from_config(nc, args.seed)
+    seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
+    if args.seed is not None:
+        seed = _check_seed(args.seed, "--seed")
+    if args.command == "validate" and args.ensemble_size is not None:
+        try:
+            params = replace(params, ensemble_size=args.ensemble_size)
+        except ValueError as exc:  # name the option, not the dataclass field
+            message = str(exc).replace("ErrorParams.ensemble_size", "--ensemble-size", 1)
+            raise ValueError(message) from None
+    return Inputs(system, epsilon, params, seed)
 
 
 def _variant(value: str) -> BellVariant:
@@ -172,7 +190,7 @@ def _variant(value: str) -> BellVariant:
 def _write_output(text: str, out_path: str | None) -> int:
     try:
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(out_path, "w", newline="", encoding="utf-8") as fh:  # CSV ends rows in \r\n
                 fh.write(text)
         else:
             _sys.stdout.write(text)
@@ -180,6 +198,24 @@ def _write_output(text: str, out_path: str | None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=_sys.stderr)
         return EXIT_IO
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(args, payload, lines: list[str], rows=None) -> int:
+    """Write a command's result in ``args.format`` to ``args.out`` (stdout
+    without one): ``payload`` as JSON, ``rows`` as CSV, else ``lines``."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _csv_text(rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    return _write_output(text, args.out)
 
 
 def _state_entries(s: np.ndarray) -> list[dict]:
@@ -218,49 +254,40 @@ def cmd_table(args) -> int:
         print(("PASS " if reference.passed else "FAIL ") + reference.detail)
         if not reference.passed:
             return EXIT_FAIL
-    if args.format == "json":
-        payload = {
-            "columns": columns,
-            "rows": [
-                {
-                    "message": m,
-                    "bits": protocol.message_bits(m),
-                    "cells": [
-                        {"variant": columns[j], "ket": grid[i][j].ket,
-                         "y": grid[i][j].y, "x": grid[i][j].x, "phase": grid[i][j].phase}
-                        for j in range(4)
-                    ],
-                }
-                for i, m in enumerate(protocol.MESSAGES)
-            ],
-        }
-        return _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["message", "variant", "output"])
-        for i, m in enumerate(protocol.MESSAGES):
-            for j, col in enumerate(columns):
-                writer.writerow([m, col, grid[i][j].ket])
-        return _write_output(buf.getvalue(), args.out)
+    payload = {
+        "columns": columns,
+        "rows": [
+            {
+                "message": m,
+                "bits": protocol.message_bits(m),
+                "cells": [
+                    {"variant": columns[j], "ket": grid[i][j].ket,
+                     "y": grid[i][j].y, "x": grid[i][j].x, "phase": grid[i][j].phase}
+                    for j in range(4)
+                ],
+            }
+            for i, m in enumerate(protocol.MESSAGES)
+        ],
+    }
+    rows = [["message", "variant", "output"]] + [
+        [m, col, grid[i][j].ket]
+        for i, m in enumerate(protocol.MESSAGES)
+        for j, col in enumerate(columns)
+    ]
     width = max(len(c) for c in columns) + 2
     lines = ["start state:".ljust(8) + "".join(c.rjust(width) for c in columns)]
     for i, m in enumerate(protocol.MESSAGES):
         lines.append(
             f"U_a{m}    " + "".join(grid[i][j].ket.rjust(width) for j in range(4))
         )
-    return _write_output("\n".join(lines) + "\n", args.out)
+    return _emit(args, payload, lines, rows)
 
 
 # ------------------------------------------------------------------ run ----
 
 
-def cmd_run(args, parser: argparse.ArgumentParser) -> int:
-    cfg = load_config(args.config)
-    system, _ = spin_system_from_config(cfg)
-    params, seed = _resolve_noise(args, cfg)
-    if params is not None and args.layer == "ideal":
-        parser.error("noise simulation requires --layer pulse")
+def cmd_run(args, inputs: Inputs) -> int:
+    params, seed = inputs.params, inputs.seed
     m, v = args.message, args.variant
 
     report: dict = {"layer": args.layer, "message": m, "bits": protocol.message_bits(m),
@@ -286,7 +313,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         lines.append(f"readout: {out.ket}  bits={out.bits}")
         lines.append(f"recovered message: {recovered}")
     elif params is None:
-        final = experiment.pulse_output_state(system, m, v)
+        final = experiment.pulse_output_state(inputs.system, m, v)
         probs = qcore.probabilities(final)
         k = int(np.argmax(probs))
         recovered = protocol.recover_message((k >> 1, k & 1), v)
@@ -300,7 +327,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         lines.append(f"dominant state: |{qcore.BASIS_LABELS[k]}>  population={probs[k]:.12f}")
         lines.append(f"recovered message: {recovered}")
     else:
-        rho = experiment.noisy_output_density(system, params, m, v, seed=seed)
+        rho = experiment.noisy_output_density(inputs.system, params, m, v, seed=seed)
         probs = qcore.probabilities(rho)
         k = int(np.argmax(probs))
         recovered = protocol.recover_message((k >> 1, k & 1), v)
@@ -319,30 +346,23 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
             lines.append(f"  |{qcore.BASIS_LABELS[i]}>  p={probs[i]:.6f}")
         lines.append(f"recovered message: {recovered}")
         lines.append(f"fidelity vs ideal output: {fid:.6f}")
-
-    if args.format == "json":
-        return _write_output(json.dumps(report, indent=2) + "\n", args.out)
-    return _write_output("\n".join(lines) + "\n", args.out)
+    return _emit(args, report, lines)
 
 
 # ----------------------------------------------------------------- fig4 ----
 
 
-def cmd_fig4(args) -> int:
-    cfg = load_config(args.config)
-    system, epsilon = spin_system_from_config(cfg)
-    params, seed = error_params_from_config(cfg.get("noise", {}), args.seed)
-    panels = experiment.fig4_panels(system, epsilon, params, seed=seed)
+def cmd_fig4(args, inputs: Inputs) -> int:
+    params, seed = inputs.params, inputs.seed
+    panels = experiment.fig4_panels(inputs.system, inputs.epsilon, params, seed=seed)
 
     summary = {
         "seed": seed,
         "ensemble_size": params.ensemble_size,
         "noise": {
-            "rf_spread": params.rf_spread,
-            "calib_offset": params.calib_offset,
-            "offset_spread_hz": params.offset_spread_hz,
-            "t2_a_s": params.t2_a,
-            "t2_b_s": params.t2_b,
+            key: getattr(params, field)
+            for key, field in NOISE_KEYS.items()
+            if field not in (None, "ensemble_size")
         },
         "panels": [
             {
@@ -357,45 +377,31 @@ def cmd_fig4(args) -> int:
         "max_relative_error": max(p.error.relative for p in panels),
     }
 
-    try:
-        if args.format == "json":
-            payload = dict(summary)
-            payload["modulus_tables"] = {}
-            for p in panels:
-                exp_label = experiment.EXPERIMENTAL_PANELS[p.message - 1]
-                th_label = experiment.THEORY_PANELS[p.message - 1]
-                payload["modulus_tables"][exp_label] = tomo.ModulusTable(
-                    np.abs(p.experimental)
-                ).to_json_dict()
-                payload["modulus_tables"][th_label] = tomo.element_modulus_table(
-                    p.theory
-                ).to_json_dict()
-            path = f"{args.out}/fig4.json" if args.out else "fig4.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            written = [path]
-        else:
-            path = f"{args.out}/fig4.csv" if args.out else "fig4.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["panel", "row", "col", "modulus"])
-                for p in panels:
-                    label = experiment.EXPERIMENTAL_PANELS[p.message - 1]
-                    for j, k, val in tomo.ModulusTable(np.abs(p.experimental)).to_rows():
-                        writer.writerow([label, j, k, f"{val:.12g}"])
-                for p in panels:
-                    label = experiment.THEORY_PANELS[p.message - 1]
-                    for j, k, val in tomo.element_modulus_table(p.theory).to_rows():
-                        writer.writerow([label, j, k, f"{val:.12g}"])
-            err_path = f"{args.out}/fig4_errors.json" if args.out else "fig4_errors.json"
-            with open(err_path, "w", encoding="utf-8") as fh:
-                json.dump(summary, fh, indent=2)
-                fh.write("\n")
-            written = [path, err_path]
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    tables = {}
+    for p in panels:
+        tables[experiment.EXPERIMENTAL_PANELS[p.message - 1]] = tomo.ModulusTable(
+            np.abs(p.experimental)
+        )
+        tables[experiment.THEORY_PANELS[p.message - 1]] = tomo.element_modulus_table(p.theory)
+    if args.format == "json":
+        modulus_tables = {label: table.to_json_dict() for label, table in tables.items()}
+        payload = dict(summary, modulus_tables=modulus_tables)
+        files = {"fig4.json": json.dumps(payload, indent=2) + "\n"}
+    else:
+        # sorted labels: the experimental panels a-d, then the theory panels e-h
+        rows = [["panel", "row", "col", "modulus"]] + [
+            [label, j, k, f"{val:.12g}"]
+            for label, table in sorted(tables.items())
+            for j, k, val in table.to_rows()
+        ]
+        files = {"fig4.csv": _csv_text(rows), "fig4_errors.json": json.dumps(summary, indent=2) + "\n"}
+    written = []
+    for name, text in files.items():
+        path = f"{args.out}/{name}" if args.out else name
+        code = _write_output(text, path)
+        if code != EXIT_OK:
+            return code
+        written.append(path)
 
     for p in panels:
         print(
@@ -410,20 +416,16 @@ def cmd_fig4(args) -> int:
 # ----------------------------------------------------------------- tomo ----
 
 
-def cmd_tomo(args, parser: argparse.ArgumentParser) -> int:
-    cfg = load_config(args.config)
-    system, _ = spin_system_from_config(cfg)
-    params, seed = _resolve_noise(args, cfg)
-    if params is not None and args.layer == "ideal":
-        parser.error("noise simulation requires --layer pulse")
+def cmd_tomo(args, inputs: Inputs) -> int:
+    params = inputs.params
     m, v = args.message, args.variant
 
     if args.layer == "ideal":
         rho_in = experiment.ideal_output_density(m, v)
     elif params is None:
-        rho_in = qcore.pure_density(experiment.pulse_output_state(system, m, v))
+        rho_in = qcore.pure_density(experiment.pulse_output_state(inputs.system, m, v))
     else:
-        rho_in = experiment.noisy_output_density(system, params, m, v, seed=seed)
+        rho_in = experiment.noisy_output_density(inputs.system, params, m, v, seed=inputs.seed)
 
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_in))
     table = tomo.element_modulus_table(reconstructed)
@@ -432,26 +434,18 @@ def cmd_tomo(args, parser: argparse.ArgumentParser) -> int:
     err = tomo.max_element_error(reconstructed, ideal)
     fid = qcore.fidelity(reconstructed, ideal)
 
-    if args.format == "json":
-        payload = {
-            "message": m,
-            "variant": v.value,
-            "layer": args.layer,
-            "noisy": params is not None,
-            "modulus_table": table.to_json_dict(),
-            "reconstruction_roundtrip_error": roundtrip,
-            "max_element_error_absolute": err.absolute,
-            "max_element_error_relative": err.relative,
-            "fidelity_vs_ideal": fid,
-        }
-        return _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["row", "col", "modulus"])
-        for j, k, val in table.to_rows():
-            writer.writerow([j, k, f"{val:.12g}"])
-        return _write_output(buf.getvalue(), args.out)
+    payload = {
+        "message": m,
+        "variant": v.value,
+        "layer": args.layer,
+        "noisy": params is not None,
+        "modulus_table": table.to_json_dict(),
+        "reconstruction_roundtrip_error": roundtrip,
+        "max_element_error_absolute": err.absolute,
+        "max_element_error_relative": err.relative,
+        "fidelity_vs_ideal": fid,
+    }
+    rows = [["row", "col", "modulus"]] + [[j, k, f"{val:.12g}"] for j, k, val in table.to_rows()]
     lines = [f"tomography of message {m}, variant {v.value}, layer {args.layer}"
              + (" (noisy)" if params is not None else "")]
     lines.append("reconstructed element moduli (rows/cols |00>..|11>):")
@@ -460,43 +454,30 @@ def cmd_tomo(args, parser: argparse.ArgumentParser) -> int:
     lines.append(f"reconstruction round-trip error: {roundtrip:.3e}")
     lines.append(f"max element error vs ideal: {err.absolute:.4f} absolute, {err.relative:.4f} relative")
     lines.append(f"fidelity vs ideal: {fid:.6f}")
-    return _write_output("\n".join(lines) + "\n", args.out)
+    return _emit(args, payload, lines, rows)
 
 
 # ------------------------------------------------------------- validate ----
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    system, epsilon = spin_system_from_config(cfg)
-    params, seed = error_params_from_config(cfg.get("noise", {}), args.seed)
-    if args.ensemble_size is not None:
-        try:
-            params = replace(params, ensemble_size=args.ensemble_size)
-        except ValueError as exc:  # name the option, not the dataclass field
-            message = str(exc).replace("ErrorParams.ensemble_size", "--ensemble-size", 1)
-            raise ValueError(message) from None
+def cmd_validate(args, inputs: Inputs) -> int:
     results = validation.run_validation(
-        sys=system, epsilon=epsilon, params=params, seed=seed
+        sys=inputs.system, epsilon=inputs.epsilon, params=inputs.params, seed=inputs.seed
     )
-    if args.format == "json":
-        payload = {
-            "seed": seed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [
-            ("PASS " if r.passed else "FAIL ") + f"{r.name:<26s} {r.detail}"
-            for r in results
-        ]
-        n_ok = sum(r.passed for r in results)
-        lines.append(f"{n_ok}/{len(results)} checks passed")
-        text = "\n".join(lines) + "\n"
-    code = _write_output(text, args.out)
+    payload = {
+        "seed": inputs.seed,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
+    lines = [
+        ("PASS " if r.passed else "FAIL ") + f"{r.name:<26s} {r.detail}"
+        for r in results
+    ]
+    n_ok = sum(r.passed for r in results)
+    lines.append(f"{n_ok}/{len(results)} checks passed")
+    code = _emit(args, payload, lines)
     if code != EXIT_OK:
         return code
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
@@ -561,24 +542,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "run":
-            return cmd_run(args, parser)
-        if args.command == "fig4":
-            return cmd_fig4(args)
-        if args.command == "tomo":
-            return cmd_tomo(args, parser)
-        if args.command == "validate":
-            return cmd_validate(args)
-    except FileNotFoundError as exc:
+        # an overflow or NaN is an error, not a warning beside a result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "table":
+                return cmd_table(args)
+            inputs = resolve(args)
+            if inputs.params is not None and getattr(args, "layer", None) == "ideal":
+                parser.error("noise simulation requires --layer pulse")
+            commands = {"run": cmd_run, "fig4": cmd_fig4, "tomo": cmd_tomo, "validate": cmd_validate}
+            return commands[args.command](args, inputs)
+    except OSError as exc:  # a config path that cannot be read
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
+    except FloatingPointError as exc:
+        print(f"error: {exc}: a config value is out of range", file=_sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

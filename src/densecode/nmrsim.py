@@ -34,25 +34,27 @@ DEFAULT_J_HZ = 215.0
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Static parameters of the two-spin sample.
-
-    ``polarization_ratio`` is gamma_a/gamma_b; when omitted it is derived
-    from the Larmor frequencies.
-    """
+    """Static parameters of the two-spin sample: finite positive Larmor
+    frequencies and J coupling, with a finite ratio of the frequencies."""
 
     freq_a: float = DEFAULT_FREQ_A_MHZ  # MHz, spin a (1H)
     freq_b: float = DEFAULT_FREQ_B_MHZ  # MHz, spin b (13C)
     j_coupling: float = DEFAULT_J_HZ    # Hz
-    polarization_ratio: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("freq_a", "freq_b", "j_coupling"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"SpinSystem.{name} must be positive")
-        if self.polarization_ratio is None:
-            object.__setattr__(self, "polarization_ratio", self.freq_a / self.freq_b)
-        elif not self.polarization_ratio > 0:
-            raise ValueError("SpinSystem.polarization_ratio must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"SpinSystem.{name} must be finite")
+        if not math.isfinite(self.polarization_ratio):
+            raise ValueError("SpinSystem.freq_b is too small: freq_a/freq_b is not finite")
+
+    @property
+    def polarization_ratio(self) -> float:
+        """gamma_a/gamma_b, from the Larmor frequencies."""
+        return self.freq_a / self.freq_b
 
 
 @dataclass(frozen=True)

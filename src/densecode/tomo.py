@@ -162,8 +162,10 @@ def clip_to_density(rho: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho)
     desc = vals[::-1]
     shifts = (np.cumsum(desc) - 1.0) / np.arange(1, vals.size + 1)
-    # the largest eigenvalues still positive after their own shift stay in
-    shift = shifts[np.flatnonzero(desc > shifts)[-1]]
+    # the largest eigenvalues still positive after their own shift stay in;
+    # the largest always does, also where rounding hides it (|vals| > 2**53)
+    kept = np.flatnonzero(desc > shifts)
+    shift = shifts[kept[-1] if kept.size else 0]
     return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T
 
 

@@ -1,12 +1,22 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from densecode import cli, noise, protocol, validation
+from densecode.cli import NOISE_KEYS, SPIN_SYSTEM_KEYS
 
 
 def run_cli(capsys, argv):
@@ -115,6 +125,20 @@ class TestRun:
         code, _, err = run_cli(capsys, ["run", "-m", "1", "--config", "/nonexistent/cfg.json"])
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("option", [["--config"], ["--layer", "pulse", "--noise"]])
+    def test_config_directory_is_io_error(self, capsys, tmp_path, option):
+        code, out, err = run_cli(capsys, ["run", "-m", "1"] + option + [str(tmp_path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, ["run", "-m", "1", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: config {cfg} is nested too deeply\n"
 
 
 class TestFig4:
@@ -302,18 +326,22 @@ class TestConfigTypes:
         assert err == f"error: config {section} must be a JSON object\n"
 
 
+def resolve(argv):
+    return cli.resolve(cli.build_parser().parse_args(argv))
+
+
 def test_error_params_from_config_defaults():
-    params, seed = cli.error_params_from_config({})
-    assert params == noise.DEMO_PARAMS
-    assert seed == noise.DEMO_SEED
+    inputs = resolve(["fig4"])
+    assert inputs.params == noise.DEMO_PARAMS
+    assert inputs.seed == noise.DEMO_SEED
 
 
 def test_spin_system_from_config_defaults():
-    system, epsilon = cli.spin_system_from_config({})
-    assert system.freq_a == 500.13
-    assert system.freq_b == 125.77
-    assert system.j_coupling == 215.0
-    assert epsilon == 1e-5
+    inputs = resolve(["validate"])
+    assert inputs.system.freq_a == 500.13
+    assert inputs.system.freq_b == 125.77
+    assert inputs.system.j_coupling == 215.0
+    assert inputs.epsilon == 1e-5
 
 
 class TestNoiseSectionOnlyWithNoise:
@@ -358,6 +386,16 @@ class TestEnsembleSizeBound:
             assert out == ""
             assert err.startswith("error: --ensemble-size ") and err.count("\n") == 1
 
+    def test_module_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecode.cli", "validate", "--ensemble-size", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: --ensemble-size ") and proc.stderr.count("\n") == 1
+
 
 CONFIG_COMMANDS = [
     ["run", "-m", "1", "--layer", "pulse", "--noise"],
@@ -395,12 +433,34 @@ class TestRangeErrorsNameConfigKeys:
             ({"spin_system": {"freq_b_mhz": 0}}, "config spin_system.freq_b_mhz must be positive"),
             ({"spin_system": {"freq_a_mhz": -2.0}}, "config spin_system.freq_a_mhz must be positive"),
             ({"spin_system": {"epsilon": -1e-5}}, "config spin_system.epsilon must be finite"),
+            ({"spin_system": {"j_hz": math.inf}}, "config spin_system.j_hz must be finite"),
+            ({"spin_system": {"freq_a_mhz": math.inf}}, "config spin_system.freq_a_mhz must be finite"),
+            ({"spin_system": {"freq_b_mhz": 1e-320}}, "config spin_system.freq_b_mhz is too small"),
+            ({"spin_system": {"j_hz": 10**400}}, "config spin_system.j_hz is an integer too large"),
+            ({"noise": {"t2_a_s": 10**400}}, "config noise.t2_a_s is an integer too large"),
+            ({"spin_system": {"epsilon": 0}}, "config spin_system.epsilon must be finite and > 0"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
     def test_message_names_config_key(self, capsys, tmp_path, command, document, message):
         err = usage_error(capsys, tmp_path, command, document)
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
+    def test_overflow_is_usage_error(self, capsys, tmp_path, command):
+        document = {"noise": {"t2_a_s": 1e-320, "ensemble_size": 2}}
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err.startswith("error: overflow encountered")
+        assert err.endswith(": a config value is out of range\n")
+
+    def test_integer_beyond_int64_is_a_float(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"offset_spread_hz": 2**65, "ensemble_size": 2}}))
+        code, out, err = run_cli(
+            capsys, ["run", "-m", "1", "--layer", "pulse", "--noise", "--config", str(cfg), "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ensemble_size"] == 2
 
     def test_dataclass_messages_kept_for_api_callers(self):
         with pytest.raises(ValueError, match=r"^ErrorParams\.t2_a must be positive"):
@@ -484,3 +544,90 @@ class TestSeedContract:
             )
             assert code == 0
             assert json.loads(out)["seed"] == int(seed)
+
+
+#: Every JSON type, with the extremes a config value can take.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),  # NaN, infinities, subnormals
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+#: Ensemble sizes: a few members, or a size the validator refuses before any
+#: draw; a large valid size would only make the property test slow.
+ENSEMBLE_SIZE_OPTIONS = st.one_of(
+    st.integers(1, 3),
+    st.integers(max_value=0),
+    st.integers(min_value=noise.MAX_ENSEMBLE_SIZE + 1),
+)
+ENSEMBLE_SIZES = st.one_of(
+    ENSEMBLE_SIZE_OPTIONS,
+    JSON_VALUES.filter(lambda value: isinstance(value, bool) or not isinstance(value, int)),
+)
+#: Keys of at most three characters, so never a known key.
+UNKNOWN_KEYS = st.dictionaries(st.text(max_size=3), JSON_VALUES, min_size=1, max_size=1)
+
+
+def fuzzed_object(values: dict) -> st.SearchStrategy:
+    """Objects with some of the keys of ``values``, each drawn from its
+    strategy, sometimes with an unknown key; or any JSON value."""
+    known = st.fixed_dictionaries({}, optional=values)
+    with_unknown = st.tuples(known, UNKNOWN_KEYS).map(lambda pair: {**pair[0], **pair[1]})
+    return st.one_of(known, known, with_unknown, JSON_VALUES)
+
+
+def fuzzed_section(keys) -> st.SearchStrategy:
+    return fuzzed_object({k: ENSEMBLE_SIZES if k == "ensemble_size" else JSON_VALUES for k in keys})
+
+
+FUZZED_DOCUMENTS = fuzzed_object(
+    {"spin_system": fuzzed_section(SPIN_SYSTEM_KEYS), "noise": fuzzed_section(NOISE_KEYS)}
+)
+
+
+class TestConfigFuzz:
+    """Whatever the config document and the numeric options, the CLI exits
+    0-3 and writes nothing to stderr but at most one ``error:`` line."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @example(["fig4"], {"noise": {"rf_spread": 10**400}}, False, None, None)
+    @example(["validate"], {"noise": {"t2_b_s": 5e-324, "ensemble_size": 1}}, False, 0, 1)
+    @example(["run", "-m", "1", "--layer", "pulse", "--noise"],
+             {"offset_spread_hz": 2**65, "ensemble_size": 1}, True, 2**130, None)
+    @given(
+        command=st.sampled_from([
+            ["run", "-m", "1", "--layer", "pulse", "--noise"],
+            ["tomo", "-m", "2", "--layer", "pulse", "--noise"],
+            ["run", "-m", "3"],
+            ["fig4"],
+            ["validate"],
+        ]),
+        document=FUZZED_DOCUMENTS,
+        as_noise_path=st.booleans(),
+        seed=st.none() | st.integers() | st.just(2**130),
+        ensemble_size=st.none() | ENSEMBLE_SIZE_OPTIONS,
+    )
+    def test_exit_code_and_stderr(self, command, document, as_noise_path, seed, ensemble_size):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(document, fh)
+            argv = command + ([path] if as_noise_path and command[-1] == "--noise" else ["--config", path])
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            if ensemble_size is not None and command == ["validate"]:
+                argv += ["--ensemble-size", str(ensemble_size)]
+            argv += ["--out", tmp if command == ["fig4"] else os.path.join(tmp, "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+        assert code in (0, 1, 2, 3)
+        stderr = err.getvalue()
+        assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1), stderr
+        assert [str(w.message) for w in caught] == []

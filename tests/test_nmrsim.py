@@ -34,13 +34,25 @@ class TestSpinSystem:
         assert system.j_coupling == 215.0
         assert system.polarization_ratio == pytest.approx(3.9765, abs=2e-4)
 
-    def test_explicit_ratio_kept(self):
-        assert SpinSystem(polarization_ratio=4.0).polarization_ratio == 4.0
+    def test_ratio_derived_from_frequencies(self):
+        system = SpinSystem(freq_a=400.0, freq_b=100.0)
+        assert system.polarization_ratio == 4.0
+        with pytest.raises(TypeError):
+            SpinSystem(polarization_ratio=4.0)
 
     @pytest.mark.parametrize("field", ["freq_a", "freq_b", "j_coupling"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
             SpinSystem(**{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["freq_a", "freq_b", "j_coupling"])
+    def test_rejects_infinite(self, field):
+        with pytest.raises(ValueError, match=rf"^SpinSystem\.{field} must be finite"):
+            SpinSystem(**{field: math.inf})
+
+    def test_rejects_overflowing_ratio(self):
+        with pytest.raises(ValueError, match=r"^SpinSystem\.freq_b is too small"):
+            SpinSystem(freq_b=1e-320)
 
 
 class TestEvents:

@@ -312,6 +312,13 @@ class TestClipToDensity:
         proj = tomo.clip_to_density(m)
         assert np.allclose(proj, np.diag([0.55, 0.45, 0.0, 0.0]), atol=1e-15)
 
+    def test_eigenvalues_beyond_float_resolution_do_not_raise(self):
+        # the largest eigenvalue minus 1 rounds back to itself, so no
+        # eigenvalue compares above its shift
+        proj = tomo.clip_to_density(np.diag([1e300, 0.0, 0.0, -1e300]))
+        assert proj.shape == (4, 4) and np.all(np.isfinite(proj))
+        assert np.min(np.linalg.eigvalsh(proj)) >= 0.0
+
 
 def test_clip_to_density_projects_and_renormalizes():
     m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
