@@ -250,7 +250,7 @@ def cmd_table(args) -> int:
     grid = protocol.table1()
     columns = [v.value for v in BELL_VARIANT_ORDER]
     if args.check:
-        reference = validation._check_table()
+        reference = validation.check_table()
         print(("PASS " if reference.passed else "FAIL ") + reference.detail)
         if not reference.passed:
             return EXIT_FAIL
@@ -511,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", metavar="PATH")
+    p_run.set_defaults(subparser=p_run)  # reports --noise without --layer pulse
 
     p_fig4 = sub.add_parser("fig4", help="emit theory/experiment element-modulus tables")
     p_fig4.add_argument("--config", metavar="PATH")
@@ -527,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--seed", type=int)
     p_tomo.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_tomo.add_argument("--out", metavar="PATH")
+    p_tomo.set_defaults(subparser=p_tomo)
 
     p_val = sub.add_parser("validate", help="run the full verification suite")
     p_val.add_argument("--config", metavar="PATH")
@@ -548,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_table(args)
             inputs = resolve(args)
             if inputs.params is not None and getattr(args, "layer", None) == "ideal":
-                parser.error("noise simulation requires --layer pulse")
+                args.subparser.error("noise simulation requires --layer pulse")
             commands = {"run": cmd_run, "fig4": cmd_fig4, "tomo": cmd_tomo, "validate": cmd_validate}
             return commands[args.command](args, inputs)
     except OSError as exc:  # a config path that cannot be read

@@ -9,6 +9,7 @@ One engine, ``_propagate``, applies every program's events in time order
 to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
 diagonal phase.  A noise-free program is one member with zero draws.
+``experiment.temporal_average`` runs the thermal state and prefixes built here.
 """
 
 from __future__ import annotations
@@ -301,26 +302,6 @@ def permutation_sequences(sys: SpinSystem, refocus: bool = True) -> tuple[PulseS
     cn_ba = cnot_pulse_sequence(sys, control="b", refocus=refocus)
     cn_ab = cnot_pulse_sequence(sys, control="a", refocus=refocus)
     return (PulseSequence(()), cn_ab + cn_ba, cn_ba + cn_ab)
-
-
-def temporal_average(
-    sys: SpinSystem,
-    epsilon: float,
-    circuit: PulseSequence,
-    refocus: bool = True,
-) -> np.ndarray:
-    """Average the circuit output over the three permuted thermal inputs.
-
-    Each run compiles the permutation prefix followed by ``circuit`` and
-    evolves the thermal state; the mean of the three runs carries a
-    deviation proportional to the circuit acting on |00><00|.
-    """
-    rho_th = thermal_state(sys, epsilon)
-    total = np.zeros((4, 4), dtype=complex)
-    for prefix in permutation_sequences(sys, refocus=refocus):
-        u = compile_sequence(prefix + circuit, sys)
-        total += u @ rho_th @ u.conj().T
-    return total / 3.0
 
 
 def pseudo_pure_decomposition(rho: np.ndarray) -> tuple[float, float, float]:

@@ -7,11 +7,13 @@ the member, so refocusing pairs cancel them exactly the way a spin echo
 does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
-The ensemble average propagates a factor V of the input (rho0 = V V^H)
-through the pulse engine of ``nmrsim`` (``nmrsim._propagate``, the one that
-also compiles noise-free programs), one row of draws per member.  Members
-are drawn, propagated and summed in chunks of ``CHUNK_SIZE``, in a fixed
-order, so memory stays bounded however large the ensemble is.
+The one ensemble average, ``_mean_states``, runs circuits (tuples of
+pulse blocks) after heads on one sample, propagating a factor V of the
+input (rho0 = V V^H) through the pulse engine of ``nmrsim``
+(``nmrsim._propagate``, the one that also compiles noise-free programs),
+one row of draws per member.  Members are drawn, propagated and summed in
+chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded
+however large the ensemble is.
 
 Results are deterministic for a fixed seed: member k draws from the stream
 of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
@@ -20,15 +22,17 @@ seed words follow from the parent's entropy pool and k by numpy's
 SeedSequence hash, and its PCG64 state from those words by two LCG steps,
 so both are computed for a whole chunk at once and one generator is set to
 each member's state in turn.  The draws depend only on ``(params, seed)``,
-not on the pulse program, so programs run on one sample share them: the
-fig4 pipeline draws each chunk once and composes its twelve programs from
-per-member block propagators compiled once each.
+not on the pulse program, so programs run on one sample share them: each
+chunk is drawn once, and every run is composed from per-member block
+propagators compiled once each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable, Iterator
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,11 +207,6 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
         yield z * sigmas
 
 
-def _second_moment(w: np.ndarray) -> np.ndarray:
-    """Sum over members of W_k W_k^H for a (n, 4, k) stack."""
-    return np.einsum("nik,njk->ij", w, w.conj())
-
-
 # Coherences damped by T2 of spin a / spin b: elements whose row and column
 # differ in that spin's label.
 _COHERENT_A = _ZA_DIAG[:, None] != _ZA_DIAG[None, :]
@@ -215,25 +214,37 @@ _COHERENT_B = _ZB_DIAG[:, None] != _ZB_DIAG[None, :]
 
 
 def _mean_states(
+    sys: SpinSystem,
     p: ErrorParams,
     seed,
-    second_moments: Callable[[np.ndarray], np.ndarray],
-    t_totals,
+    circuits: Sequence[tuple[PulseSequence, ...]],
+    heads: Sequence[PulseSequence],
+    start: np.ndarray,
 ) -> np.ndarray:
-    """Bulk-sample states of one or more programs run on one sample.
+    """Bulk-sample states of every (circuit, head) run on one sample, shape
+    (len(circuits), len(heads), 4, 4).
 
-    ``second_moments(draws)`` returns, for a chunk of member draws, the sum
-    over its members of W_k W_k^H for each program (shape
-    ``t_totals.shape + (4, 4)``, W_k = U_k times a factor of the input).
-    The chunks are summed in member order, so memory does not grow with the
-    ensemble and the result is bit-identical for a fixed seed.  The mean of
-    each program is T2-damped over its own free-evolution time in
-    ``t_totals`` (seconds) and checked as a density matrix.
+    Each head is propagated from ``start``, a (4, k) factor of the input;
+    each circuit is a tuple of blocks run after it (``()`` runs the head
+    alone).  Per chunk, each distinct block is compiled once and a circuit
+    is composed onto the head as ``(U_last @ ...) @ U_first``.  Each mean
+    is T2-damped over its run's free-evolution time and checked.
     """
-    t_totals = np.asarray(t_totals, dtype=float)
+    t_totals = np.array([
+        [head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]
+        for circuit in circuits
+    ])
+    blocks = dict.fromkeys(block for circuit in circuits for block in circuit)
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
-        total += second_moments(draws)
+        w_heads = [_propagate(head, sys, draws, p.calib_offset, start) for head in heads]
+        u_blocks = {block: _propagate(block, sys, draws, p.calib_offset) for block in blocks}
+        for i, circuit in enumerate(circuits):
+            stacks = [u_blocks[block] for block in reversed(circuit)]
+            u = functools.reduce(operator.matmul, stacks) if stacks else None
+            for j, w in enumerate(w_heads):
+                w = w if u is None else u @ w
+                total[i, j] += np.einsum("nik,njk->ij", w, w.conj())  # sum of W_k W_k^H
     f_a = np.exp(-t_totals / p.t2_a)[..., None, None]
     f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B
@@ -258,12 +269,8 @@ def ensemble_average(
     ``p.ensemble_size``.  Only a factor V of rho0 = V V^H is propagated (one
     column for a pure input).  The draws are a function of ``(p, seed)``
     alone: every sequence run with the same ``(p, seed)`` sees the same
-    sample, and callers running several sequences on one sample (the fig4
-    pipeline) draw once and reuse the draws.
+    sample.  This is ``_mean_states`` with one head, ``seq``, and the empty
+    circuit.
     """
     v = qcore.psd_factor(qcore.check_density_matrix(rho0))
-
-    def second_moment(draws: np.ndarray) -> np.ndarray:
-        return _second_moment(_propagate(seq, sys, draws, p.calib_offset, v))
-
-    return _mean_states(p, seed, second_moment, seq.total_delay())
+    return _mean_states(sys, p, seed, [()], [seq], v)[0, 0]

@@ -8,6 +8,9 @@ matrix product of its events, and one member's errors as three draws from a
 generator seeded with that member's spawned child.  ``noisy_compile``
 applies such draws with the library engine: it is the reference for the
 draws and the chunked ensemble average, not for the engine.
+``temporal_average`` compiles each permutation prefix and the circuit as one
+program and evolves the thermal state run by run: the reference for the
+block-composing ensemble average behind ``experiment.temporal_average``.
 """
 
 from __future__ import annotations
@@ -84,3 +87,16 @@ def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_se
     """
     draws = np.array([member_draws(p, sample_seed)])
     return nmrsim._propagate(seq, sys, draws, p.calib_offset)[0]
+
+
+def temporal_average(
+    sys: SpinSystem, epsilon: float, circuit: PulseSequence, refocus: bool = True
+) -> np.ndarray:
+    """Mean of U rho_th U^H over the three runs, U compiled from each
+    permutation prefix followed by ``circuit``."""
+    rho_th = nmrsim.thermal_state(sys, epsilon)
+    total = np.zeros((4, 4), dtype=complex)
+    for prefix in nmrsim.permutation_sequences(sys, refocus=refocus):
+        u = nmrsim.compile_sequence(prefix + circuit, sys)
+        total += u @ rho_th @ u.conj().T
+    return total / 3.0

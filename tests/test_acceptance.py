@@ -148,7 +148,7 @@ def test_criterion_5_pulse_layer_equivalence():
 
 def test_criterion_6_temporal_averaging_deviation():
     system = nmrsim.SpinSystem()
-    rho = nmrsim.temporal_average(system, 1e-3, nmrsim.PulseSequence(()))
+    rho = experiment.temporal_average(system, 1e-3, [()])[0]
     diag = np.real(np.diag(rho))
     background = float(np.mean(diag[1:]))
     model = background * np.eye(4, dtype=complex)

@@ -85,10 +85,13 @@ class TestRun:
         assert payload["recovered_message"] == 1
 
     def test_noise_requires_pulse_layer(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "-m", "3", "--layer", "ideal", "--noise"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        for command in ("run", "tomo"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "-m", "3", "--layer", "ideal", "--noise"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: densecode {command} [-h]")
+            assert err.endswith(f"densecode {command}: error: noise simulation requires --layer pulse\n")
 
     def test_noisy_run_reports_fidelity(self, capsys, tmp_path):
         cfg = tmp_path / "noise.json"
@@ -263,7 +266,7 @@ class TestMutationSanity:
     def test_corrupted_gate_fails_table_check(self, monkeypatch):
         wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # unitary, not H
         monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
-        result = validation._check_table()
+        result = validation.check_table()
         assert not result.passed
 
     def test_corrupted_gate_makes_validate_exit_nonzero(self, monkeypatch, capsys, tmp_path):
@@ -461,6 +464,19 @@ class TestRangeErrorsNameConfigKeys:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["ensemble_size"] == 2
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[2:])
+    def test_epsilon_too_small_for_rescaling(self, capsys, tmp_path, command):
+        document = {"spin_system": {"epsilon": 1e-300}, "noise": {"ensemble_size": 5}}
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err.startswith("error: epsilon 1e-300 too small")
+
+    def test_smallest_accepted_epsilon_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spin_system": {"epsilon": 1e-10}, "noise": {"ensemble_size": 5}}))
+        code, out, err = run_cli(capsys, ["fig4", "--config", str(cfg), "--out", str(tmp_path)])
+        assert (code, err) == (0, "")
+        assert "max relative error across panels" in out
 
     def test_dataclass_messages_kept_for_api_callers(self):
         with pytest.raises(ValueError, match=r"^ErrorParams\.t2_a must be positive"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from densecode import gates, nmrsim, protocol, qcore
+from densecode import experiment, gates, nmrsim, protocol, qcore
 from densecode.gates import BELL_VARIANT_ORDER, BellVariant
 from densecode.nmrsim import Delay, PulseSequence, Rf, SpinSystem
 
@@ -331,7 +331,7 @@ class TestTemporalAveraging:
         assert totals[2] == pytest.approx(totals[3], abs=1e-12)
 
     def test_averaged_preparation_deviation(self, system):
-        rho = nmrsim.temporal_average(system, 1e-3, PulseSequence(()))
+        rho = experiment.temporal_average(system, 1e-3, [()])[0]
         alpha, beta, residual = nmrsim.pseudo_pure_decomposition(rho)
         assert residual <= 1e-10
         assert beta > 0
@@ -340,7 +340,7 @@ class TestTemporalAveraging:
 
     def test_averaged_output_deviation_follows_circuit(self, system):
         circuit = nmrsim.dense_coding_sequence(system, 1, BellVariant.MINUS_PHI)
-        rho = nmrsim.temporal_average(system, 1e-3, circuit)
+        rho = experiment.temporal_average(system, 1e-3, [(circuit,)])[0]
         diag = np.real(np.diag(rho))
         background = np.mean([diag[0], diag[1], diag[3]])
         model = background * np.eye(4)
@@ -352,5 +352,23 @@ class TestTemporalAveraging:
 
     def test_zero_epsilon_output_is_mixed(self, system):
         circuit = nmrsim.dense_coding_sequence(system, 3, BellVariant.PLUS_PSI)
-        rho = nmrsim.temporal_average(system, 0.0, circuit)
+        rho = experiment.temporal_average(system, 0.0, [(circuit,)])[0]
         assert np.max(np.abs(rho - np.eye(4) / 4)) < 1e-12
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.0])
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_matches_prefix_loop_oracle(self, system, refocus, epsilon):
+        """The empty circuit and all 16 dense-coding circuits, composed from
+        their preparation, encoding and decoding blocks, against the oracle
+        compiling each prefix + circuit as one program."""
+        decode = nmrsim.decode_sequence(system, refocus=refocus)
+        circuits = [()] + [
+            (nmrsim.bell_prep_sequence(system, v, refocus), nmrsim.encoding_pulse(m), decode)
+            for m in protocol.MESSAGES
+            for v in BELL_VARIANT_ORDER
+        ]
+        averaged = experiment.temporal_average(system, epsilon, circuits, refocus=refocus)
+        for circuit, rho in zip(circuits, averaged):
+            program = sum(circuit, PulseSequence(()))
+            expected = oracles.temporal_average(system, epsilon, program, refocus)
+            assert np.max(np.abs(rho - expected)) <= 1e-15

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from densecode import experiment, nmrsim, noise, protocol, qcore, tomo
-from densecode.gates import BellVariant
+from densecode import experiment, nmrsim, noise, protocol, qcore, tomo, validation
+from densecode.gates import BELL_VARIANT_ORDER, BellVariant
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
 
 RHO00 = qcore.pure_density(qcore.basis_state(0))
@@ -337,7 +337,7 @@ def test_demo_parameters_land_in_error_band(system):
 
 def test_simulated_experiment_zero_noise_recovers_ideal(system):
     p = noise.ErrorParams(ensemble_size=2)
-    rho = experiment.simulated_experiment(system, 1e-5, p, m=2, seed=4)
+    rho = experiment.fig4_panels(system, 1e-5, p, seed=4)[1].experimental
     ideal = experiment.ideal_output_density(2)
     assert np.max(np.abs(rho - ideal)) < 1e-7
 
@@ -367,8 +367,18 @@ def test_shared_block_composition_matches_per_program_averages(system, refocus):
     for m, panel in zip(protocol.MESSAGES, panels):
         expected = reference_simulated_experiment(system, 1e-5, params, m, seed, refocus)
         assert np.max(np.abs(panel.experimental - expected)) < 1e-10
-    single = experiment.simulated_experiment(system, 1e-5, params, m=3, seed=seed, refocus=refocus)
-    assert np.max(np.abs(single - panels[2].experimental)) < 1e-10
+
+
+def test_batched_pulse_protocol_states_match_compiled_programs(system):
+    """The 4 x 4 (message, variant) runs composed onto the preparation heads
+    in one noise-free average equal each whole program compiled alone."""
+    states = validation._pulse_protocol_states(system)
+    assert states.shape == (4, 4, 4, 4)
+    for i, m in enumerate(protocol.MESSAGES):
+        for j, v in enumerate(BELL_VARIANT_ORDER):
+            u = nmrsim.compile_sequence(nmrsim.dense_coding_sequence(system, m, v), system)
+            expected = qcore.pure_density(u @ qcore.basis_state(0))
+            assert np.max(np.abs(states[i, j] - expected)) <= 1e-15
 
 
 def test_fig4_panels_bit_identical_reruns(system):
