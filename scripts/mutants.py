@@ -1,0 +1,202 @@
+"""Mutation check of the test suite.
+
+Each mutant is one exact text substitution in a file of ``src/densecode``,
+a fault some test must catch.  The script applies the mutants in turn to a
+temporary copy of ``src/``, runs only each one's named tests against that
+copy, and reports the mutant killed when they fail.  It first runs every
+named test against the unmutated copy, which must pass.
+
+Exits 1 if a mutant survives (its tests pass) or no longer applies (its
+text is not found exactly once), else 0.  Standard library only.
+
+Run from anywhere:  python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/densecode
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files or node ids, relative to the root
+
+
+FACTOR_TESTS = ("tests/test_noise.py::TestFactorTable",)
+ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
+DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
+FACTOR_LOOKUP = """\
+        f = factors.get(ev)
+        if f is None:
+            f = factors[ev] = _event_factors(ev, sys, draws, calib_offset)
+"""
+
+
+def _factor_key(fields: str) -> str:
+    """The lookup keyed by ``fields`` of an Rf pulse instead of the event."""
+    return (
+        f"        key = ({fields}) if isinstance(ev, Rf) else ev\n"
+        + FACTOR_LOOKUP.replace("factors.get(ev)", "factors.get(key)")
+        .replace("factors[ev]", "factors[key]")
+    )
+
+
+MUTANTS = (
+    Mutant(
+        "delay operands swapped",
+        "nmrsim.py",
+        "np.multiply(f, u, out=u)",
+        "np.multiply(u, f, out=u)",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "factor table hoisted out of the chunk loop",
+        "noise.py",
+        "    for draws in _draw_chunks(p, seed):\n"
+        "        factors = {}  # each distinct event's factors on this chunk's draws\n",
+        "    factors = {}\n    for draws in _draw_chunks(p, seed):\n",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "factor key drops the spin",
+        "nmrsim.py",
+        FACTOR_LOOKUP,
+        _factor_key("ev.axis, ev.angle, ev.phase_sign"),
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "factor key drops the axis",
+        "nmrsim.py",
+        FACTOR_LOOKUP,
+        _factor_key("ev.spin, ev.angle, ev.phase_sign"),
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "phase table conjugated",
+        "nmrsim.py",
+        "return perm, -1j * full[np.arange(4), perm]",
+        "return perm, np.conj(-1j * full[np.arange(4), perm])",
+        ("tests/test_nmrsim.py",),
+    ),
+    Mutant(
+        "last chunk dropped",
+        "noise.py",
+        "for start in range(0, p.ensemble_size, CHUNK_SIZE):",
+        "for start in range(0, max(1, p.ensemble_size - CHUNK_SIZE), CHUNK_SIZE):",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "T2 factors swapped",
+        "noise.py",
+        "f_a**_COHERENT_A * f_b**_COHERENT_B",
+        "f_b**_COHERENT_A * f_a**_COHERENT_B",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "prefix delay dropped from T2",
+        "noise.py",
+        "[head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]",
+        "[sum(circuit, PulseSequence()).total_delay() for head in heads]",
+        ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
+    ),
+    Mutant(
+        "blocks composed in reverse order",
+        "noise.py",
+        "stacks = [u_blocks[block] for block in reversed(circuit)]",
+        "stacks = [u_blocks[block] for block in circuit]",
+        ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
+    ),
+    Mutant(
+        "truncation redraw dropped",
+        "noise.py",
+        "z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]",
+        "pass",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "truncation redraw skips the last member",
+        "noise.py",
+        "for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1)):",
+        "for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1))[:-1]:",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "wrong hash-step count for long seeds",
+        "noise.py",
+        "16 + 4 * max(0, words - 4)",
+        "16 + 4 * max(0, words - 5)",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "inc without its low bit",
+        "noise.py",
+        "inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128",
+        "inc = ((w2 << 64 | w3) << 1) & _MASK128",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "clip and rescale in place of the exact projection",
+        "tomo.py",
+        "    return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T\n",
+        "    clipped = np.maximum(vals, 0.0)\n"
+        "    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T\n",
+        ("tests/test_tomo.py",),
+    ),
+    Mutant(
+        "tiny epsilon reaches the checks",
+        "cli.py",
+        'if args.command in ("fig4", "validate") and epsilon < experiment.MIN_EPSILON:',
+        "if False:",
+        ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",),
+    ),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code for ``tests`` run against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        baseline = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if run_tests(src, baseline) != 0:
+            print("error: the named tests fail without a mutant", file=sys.stderr)
+            return 1
+        for mutant in MUTANTS:
+            path = src / "densecode" / mutant.module
+            original = path.read_text()
+            start = time.perf_counter()
+            if original.count(mutant.old) != 1:
+                verdict = "NOT APPLIED"
+            else:
+                path.write_text(original.replace(mutant.old, mutant.new))
+                code = run_tests(src, mutant.tests)
+                path.write_text(original)
+                # 1: a test failed; 2: collection or import failed
+                verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"ERROR ({code})")
+            failures += verdict != "killed"
+            print(f"{verdict:12} {mutant.name} ({time.perf_counter() - start:.1f} s)")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -156,6 +156,11 @@ def resolve(args: argparse.Namespace) -> Inputs:
     epsilon = _config_value(sc, "spin_system", "epsilon", validation.DEFAULT_EPSILON)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("config spin_system.epsilon must be finite and > 0")
+    if args.command in ("fig4", "validate") and epsilon < experiment.MIN_EPSILON:
+        raise ValueError(
+            f"config spin_system.epsilon must be >= {experiment.MIN_EPSILON:g} for the "
+            f"pseudo-pure rescaling, got {epsilon!r}"
+        )
     nc = _section(cfg, "noise", NOISE_KEYS)
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked

@@ -8,7 +8,10 @@ survives, chemical shifts are zero unless the noise model injects offsets.
 One engine, ``_propagate``, applies every program's events in time order
 to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
-diagonal phase.  A noise-free program is one member with zero draws.
+diagonal phase.  A noise-free program is one member with zero draws.  Each
+distinct event's factors are computed once per set of draws, in a table the
+ensemble average shares across every program of a chunk, and each event
+updates U in place, with the operands in the order of the expressions above.
 ``experiment.temporal_average`` runs the thermal state and prefixes built here.
 """
 
@@ -139,34 +142,63 @@ def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
 _RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
 
 
+def _event_factors(
+    ev: PulseEvent, sys: SpinSystem, draws: np.ndarray, calib_offset: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray:
+    """Per-member factors of one event on ``draws``: ``(c, s, perm)`` of an
+    ``Rf`` pulse (U -> c*U + s*U[perm]), the diagonal phase column of a
+    ``Delay`` (U -> f*U)."""
+    deltas, offs_a, offs_b = draws.T
+    if isinstance(ev, Rf):
+        angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
+        perm, phase = _RF_ROWS[ev.spin, ev.axis]
+        c = np.cos(angles / 2.0)[:, None, None]
+        s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
+        return c, s, perm
+    t = ev.duration
+    angle = (
+        (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
+        + (math.pi * t) * (offs_b[:, None] * _ZB_DIAG[None, :])
+        + (math.pi * t) * (offs_a[:, None] * _ZA_DIAG[None, :])
+    )
+    return np.exp(-1j * angle)[:, :, None]
+
+
 def _propagate(
     seq: PulseSequence,
     sys: SpinSystem,
     draws: np.ndarray,
     calib_offset: float,
     start: np.ndarray = qcore.ID4,
+    factors: dict | None = None,
 ) -> np.ndarray:
     """Per-member U_k @ start for the propagators U_k of ``seq``, shape
     (n, 4, k) for a (4, k) ``start``; the identity gives the propagators.
     Row k of the (n, 3) ``draws`` is member k's RF deviation and offsets (Hz)
-    of spins a and b; pulse angles scale by 1 + ``calib_offset`` + deviation."""
-    deltas, offs_a, offs_b = draws.T
+    of spins a and b; pulse angles scale by 1 + ``calib_offset`` + deviation.
+
+    ``factors`` maps each event to its ``_event_factors`` on these draws,
+    filled on first use; callers share one table across the programs they
+    run on the same draws (``None``: a fresh table).  Each event updates U
+    in place through one preallocated buffer, keeping the operand order of
+    ``c * U + s * U[perm]`` and ``f * U``: numpy's complex multiply is not
+    bitwise commutative, and ``U * f`` moves the last bits of a delay.
+    """
+    factors = {} if factors is None else factors
     u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
+    tmp = np.empty_like(u)
     for ev in seq:
+        f = factors.get(ev)
+        if f is None:
+            f = factors[ev] = _event_factors(ev, sys, draws, calib_offset)
         if isinstance(ev, Rf):
-            angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
-            perm, phase = _RF_ROWS[ev.spin, ev.axis]
-            c = np.cos(angles / 2.0)[:, None, None]
-            s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
-            u = c * u + s * u[:, perm, :]
+            c, s, perm = f
+            np.take(u, perm, axis=1, out=tmp)
+            np.multiply(s, tmp, out=tmp)
+            np.multiply(c, u, out=u)
+            np.add(u, tmp, out=u)
         else:
-            t = ev.duration
-            angle = (
-                (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
-                + (math.pi * t) * (offs_b[:, None] * _ZB_DIAG[None, :])
-                + (math.pi * t) * (offs_a[:, None] * _ZA_DIAG[None, :])
-            )
-            u = np.exp(-1j * angle)[:, :, None] * u
+            np.multiply(f, u, out=u)
     return u
 
 

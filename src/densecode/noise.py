@@ -226,8 +226,9 @@ def _mean_states(
 
     Each head is propagated from ``start``, a (4, k) factor of the input;
     each circuit is a tuple of blocks run after it (``()`` runs the head
-    alone).  Per chunk, each distinct block is compiled once and a circuit
-    is composed onto the head as ``(U_last @ ...) @ U_first``.  Each mean
+    alone).  Per chunk, each distinct block is compiled once, all from one
+    table of event factors, and a circuit is composed onto the head as
+    ``(U_last @ ...) @ U_first``.  Each mean
     is T2-damped over its run's free-evolution time and checked.
     """
     t_totals = np.array([
@@ -237,8 +238,9 @@ def _mean_states(
     blocks = dict.fromkeys(block for circuit in circuits for block in circuit)
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
-        w_heads = [_propagate(head, sys, draws, p.calib_offset, start) for head in heads]
-        u_blocks = {block: _propagate(block, sys, draws, p.calib_offset) for block in blocks}
+        factors = {}  # each distinct event's factors on this chunk's draws
+        w_heads = [_propagate(head, sys, draws, p.calib_offset, start, factors) for head in heads]
+        u_blocks = {b: _propagate(b, sys, draws, p.calib_offset, qcore.ID4, factors) for b in blocks}
         for i, circuit in enumerate(circuits):
             stacks = [u_blocks[block] for block in reversed(circuit)]
             u = functools.reduce(operator.matmul, stacks) if stacks else None

@@ -5,7 +5,10 @@ The library applies every pulse event through one row-permutation engine
 direct way: a pulse as the Kronecker product of a single-spin rotation
 matrix with the identity, a delay as a diagonal matrix, a program as the
 matrix product of its events, and one member's errors as three draws from a
-generator seeded with that member's spawned child.  ``noisy_compile``
+generator seeded with that member's spawned child.  ``reference_propagate``
+is the engine as it was before its per-chunk factor table and in-place
+updates: every factor recomputed per event, every update a fresh array.
+The library engine must equal it bit for bit.  ``noisy_compile``
 applies such draws with the library engine: it is the reference for the
 draws and the chunked ensemble average, not for the engine.
 ``temporal_average`` compiles each permutation prefix and the circuit as one
@@ -66,6 +69,35 @@ def kron_compile(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
             u = rf_unitary(ev.spin, ev.axis, ev.angle, ev.phase_sign) @ u
         else:
             u = j_evolution(sys, ev.duration) @ u
+    return u
+
+
+def reference_propagate(
+    seq: PulseSequence,
+    sys: SpinSystem,
+    draws: np.ndarray,
+    calib_offset: float,
+    start: np.ndarray = qcore.ID4,
+) -> np.ndarray:
+    """Per-member U_k @ start, applying each event's factors as they are
+    computed: the reference for ``nmrsim._propagate``."""
+    deltas, offs_a, offs_b = draws.T
+    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
+    for ev in seq:
+        if isinstance(ev, Rf):
+            angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
+            perm, phase = nmrsim._RF_ROWS[ev.spin, ev.axis]
+            c = np.cos(angles / 2.0)[:, None, None]
+            s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
+            u = c * u + s * u[:, perm, :]
+        else:
+            t = ev.duration
+            angle = (
+                (math.pi * sys.j_coupling * t / 2.0) * nmrsim._ZZ_DIAG[None, :]
+                + (math.pi * t) * (offs_b[:, None] * nmrsim._ZB_DIAG[None, :])
+                + (math.pi * t) * (offs_a[:, None] * nmrsim._ZA_DIAG[None, :])
+            )
+            u = np.exp(-1j * angle)[:, :, None] * u
     return u
 
 

@@ -469,7 +469,10 @@ class TestRangeErrorsNameConfigKeys:
     def test_epsilon_too_small_for_rescaling(self, capsys, tmp_path, command):
         document = {"spin_system": {"epsilon": 1e-300}, "noise": {"ensemble_size": 5}}
         err = usage_error(capsys, tmp_path, command, document)
-        assert err.startswith("error: epsilon 1e-300 too small")
+        assert err == (
+            "error: config spin_system.epsilon must be >= 1e-10 for the pseudo-pure "
+            "rescaling, got 1e-300\n"
+        )
 
     def test_smallest_accepted_epsilon_runs(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -231,6 +231,50 @@ class TestRowPermutationEngine:
         assert np.array_equal(np.concatenate(chunks), expected)
 
 
+def fig4_programs(system, refocus):
+    """The distinct heads and blocks of fig4, each with the start it is
+    propagated from, and the full dense-coding program."""
+    v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+    heads = nmrsim.permutation_sequences(system, refocus=refocus)
+    blocks = [
+        nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=refocus),
+        nmrsim.decode_sequence(system, refocus=refocus),
+    ] + [nmrsim.encoding_pulse(m) for m in protocol.MESSAGES]
+    full = nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI, refocus=refocus)
+    return [(head, v_th) for head in heads] + [(seq, qcore.ID4) for seq in blocks + [full]]
+
+
+class TestFactorTable:
+    """The per-chunk factor table and the in-place updates move no bit."""
+
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_engine_equals_reference_engine(self, system, refocus):
+        p = replace(noise.DEMO_PARAMS, ensemble_size=300)
+        draws = next(noise._draw_chunks(p, 7))
+        shared = {}  # one table across every program, as in one chunk
+        for seq, start in fig4_programs(system, refocus):
+            expected = oracles.reference_propagate(seq, system, draws, p.calib_offset, start)
+            for factors in (shared, None):
+                got = nmrsim._propagate(seq, system, draws, p.calib_offset, start, factors)
+                assert np.array_equal(got, expected)
+
+    def test_mean_states_equal_reference_engine_across_chunks(self, system, monkeypatch):
+        # a second, shorter chunk must build its own table
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 5)
+        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        heads = nmrsim.permutation_sequences(system)
+        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+        decode = nmrsim.decode_sequence(system)
+        circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
+        got = noise._mean_states(system, p, 11, circuits, heads, v_th)
+
+        def reference(seq, sys, draws, calib_offset, start=qcore.ID4, factors=None):
+            return oracles.reference_propagate(seq, sys, draws, calib_offset, start)
+
+        monkeypatch.setattr(noise, "_propagate", reference)
+        assert np.array_equal(got, noise._mean_states(system, p, 11, circuits, heads, v_th))
+
+
 # One-word, two-word and five-word seeds (more words than the pool of 4).
 SEEDS = [0, 5, 2**40 + 3, 2**130 + 9]
 
