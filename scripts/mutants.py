@@ -37,6 +37,8 @@ class Mutant(NamedTuple):
 FACTOR_TESTS = ("tests/test_noise.py::TestFactorTable",)
 ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
+GATE_TESTS = ("tests/test_gates.py",)
+EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
 FACTOR_LOOKUP = """\
         f = factors.get(ev)
         if f is None:
@@ -157,9 +159,37 @@ MUTANTS = (
     Mutant(
         "tiny epsilon reaches the checks",
         "cli.py",
-        'if args.command in ("fig4", "validate") and epsilon < experiment.MIN_EPSILON:',
+        "if epsilon < experiment.MIN_EPSILON:",
         "if False:",
-        ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",),
+        EPSILON_TESTS,
+    ),
+    Mutant(
+        "too-large epsilon reaches the checks",
+        "cli.py",
+        "nmrsim.thermal_state(system, epsilon)",
+        "pass",
+        EPSILON_TESTS,
+    ),
+    Mutant(
+        "fourth encoding's sign flipped",
+        "protocol.py",
+        "1j * qcore.SIGMA_Y",
+        "-1j * qcore.SIGMA_Y",
+        GATE_TESTS,
+    ),
+    Mutant(
+        "CNOT with its control swapped",
+        "protocol.py",
+        "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]",
+        "[[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]",
+        GATE_TESTS,
+    ),
+    Mutant(
+        "substitution built from the wrong spin",
+        "protocol.py",
+        'if spin == "b" else',
+        'if spin == "a" else',
+        GATE_TESTS,
     ),
 )
 

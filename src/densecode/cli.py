@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import experiment, nmrsim, noise, protocol, qcore, tomo, validation
-from .gates import BELL_VARIANT_ORDER, BellVariant
+from .protocol import BELL_VARIANT_ORDER, BellVariant
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -153,14 +153,19 @@ def resolve(args: argparse.Namespace) -> Inputs:
     system = _from_section(
         nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
     )
-    epsilon = _config_value(sc, "spin_system", "epsilon", validation.DEFAULT_EPSILON)
+    epsilon = _config_value(sc, "spin_system", "epsilon", nmrsim.DEFAULT_EPSILON)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("config spin_system.epsilon must be finite and > 0")
-    if args.command in ("fig4", "validate") and epsilon < experiment.MIN_EPSILON:
-        raise ValueError(
-            f"config spin_system.epsilon must be >= {experiment.MIN_EPSILON:g} for the "
-            f"pseudo-pure rescaling, got {epsilon!r}"
-        )
+    if args.command in ("fig4", "validate"):
+        if epsilon < experiment.MIN_EPSILON:
+            raise ValueError(
+                f"config spin_system.epsilon must be >= {experiment.MIN_EPSILON:g} for the "
+                f"pseudo-pure rescaling, got {epsilon!r}"
+            )
+        try:  # the populations bound epsilon above: "epsilon 0.2 too large: ..."
+            nmrsim.thermal_state(system, epsilon)
+        except ValueError as exc:
+            raise ValueError(f"config spin_system.{exc}") from None
     nc = _section(cfg, "noise", NOISE_KEYS)
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nmrsim, noise, protocol, qcore, tomo
-from .gates import BellVariant
+from .protocol import BellVariant
 
 #: Panel letters: a-d experimental, e-h theoretical, both in message order.
 EXPERIMENTAL_PANELS = ("a", "b", "c", "d")
@@ -87,7 +87,7 @@ def fig4_panels(
     sys: nmrsim.SpinSystem,
     epsilon: float,
     params: noise.ErrorParams,
-    seed: int = noise.DEMO_SEED,
+    seed: int,
     refocus: bool = True,
 ) -> list[Fig4Panel]:
     """Theory/experiment matrix pairs for all four encodings.

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .gates import BellVariant
-from .protocol import check_message
+from .protocol import BellVariant, check_message
 
 SPINS = ("a", "b")
 AXES = ("X", "Y", "Z")
@@ -34,6 +33,8 @@ AXES = ("X", "Y", "Z")
 DEFAULT_FREQ_A_MHZ = 500.13
 DEFAULT_FREQ_B_MHZ = 125.77
 DEFAULT_J_HZ = 215.0
+#: Thermal polarization of spin b, the config's ``spin_system.epsilon``.
+DEFAULT_EPSILON = 1e-5
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""The dense-coding network end to end: prepare, encode, decode, read out.
+"""The dense-coding network end to end: the ideal gate set, then prepare,
+encode, decode, read out.
+
+The gate set is written once, here, as checked read-only constants in the
+qcore basis convention (spin b = left label): ``HADAMARD``, ``CNOT`` (spin b
+controls spin a), ``ENCODINGS`` (message -> operator on spin a) and
+``SUBSTITUTIONS`` (Bell variant -> the NOT step of its preparation).  NOT is
+``qcore.SIGMA_X``.
 
 Messages are 1..4 and map to bit pairs lexicographically (1->00, 2->01,
 3->10, 4->11).  The phase of a decoded output is reported but populations
@@ -8,11 +15,42 @@ alone determine the recovered message.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from . import gates, qcore
-from .gates import BELL_VARIANT_ORDER, BellVariant
+from . import qcore
+
+
+class BellVariant(Enum):
+    """The four Bell start states, named by their amplitude pattern.
+
+    Each variant carries the recipe producing it from |00>: which spins get
+    a NOT before the Hadamard/CNOT pair of the preparation circuit.
+    """
+
+    MINUS_PHI = "minus-phi"  # (|00> - |11>)/sqrt2
+    PLUS_PHI = "plus-phi"    # (|00> + |11>)/sqrt2
+    MINUS_PSI = "minus-psi"  # (|01> - |10>)/sqrt2
+    PLUS_PSI = "plus-psi"    # (|01> + |10>)/sqrt2
+
+    @property
+    def not_spins(self) -> tuple[str, ...]:
+        """Spins that receive a NOT in the preparation circuit."""
+        return {
+            BellVariant.MINUS_PHI: ("b",),
+            BellVariant.PLUS_PHI: (),
+            BellVariant.MINUS_PSI: ("b", "a"),
+            BellVariant.PLUS_PSI: ("a",),
+        }[self]
+
+
+BELL_VARIANT_ORDER = (
+    BellVariant.MINUS_PHI,
+    BellVariant.PLUS_PHI,
+    BellVariant.MINUS_PSI,
+    BellVariant.PLUS_PSI,
+)
 
 READOUT_ATOL = 1e-9
 
@@ -56,17 +94,44 @@ def message_bits(m: int) -> str:
     return format(check_message(m) - 1, "02b")
 
 
-#: The network's two-spin gates (H on b, CNOT, encodings, substitutions),
-#: each checked once where it is built (``tensor`` checks its factors).
-_H_B = qcore.tensor(gates.hadamard(), qcore.ID2)
-_CNOT = qcore.check_unitary(gates.cnot_ba())
-_ENCODINGS = {m: qcore.tensor(qcore.ID2, gates.encoding_unitary(m)) for m in MESSAGES}
-_SUBSTITUTIONS = {v: qcore.check_unitary(gates.bell_substitution(v)) for v in BELL_VARIANT_ORDER}
+def _gate(u: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``u``, checked unitary."""
+    u = qcore.check_unitary(np.array(u, dtype=complex))
+    u.setflags(write=False)
+    return u
+
+
+def _substitution(variant: BellVariant) -> np.ndarray:
+    """A NOT on each of the variant's ``not_spins``, in recipe order."""
+    u = qcore.ID4
+    for spin in variant.not_spins:
+        not_spin = (qcore.SIGMA_X, qcore.ID2) if spin == "b" else (qcore.ID2, qcore.SIGMA_X)
+        u = qcore.tensor(*not_spin) @ u
+    return u
+
+
+#: Walsh-Hadamard gate (1/sqrt2)[[1,1],[1,-1]].
+HADAMARD = _gate(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0))
+#: Controlled-NOT with spin b as control and spin a as target.
+CNOT = _gate([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+#: Message -> its encoding on spin a: identity, sigma_z, sigma_x, i*sigma_y.
+#: The fourth is i*sigma_y = [[0,1],[-1,0]]: it maps |0> -> -|1> and
+#: |1> -> |0>; the minus sign matters for the signed decoded outputs.
+ENCODINGS = {
+    m: _gate(u)
+    for m, u in zip(MESSAGES, (qcore.ID2, qcore.SIGMA_Z, qcore.SIGMA_X, 1j * qcore.SIGMA_Y))
+}
+#: Bell variant -> the two-spin NOT substitution that starts its preparation.
+SUBSTITUTIONS = {v: _gate(_substitution(v)) for v in BELL_VARIANT_ORDER}
+
+#: The two-spin forms the network applies (H on b, encodings on a).
+_H_B = qcore.tensor(HADAMARD, qcore.ID2)
+_ENCODINGS = {m: qcore.tensor(qcore.ID2, u) for m, u in ENCODINGS.items()}
 
 
 def prepare_bell(variant: BellVariant) -> np.ndarray:
     """Run the preparation circuit on |00>: NOT substitution, H on b, CNOT."""
-    return _CNOT @ (_H_B @ (_SUBSTITUTIONS[variant] @ qcore.basis_state(0)))
+    return CNOT @ (_H_B @ (SUBSTITUTIONS[variant] @ qcore.basis_state(0)))
 
 
 def encode(s: np.ndarray, m: int) -> np.ndarray:
@@ -76,7 +141,7 @@ def encode(s: np.ndarray, m: int) -> np.ndarray:
 
 def decode(s: np.ndarray) -> np.ndarray:
     """Map the Bell basis onto the computational basis: CNOT then H on b."""
-    return _H_B @ (_CNOT @ qcore.check_state(s))
+    return _H_B @ (CNOT @ qcore.check_state(s))
 
 
 def readout(s: np.ndarray) -> DecodedOutput:

@@ -36,7 +36,7 @@ def basis_state(label: str | int) -> np.ndarray:
     return s
 
 
-def check_state(s: np.ndarray, atol: float = STATE_ATOL) -> np.ndarray:
+def check_state(s: np.ndarray) -> np.ndarray:
     """Validate a pure-state amplitude vector (finite, normalized)."""
     s = np.asarray(s, dtype=complex)
     if s.shape != (4,) and s.shape != (2,):
@@ -44,30 +44,27 @@ def check_state(s: np.ndarray, atol: float = STATE_ATOL) -> np.ndarray:
     if not np.all(np.isfinite(s.view(float))):
         raise ValueError("state contains non-finite amplitudes")
     norm2 = float(np.sum(np.abs(s) ** 2))
-    if abs(norm2 - 1.0) > atol:
+    if abs(norm2 - 1.0) > STATE_ATOL:
         raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
     return s
 
 
-def check_unitary(u: np.ndarray, atol: float = OP_ATOL) -> np.ndarray:
-    """Validate that ``u`` is a 2x2 or 4x4 unitary within ``atol`` (max norm)."""
+def check_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate that ``u`` is a 2x2 or 4x4 unitary within ``OP_ATOL`` (max norm)."""
     u = np.asarray(u, dtype=complex)
     if u.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"operator must be 2x2 or 4x4, got shape {u.shape}")
     if not np.all(np.isfinite(u.view(float))):
         raise ValueError("operator contains non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > atol:
+    if dev > OP_ATOL:
         raise ValueError(f"operator not unitary: max |U^H U - I| = {dev:.3e}")
     return u
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    atol: float = OP_ATOL,
-    psd_floor: float = PSD_FLOOR,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a 4x4 density matrix.
+def check_density_matrix(rho: np.ndarray, psd_floor: float = PSD_FLOOR) -> np.ndarray:
+    """Validate Hermiticity and unit trace (within ``OP_ATOL``) and positivity
+    of a 4x4 density matrix.
 
     ``psd_floor`` is the tolerated eigenvalue dip below zero; reconstructed
     matrices from the tomography fit are checked with a looser floor.
@@ -78,10 +75,10 @@ def check_density_matrix(
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix contains non-finite entries")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > atol:
+    if herm_dev > OP_ATOL:
         raise ValueError(f"density matrix not Hermitian: max |rho - rho^H| = {herm_dev:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > atol:
+    if abs(tr - 1.0) > OP_ATOL:
         raise ValueError(f"density matrix trace != 1: {tr!r}")
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     if min_eig < -psd_floor:

@@ -2,7 +2,7 @@
 
 Every check recomputes its expectation from first principles; in particular
 the correspondence-table check enumerates the whole network with locally
-defined matrices, independent of the gate and protocol modules it verifies.
+defined matrices, independent of the protocol module it verifies.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import experiment, nmrsim, noise, protocol, qcore, tomo
-from .gates import BELL_VARIANT_ORDER, BellVariant
+from .protocol import BELL_VARIANT_ORDER, BellVariant
 
-DEFAULT_EPSILON = 1e-5
+#: Random states in the tomography round trip, beside the 4 protocol outputs.
+N_RANDOM_STATES = 100
 
 #: Demonstration band for the largest relative element error of the
 #: calibrated noise parameters.
@@ -121,12 +122,10 @@ def _check_capacity() -> CheckResult:
 
 
 def _check_pulse_cnot(sys: nmrsim.SpinSystem) -> CheckResult:
-    from .gates import cnot_ba
-
     worst = 0.0
     for refocus in (False, True):
         compiled = nmrsim.compile_sequence(nmrsim.cnot_pulse_sequence(sys, refocus=refocus), sys)
-        worst = max(worst, qcore.phase_aligned_distance(compiled, cnot_ba()))
+        worst = max(worst, qcore.phase_aligned_distance(compiled, protocol.CNOT))
     return CheckResult(
         "pulse-cnot-distance", worst < 1e-9, f"phase-aligned max-norm distance {worst:.3e}"
     )
@@ -173,10 +172,10 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _check_tomography(seed: int, n_random: int) -> CheckResult:
+def _check_tomography(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(N_RANDOM_STATES):
         rho = _random_density(rng)
         rec = tomo.reconstruct(tomo.simulate_readouts(rho))
         worst = max(worst, float(np.max(np.abs(rec - rho))))
@@ -187,7 +186,7 @@ def _check_tomography(seed: int, n_random: int) -> CheckResult:
     return CheckResult(
         "tomography-round-trip",
         worst < 1e-8,
-        f"max element error over {n_random} random + 4 protocol outputs {worst:.3e}",
+        f"max element error over {N_RANDOM_STATES} random + 4 protocol outputs {worst:.3e}",
     )
 
 
@@ -221,16 +220,9 @@ def _check_determinism(
 
 
 def run_validation(
-    sys: nmrsim.SpinSystem | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-    params: noise.ErrorParams | None = None,
-    seed: int | None = None,
-    n_random: int = 100,
+    sys: nmrsim.SpinSystem, epsilon: float, params: noise.ErrorParams, seed: int
 ) -> list[CheckResult]:
     """Run every check; all must pass on a healthy build."""
-    sys = sys or nmrsim.SpinSystem()
-    params = params or noise.DEMO_PARAMS
-    seed = noise.DEMO_SEED if seed is None else seed
     return [
         _check_eq1(),
         _check_eq2(),
@@ -239,7 +231,7 @@ def run_validation(
         _check_pulse_cnot(sys),
         _check_pulse_protocol(sys),
         _check_temporal_averaging(sys, epsilon),
-        _check_tomography(seed, n_random),
+        _check_tomography(seed),
         _check_error_band(sys, epsilon, params, seed),
         _check_determinism(sys, params, seed),
     ]

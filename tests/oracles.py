@@ -14,6 +14,8 @@ draws and the chunked ensemble average, not for the engine.
 ``temporal_average`` compiles each permutation prefix and the circuit as one
 program and evolves the thermal state run by run: the reference for the
 block-composing ensemble average behind ``experiment.temporal_average``.
+``CNOT_AB``, the CNOT with spin a as control, is the ideal gate of the
+control-a pulse CNOT; the library's gate set has no use for it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ import numpy as np
 from densecode import nmrsim, qcore
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
 from densecode.noise import ErrorParams, _truncated_normal
+
+
+#: Controlled-NOT with spin a as control and spin b as target, the ideal
+#: gate of ``nmrsim.cnot_pulse_sequence(sys, control="a")``.
+CNOT_AB = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+    ],
+    dtype=complex,
+)
 
 
 def pauli_rotation(axis: str, angle: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from densecode import experiment, nmrsim, noise, protocol, qcore, tomo
-from densecode.gates import BELL_VARIANT_ORDER, BellVariant
+from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 
 RT2 = np.sqrt(2.0)
 

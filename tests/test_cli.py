@@ -474,6 +474,15 @@ class TestRangeErrorsNameConfigKeys:
             "rescaling, got 1e-300\n"
         )
 
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[2:])
+    def test_epsilon_too_large_for_thermal_state(self, capsys, tmp_path, command):
+        # populations stay >= 0 up to 0.5 / (freq_a/freq_b + 1) ~ 0.1005
+        document = {"spin_system": {"epsilon": 0.2}, "noise": {"ensemble_size": 5}}
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err == (
+            "error: config spin_system.epsilon 0.2 too large: thermal populations go negative\n"
+        )
+
     def test_smallest_accepted_epsilon_runs(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spin_system": {"epsilon": 1e-10}, "noise": {"ensemble_size": 5}}))

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from densecode import qcore
-from densecode.gates import (
-    BELL_VARIANT_ORDER,
-    BellVariant,
-    bell_substitution,
-    cnot_ab,
-    cnot_ba,
-    encoding_unitary,
-    hadamard,
-    not_gate,
-)
+import oracles
+from densecode import protocol, qcore
+from densecode.protocol import BELL_VARIANT_ORDER, CNOT, ENCODINGS, HADAMARD, SUBSTITUTIONS, BellVariant
 
 RT2 = np.sqrt(2.0)
 KET0 = np.array([1, 0], dtype=complex)
@@ -19,19 +11,19 @@ KET1 = np.array([0, 1], dtype=complex)
 
 
 def test_not_gate_matrix_and_action():
-    n = not_gate()
+    n = qcore.SIGMA_X
     assert np.array_equal(n, [[0, 1], [1, 0]])
     assert np.allclose(n @ KET0, KET1)
     assert np.allclose(n @ n, np.eye(2))
 
 
 def test_not_on_b_is_first_preparation_step():
-    u = qcore.tensor(not_gate(), qcore.ID2)
+    u = qcore.tensor(qcore.SIGMA_X, qcore.ID2)
     assert np.allclose(u @ qcore.basis_state("00"), qcore.basis_state("10"))
 
 
 def test_hadamard_matrix():
-    h = hadamard()
+    h = HADAMARD
     assert np.allclose(h, np.array([[1, 1], [1, -1]]) / RT2)
     assert np.allclose(h @ KET1, (KET0 - KET1) / RT2)
     assert np.allclose(h @ ((KET0 - KET1) / RT2), KET1)
@@ -39,7 +31,7 @@ def test_hadamard_matrix():
 
 
 def test_cnot_ba_truth_table():
-    cn = cnot_ba()
+    cn = CNOT
     assert np.allclose(cn @ qcore.basis_state("00"), qcore.basis_state("00"))
     assert np.allclose(cn @ qcore.basis_state("01"), qcore.basis_state("01"))
     assert np.allclose(cn @ qcore.basis_state("10"), qcore.basis_state("11"))
@@ -49,32 +41,32 @@ def test_cnot_ba_truth_table():
 
 def test_cnot_ba_entangles_superposition():
     s = np.array([1, 0, -1, 0], dtype=complex) / RT2  # (|0>-|1>)_b |0>_a
-    out = cnot_ba() @ s
+    out = CNOT @ s
     assert np.allclose(out, np.array([1, 0, 0, -1]) / RT2, atol=1e-15)
 
 
 def test_cnot_ba_on_singlet_like_state():
     s = np.array([0, 1, -1, 0], dtype=complex) / RT2
-    out = cnot_ba() @ s
+    out = CNOT @ s
     assert np.allclose(out, np.array([0, 1, 0, -1]) / RT2, atol=1e-15)
 
 
 def test_cnot_ab_truth_table():
-    cn = cnot_ab()
+    cn = oracles.CNOT_AB
     assert np.allclose(cn @ qcore.basis_state("01"), qcore.basis_state("11"))
     assert np.allclose(cn @ qcore.basis_state("11"), qcore.basis_state("01"))
     assert np.allclose(cn @ qcore.basis_state("10"), qcore.basis_state("10"))
 
 
 def test_encoding_unitaries():
-    assert np.array_equal(encoding_unitary(1), np.eye(2))
-    assert np.array_equal(encoding_unitary(2), [[1, 0], [0, -1]])
-    assert np.array_equal(encoding_unitary(3), [[0, 1], [1, 0]])
-    assert np.array_equal(encoding_unitary(4), [[0, 1], [-1, 0]])
+    assert np.array_equal(ENCODINGS[1], np.eye(2))
+    assert np.array_equal(ENCODINGS[2], [[1, 0], [0, -1]])
+    assert np.array_equal(ENCODINGS[3], [[0, 1], [1, 0]])
+    assert np.array_equal(ENCODINGS[4], [[0, 1], [-1, 0]])
 
 
 def test_encoding_four_sign_convention():
-    e4 = encoding_unitary(4)
+    e4 = ENCODINGS[4]
     assert np.allclose(e4 @ KET0, -KET1)
     assert np.allclose(e4 @ KET1, KET0)
 
@@ -82,12 +74,12 @@ def test_encoding_four_sign_convention():
 @pytest.mark.parametrize("i", [0, 5, -1])
 def test_encoding_index_out_of_range(i):
     with pytest.raises(ValueError):
-        encoding_unitary(i)
+        protocol.check_message(i)
 
 
 def test_encodings_are_hilbert_schmidt_orthogonal():
     # pairwise tr(Ui^H Uj) = 0 is what buys two bits of capacity
-    us = [encoding_unitary(i) for i in (1, 2, 3, 4)]
+    us = [ENCODINGS[i] for i in (1, 2, 3, 4)]
     for i in range(4):
         for j in range(4):
             inner = np.trace(us[i].conj().T @ us[j])
@@ -106,7 +98,7 @@ def test_encodings_map_bell_state_onto_bell_basis():
         4: np.array([0, -1, -1, 0]) / RT2,
     }
     for i, target in expected.items():
-        out = qcore.tensor(qcore.ID2, encoding_unitary(i)) @ minus_phi
+        out = qcore.tensor(qcore.ID2, ENCODINGS[i]) @ minus_phi
         assert np.max(np.abs(out - target)) < 1e-15
 
 
@@ -127,7 +119,7 @@ def test_bell_variant_substitution_recipes():
     ],
 )
 def test_bell_substitution_action(variant, start, target):
-    out = bell_substitution(variant) @ qcore.basis_state(start)
+    out = SUBSTITUTIONS[variant] @ qcore.basis_state(start)
     assert np.allclose(out, qcore.basis_state(target))
 
 
@@ -138,3 +130,27 @@ def test_variant_order_is_the_table_column_order():
         "minus-psi",
         "plus-psi",
     ]
+
+
+PUBLIC_GATES = {
+    "HADAMARD": HADAMARD,
+    "CNOT": CNOT,
+    **{f"ENCODINGS[{m}]": u for m, u in ENCODINGS.items()},
+    **{f"SUBSTITUTIONS[{v.value}]": u for v, u in SUBSTITUTIONS.items()},
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_GATES)
+def test_public_gates_are_read_only(name):
+    u = PUBLIC_GATES[name]
+    with pytest.raises(ValueError):
+        u[0, 0] = 5.0
+    for shared in (qcore.ID2, qcore.ID4, qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z):
+        assert not np.shares_memory(u, shared)
+
+
+@pytest.mark.parametrize("variant", BELL_VARIANT_ORDER)
+def test_substitution_flips_the_recipe_spins(variant):
+    b, a = ("b" in variant.not_spins), ("a" in variant.not_spins)
+    out = SUBSTITUTIONS[variant] @ qcore.basis_state(0)
+    assert np.array_equal(out, qcore.basis_state(2 * b + a))

@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from densecode import experiment, nmrsim, noise, protocol, qcore, tomo, validation
-from densecode.gates import BELL_VARIANT_ORDER, BellVariant
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
+from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 
 RHO00 = qcore.pure_density(qcore.basis_state(0))
 

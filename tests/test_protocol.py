@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densecode import protocol, qcore
-from densecode.gates import BELL_VARIANT_ORDER, BellVariant
+from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 
 RT2 = np.sqrt(2.0)
 

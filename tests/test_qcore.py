@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from densecode import gates, qcore
+from densecode import protocol, qcore
 
 RT2 = np.sqrt(2.0)
 
@@ -113,13 +113,13 @@ class TestApplyEvolve:
         assert np.array_equal(qcore.apply(qcore.ID4, s), s)
 
     def test_apply_cnot_control_set(self):
-        out = qcore.apply(gates.cnot_ba(), qcore.basis_state("10"))
+        out = qcore.apply(protocol.CNOT, qcore.basis_state("10"))
         assert np.allclose(out, qcore.basis_state("11"))
 
     def test_apply_hadamard_recombines(self):
         # H on b maps (|0>-|1>)_b |0>_a / sqrt2 back to |10>
         s = np.array([1, 0, -1, 0], dtype=complex) / RT2
-        u = qcore.tensor(gates.hadamard(), qcore.ID2)
+        u = qcore.tensor(protocol.HADAMARD, qcore.ID2)
         assert np.allclose(qcore.apply(u, s), qcore.basis_state("10"), atol=1e-15)
 
     def test_apply_preserves_global_phase(self):
@@ -145,10 +145,10 @@ class TestApplyEvolve:
         assert np.allclose(qcore.evolve(u, rho), qcore.pure_density(qcore.basis_state("10")))
 
     def test_evolve_full_network_first_message(self):
-        u = qcore.tensor(gates.hadamard(), qcore.ID2) @ gates.cnot_ba()
-        u = u @ qcore.tensor(qcore.ID2, gates.encoding_unitary(1))
-        u = u @ gates.cnot_ba() @ qcore.tensor(gates.hadamard(), qcore.ID2)
-        u = u @ qcore.tensor(gates.not_gate(), qcore.ID2)
+        u = qcore.tensor(protocol.HADAMARD, qcore.ID2) @ protocol.CNOT
+        u = u @ qcore.tensor(qcore.ID2, protocol.ENCODINGS[1])
+        u = u @ protocol.CNOT @ qcore.tensor(protocol.HADAMARD, qcore.ID2)
+        u = u @ qcore.tensor(qcore.SIGMA_X, qcore.ID2)
         rho = qcore.evolve(u, qcore.pure_density(qcore.basis_state("00")))
         assert np.allclose(rho, qcore.pure_density(qcore.basis_state("10")), atol=1e-12)
 
@@ -252,4 +252,4 @@ class TestRotationHelpers:
         assert qcore.phase_aligned_distance(np.exp(1.2j) * u, u) < 1e-12
 
     def test_phase_aligned_distance_detects_difference(self):
-        assert qcore.phase_aligned_distance(qcore.ID4, gates.cnot_ba()) > 0.5
+        assert qcore.phase_aligned_distance(qcore.ID4, protocol.CNOT) > 0.5

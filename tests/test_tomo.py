@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from densecode import experiment, protocol, qcore, tomo
-from densecode.gates import BellVariant
+from densecode.protocol import BellVariant
 
 RT2 = np.sqrt(2.0)
 
