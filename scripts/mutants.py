@@ -39,6 +39,7 @@ ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
+TOMO_TESTS = ("tests/test_tomo.py",)
 FACTOR_LOOKUP = """\
         f = factors.get(ev)
         if f is None:
@@ -154,7 +155,49 @@ MUTANTS = (
         "    return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T\n",
         "    clipped = np.maximum(vals, 0.0)\n"
         "    return (vecs * (clipped / clipped.sum())) @ vecs.conj().T\n",
-        ("tests/test_tomo.py",),
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "readouts conjugated by the unitary instead of its adjoint",
+        "tomo.py",
+        "rho[..., None, :, :] @ _READOUT_ADJOINTS",
+        "rho[..., None, :, :] @ _READOUT_UNITARIES",
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "fit reads the detectable slots in the wrong order",
+        "tomo.py",
+        "observed[..., list(DETECTABLE_INDICES)]",
+        "observed[..., list(DETECTABLE_INDICES)[::-1]]",
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "fit map applied to the stack as one row-form product",
+        "tomo.py",
+        "coeffs = (_FIT_MAP @ detected[..., None])[..., 0]",
+        "coeffs = detected @ _FIT_MAP.T",
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "every member projected once any one dips",
+        "tomo.py",
+        "np.flatnonzero(np.linalg.eigvalsh(members)[:, 0] < -PSD_FLOOR)",
+        "range(len(members)) if np.any(np.linalg.eigvalsh(members)[:, 0] < -PSD_FLOOR) else ()",
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "density check reads only the first member's eigenvalues",
+        "qcore.py",
+        "min_eig = float(np.min(np.linalg.eigvalsh(rho)))",
+        "min_eig = float(np.linalg.eigvalsh(rho.reshape(-1, 4, 4)[0])[0])",
+        ("tests/test_qcore.py",),
+    ),
+    Mutant(
+        "non-finite config value accepted",
+        "cli.py",
+        "if key in section and not math.isfinite(value):",
+        "if False:",
+        EPSILON_TESTS,
     ),
     Mutant(
         "tiny epsilon reaches the checks",

@@ -10,7 +10,7 @@ model, glued together by the ``densecode`` command-line tool.
 from .nmrsim import Delay, PulseSequence, Rf, SpinSystem
 from .noise import ErrorParams
 from .protocol import BELL_VARIANT_ORDER, BellVariant, DecodedOutput, NotBasisStateError
-from .tomo import ElementError, ModulusTable, RankDeficiencyError, ReadoutRecord
+from .tomo import ElementError, ModulusTable
 
 __all__ = [
     "BELL_VARIANT_ORDER",
@@ -22,8 +22,6 @@ __all__ = [
     "ModulusTable",
     "NotBasisStateError",
     "PulseSequence",
-    "RankDeficiencyError",
-    "ReadoutRecord",
     "Rf",
     "SpinSystem",
 ]

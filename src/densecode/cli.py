@@ -91,8 +91,9 @@ def _section(cfg: dict, name: str, keys) -> dict:
 
 def _config_value(section: dict, name: str, key: str, default, integer: bool = False):
     """``section[key]`` (or ``default``), which must be a JSON number and not
-    a boolean: an int if ``integer``, else converted to a float.  The error
-    names the key as ``name.key``."""
+    a boolean: an int if ``integer``, else converted to a float, and finite
+    if read from the document (``Infinity`` and ``NaN`` are not RFC 8259
+    JSON).  The error names the key as ``name.key``."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
@@ -100,9 +101,12 @@ def _config_value(section: dict, name: str, key: str, default, integer: bool = F
     if integer:
         return value
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"config {name}.{key} is an integer too large for a float") from None
+    if key in section and not math.isfinite(value):
+        raise ValueError(f"config {name}.{key} must be finite, got {value!r}")
+    return value
 
 
 def _from_section(cls, section: dict, name: str, keys: dict, base):
@@ -154,7 +158,7 @@ def resolve(args: argparse.Namespace) -> Inputs:
         nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
     )
     epsilon = _config_value(sc, "spin_system", "epsilon", nmrsim.DEFAULT_EPSILON)
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if not epsilon > 0:
         raise ValueError("config spin_system.epsilon must be finite and > 0")
     if args.command in ("fig4", "validate"):
         if epsilon < experiment.MIN_EPSILON:
@@ -216,11 +220,16 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _json_text(payload) -> str:
+    """``payload`` as strict JSON: a non-finite float raises ``ValueError``."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(args, payload, lines: list[str], rows=None) -> int:
     """Write a command's result in ``args.format`` to ``args.out`` (stdout
     without one): ``payload`` as JSON, ``rows`` as CSV, else ``lines``."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         text = _csv_text(rows)
     else:
@@ -396,7 +405,7 @@ def cmd_fig4(args, inputs: Inputs) -> int:
     if args.format == "json":
         modulus_tables = {label: table.to_json_dict() for label, table in tables.items()}
         payload = dict(summary, modulus_tables=modulus_tables)
-        files = {"fig4.json": json.dumps(payload, indent=2) + "\n"}
+        files = {"fig4.json": _json_text(payload)}
     else:
         # sorted labels: the experimental panels a-d, then the theory panels e-h
         rows = [["panel", "row", "col", "modulus"]] + [
@@ -404,7 +413,7 @@ def cmd_fig4(args, inputs: Inputs) -> int:
             for label, table in sorted(tables.items())
             for j, k, val in table.to_rows()
         ]
-        files = {"fig4.csv": _csv_text(rows), "fig4_errors.json": json.dumps(summary, indent=2) + "\n"}
+        files = {"fig4.csv": _csv_text(rows), "fig4_errors.json": _json_text(summary)}
     written = []
     for name, text in files.items():
         path = f"{args.out}/{name}" if args.out else name

@@ -93,10 +93,10 @@ def fig4_panels(
     """Theory/experiment matrix pairs for all four encodings.
 
     Each encoding's circuit (Bell preparation, encoding, decoding) is
-    temporal-averaged on one sample.  The averaged state is reconstructed
-    by tomography, then the pseudo-pure deviation is rescaled to a
-    unit-weight matrix, which is replaced by the nearest density matrix
-    (``tomo.clip_to_density``) only if the extraction dips below -1e-6.
+    temporal-averaged on one sample.  The four averaged states are
+    reconstructed by tomography in one call, then each pseudo-pure deviation
+    is rescaled to a unit-weight matrix, which is replaced by the nearest
+    density matrix only if it dips below -1e-6 (``tomo.project_unphysical``).
     The rescaling divides rounding error by the pure weight beta ~ epsilon,
     so ``epsilon`` below ``MIN_EPSILON`` raises ``ValueError``.
     """
@@ -110,13 +110,10 @@ def fig4_panels(
     decode = nmrsim.decode_sequence(sys, refocus=refocus)
     circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
     averages = temporal_average(sys, epsilon, circuits, params, seed, refocus)
+    reconstructed = tomo.reconstruct(tomo.simulate_readouts(averages))
+    extracted = tomo.project_unphysical((reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta)
     panels = []
-    for m, rho_avg in zip(protocol.MESSAGES, averages):
-        reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_avg))
-        rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
-        rho_exp = (rho_exp + rho_exp.conj().T) / 2.0
-        if float(np.min(np.linalg.eigvalsh(rho_exp))) < -1e-6:
-            rho_exp = tomo.clip_to_density(rho_exp)
+    for m, rho_exp in zip(protocol.MESSAGES, extracted):
         theory = ideal_output_density(m)
         panels.append(Fig4Panel(m, theory, rho_exp, tomo.max_element_error(rho_exp, theory)))
     return panels

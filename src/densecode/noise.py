@@ -251,9 +251,7 @@ def _mean_states(
     f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    for state in rho.reshape(-1, 4, 4):
-        qcore.check_density_matrix(state)
-    return rho
+    return qcore.check_density_matrix(rho)
 
 
 def ensemble_average(

@@ -64,20 +64,22 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray, psd_floor: float = PSD_FLOOR) -> np.ndarray:
     """Validate Hermiticity and unit trace (within ``OP_ATOL``) and positivity
-    of a 4x4 density matrix.
+    of a 4x4 density matrix, or of every member of a stack (..., 4, 4); the
+    error reports the worst member.
 
     ``psd_floor`` is the tolerated eigenvalue dip below zero; reconstructed
     matrices from the tomography fit are checked with a looser floor.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
+    if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix contains non-finite entries")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    herm_dev = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
     if herm_dev > OP_ATOL:
         raise ValueError(f"density matrix not Hermitian: max |rho - rho^H| = {herm_dev:.3e}")
-    tr = complex(np.trace(rho))
+    traces = np.trace(rho, axis1=-2, axis2=-1).ravel()
+    tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(tr - 1.0) > OP_ATOL:
         raise ValueError(f"density matrix trace != 1: {tr!r}")
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))

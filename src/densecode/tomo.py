@@ -1,7 +1,7 @@
-"""State tomography: simulated readout experiments and least-squares fit.
+"""State tomography: simulated readout experiments and a linear-inversion fit.
 
 The readout set is the 9 pulse pairs {I, X90, Y90} x {I, X90, Y90}.  A
-record stores exact product-operator expectations of the rotated state, but
+readout yields exact product-operator expectations of the rotated state, but
 the fit only consumes what NMR detection can see: the single-quantum
 transverse terms of each spin (in-phase and antiphase, 8 values per
 experiment).  Through the 9 rotations those terms determine all 15 free
@@ -9,12 +9,12 @@ coefficients of the product-operator expansion, so the reconstruction is an
 overdetermined linear least squares (linear-inversion tomography, James et
 al., PRA 64, 052312 (2001)).
 
-The map is constant: the 9 readout unitaries (compiled from their pulses)
-and each readout's 8x15 block of the design matrix are built once at
-import, so simulating the readouts is one batched conjugation and a
-reconstruction stacks the blocks of its records for a single ``lstsq``.  A
-fit that dips below -1e-6 is replaced by the nearest density matrix
-(``clip_to_density``, an exact projection).
+The map is constant: the 9 readout unitaries (compiled from their pulses),
+the (72, 15) design matrix and its pseudo-inverse, the (15, 72) fit map, are
+built once at import.  Simulating the readouts is one batched conjugation
+and a reconstruction one matrix product, both over a stack of states.  A
+fitted state that dips below -``PSD_FLOOR`` is replaced by the nearest
+density matrix (``clip_to_density``, an exact projection).
 """
 
 from __future__ import annotations
@@ -47,38 +47,9 @@ DETECTABLE_INDICES = tuple(PRODUCT_LABELS.index(lbl) for lbl in DETECTABLE_LABEL
 
 _FIT_INDICES = tuple(p for p in range(16) if PRODUCT_LABELS[p] != "II")
 
-
-class RankDeficiencyError(ValueError):
-    """Raised when the supplied records cannot determine all 15 coefficients."""
-
-
-@dataclass(frozen=True)
-class ReadoutRecord:
-    """Observations of one readout experiment.
-
-    ``observed`` is indexed by PRODUCT_LABELS and holds the product-operator
-    expectations of the post-pulse state (the identity slot is always 1).
-    Observations are modeled as exact expectations rather than synthesized
-    spectra; the reconstruction consumes only the transverse-detectable
-    subset, mirroring what a spectrometer extracts from line fits.
-    """
-
-    readout_b: str
-    readout_a: str
-    observed: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.readout_b not in READOUT_PULSES or self.readout_a not in READOUT_PULSES:
-            raise ValueError(f"readout pulses must be in {READOUT_PULSES}")
-        obs = np.asarray(self.observed, dtype=float)
-        if obs.shape != (16,):
-            raise ValueError("observed must hold 16 values")
-        if not np.all(np.isfinite(obs)):
-            raise ValueError("observed values must be finite")
-        if abs(obs[0] - 1.0) > 1e-9:
-            raise ValueError("identity expectation must be 1")
-        object.__setattr__(self, "observed", obs)
-
+#: Tolerated eigenvalue dip below zero of a fitted state; a deeper dip is
+#: projected away.
+PSD_FLOOR = 1e-6
 
 #: Axis of the pi/2 pulse of each readout label ("I": no pulse).
 _READOUT_AXES = {"I": None, "X90": "X", "Y90": "Y"}
@@ -91,9 +62,8 @@ def readout_unitary(readout_b: str, readout_a: str) -> np.ndarray:
     return nmrsim.compile_sequence(nmrsim.PulseSequence(events), nmrsim.SpinSystem())
 
 
-#: The 9 readout pulse pairs, in record order, and their unitaries (9, 4, 4).
+#: The 9 readout pulse pairs, in readout order, and their unitaries (9, 4, 4).
 READOUT_PAIRS = tuple(product(READOUT_PULSES, READOUT_PULSES))
-_READOUT_INDEX = {pair: r for r, pair in enumerate(READOUT_PAIRS)}
 _READOUT_UNITARIES = np.array([readout_unitary(rb, ra) for rb, ra in READOUT_PAIRS])
 _READOUT_ADJOINTS = _READOUT_UNITARIES.conj().transpose(0, 2, 1)
 
@@ -110,42 +80,60 @@ _DESIGN_BLOCKS = np.einsum(
     _FIT_OPS,
 ).real / 4.0
 
-
-def simulate_readouts(rho: np.ndarray) -> list[ReadoutRecord]:
-    """Deterministic, noise-free readout records for all 9 pulse pairs."""
-    rho = qcore.check_density_matrix(rho, psd_floor=1e-6)
-    rotated = _READOUT_UNITARIES @ rho @ _READOUT_ADJOINTS
-    # tr(P rotated_r) for every readout r and product operator P
-    observed = np.einsum("pab,rba->rp", _PRODUCT_STACK, rotated).real
-    return [
-        ReadoutRecord(readout_b=rb, readout_a=ra, observed=obs)
-        for (rb, ra), obs in zip(READOUT_PAIRS, observed)
-    ]
+#: The fit map, (15, 72): the least-squares inverse of the stacked design
+#: blocks, from the 8 detectable values of every readout, in readout order,
+#: to the 15 coefficients.
+_DESIGN = _DESIGN_BLOCKS.reshape(-1, len(_FIT_INDICES))
+if np.linalg.matrix_rank(_DESIGN) != len(_FIT_INDICES):
+    raise RuntimeError("the readout design does not determine all 15 coefficients")
+_FIT_MAP = np.linalg.pinv(_DESIGN)
 
 
-def reconstruct(records: list[ReadoutRecord]) -> np.ndarray:
-    """Least-squares fit of rho = (I + sum_P c_P P)/4 from readout records.
+def simulate_readouts(rho: np.ndarray) -> np.ndarray:
+    """Noise-free readouts of a density matrix or a stack (..., 4, 4), shape
+    (..., 9, 16): entry [..., r, p] is the expectation of product operator
+    ``PRODUCT_LABELS[p]`` after readout pulse pair ``READOUT_PAIRS[r]``.
 
-    The design matrix stacks the precomputed block of each record's pulse
-    pair, so any record list (permuted, duplicated or partial) is fitted
-    the same way.  Hermiticity and unit trace hold by construction.
-    Eigenvalues are projected (see ``clip_to_density``) only when the fit
-    dips below -1e-6; smaller negative dips are left untouched.
+    Observations are modeled as exact expectations rather than synthesized
+    spectra; ``reconstruct`` consumes only the transverse-detectable subset,
+    mirroring what a spectrometer extracts from line fits.
     """
-    if not records:
-        raise RankDeficiencyError("no readout records supplied")
-    blocks = [_READOUT_INDEX[(rec.readout_b, rec.readout_a)] for rec in records]
-    design = _DESIGN_BLOCKS[blocks].reshape(-1, len(_FIT_INDICES))
-    target = np.array([rec.observed for rec in records])[:, DETECTABLE_INDICES].ravel()
-    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < len(_FIT_INDICES):
-        raise RankDeficiencyError(
-            f"records determine only {rank} of {len(_FIT_INDICES)} coefficients"
-        )
-    rho = (qcore.ID4 + np.tensordot(coeffs, _FIT_OPS, axes=1)) / 4.0
-    rho = (rho + rho.conj().T) / 2.0
-    if float(np.min(np.linalg.eigvalsh(rho))) < -1e-6:
-        rho = clip_to_density(rho)
+    rho = qcore.check_density_matrix(rho, psd_floor=PSD_FLOOR)
+    rotated = _READOUT_UNITARIES @ rho[..., None, :, :] @ _READOUT_ADJOINTS
+    # tr(P rotated_r) for every readout r and product operator P
+    return np.einsum("pab,...rba->...rp", _PRODUCT_STACK, rotated).real
+
+
+def reconstruct(observed: np.ndarray) -> np.ndarray:
+    """Least-squares fit of rho = (I + sum_P c_P P)/4 from readouts of shape
+    (..., 9, 16), as ``simulate_readouts`` returns them; shape (..., 4, 4).
+
+    The fit is the constant map applied to the detectable slots of each
+    readout; the other slots are not read.  Hermiticity and unit trace hold
+    by construction, and the fit goes through ``project_unphysical``.
+    """
+    observed = np.asarray(observed, dtype=float)
+    if observed.shape[-2:] != (len(READOUT_PAIRS), len(PRODUCT_LABELS)):
+        raise ValueError(f"readouts must have shape (..., 9, 16), got {observed.shape}")
+    if not np.all(np.isfinite(observed)):
+        raise ValueError("readouts contain non-finite values")
+    detected = observed[..., list(DETECTABLE_INDICES)].reshape(observed.shape[:-2] + (-1,))
+    # one matrix-vector product per member, so a state fitted in a stack is
+    # bit-identical to the same state fitted alone
+    coeffs = (_FIT_MAP @ detected[..., None])[..., 0]
+    return project_unphysical((qcore.ID4 + np.tensordot(coeffs, _FIT_OPS, axes=1)) / 4.0)
+
+
+def project_unphysical(rho: np.ndarray) -> np.ndarray:
+    """A unit-trace matrix or stack (..., 4, 4), Hermitized, with every
+    member whose lowest eigenvalue is below -``PSD_FLOOR`` replaced by its
+    nearest density matrix (``clip_to_density``); the other members are
+    left as they are, smaller negative dips included.
+    """
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    members = rho.reshape(-1, 4, 4)  # a view: rho is a fresh array
+    for k in np.flatnonzero(np.linalg.eigvalsh(members)[:, 0] < -PSD_FLOOR):
+        members[k] = clip_to_density(members[k])
     return rho
 
 
@@ -198,7 +186,7 @@ class ModulusTable:
 
 def element_modulus_table(rho: np.ndarray) -> ModulusTable:
     """Moduli of all matrix elements of ``rho``."""
-    rho = qcore.check_density_matrix(rho, psd_floor=1e-6)
+    rho = qcore.check_density_matrix(rho, psd_floor=PSD_FLOOR)
     return ModulusTable(np.abs(rho))
 
 

@@ -174,15 +174,11 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
 
 def _check_tomography(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(N_RANDOM_STATES):
-        rho = _random_density(rng)
-        rec = tomo.reconstruct(tomo.simulate_readouts(rho))
-        worst = max(worst, float(np.max(np.abs(rec - rho))))
-    for m in protocol.MESSAGES:
-        rho = experiment.ideal_output_density(m)
-        rec = tomo.reconstruct(tomo.simulate_readouts(rho))
-        worst = max(worst, float(np.max(np.abs(rec - rho))))
+    states = np.array(
+        [_random_density(rng) for _ in range(N_RANDOM_STATES)]
+        + [experiment.ideal_output_density(m) for m in protocol.MESSAGES]
+    )
+    worst = float(np.max(np.abs(tomo.reconstruct(tomo.simulate_readouts(states)) - states)))
     return CheckResult(
         "tomography-round-trip",
         worst < 1e-8,

@@ -19,6 +19,13 @@ from densecode import cli, noise, protocol, validation
 from densecode.cli import NOISE_KEYS, SPIN_SYSTEM_KEYS
 
 
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON: Infinity, -Infinity and NaN raise."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -183,6 +190,14 @@ class TestFig4:
         payload = json.loads((tmp_path / "fig4.json").read_text())
         assert set(payload["modulus_tables"]) == set("abcdefgh")
         assert payload["modulus_tables"]["e"]["modulus"][2][2] == pytest.approx(1.0)
+
+    def test_t2_off_by_large_finite_value_writes_strict_json(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"t2_a_s": 1e300, "t2_b_s": 1e300, "ensemble_size": 5}}))
+        code, _, err = run_cli(capsys, ["fig4", "--config", str(cfg), "--out", str(tmp_path)])
+        assert (code, err) == (0, "")
+        errors = strict_json((tmp_path / "fig4_errors.json").read_text())
+        assert errors["noise"]["t2_a_s"] == 1e300
 
     def test_unwritable_directory_is_io_error(self, capsys, quick_cfg):
         code, _, err = run_cli(
@@ -442,6 +457,9 @@ class TestRangeErrorsNameConfigKeys:
             ({"spin_system": {"j_hz": 10**400}}, "config spin_system.j_hz is an integer too large"),
             ({"noise": {"t2_a_s": 10**400}}, "config noise.t2_a_s is an integer too large"),
             ({"spin_system": {"epsilon": 0}}, "config spin_system.epsilon must be finite and > 0"),
+            # json.dumps writes the non-standard constants Infinity and NaN
+            ({"noise": {"t2_a_s": math.inf}}, "config noise.t2_a_s must be finite"),
+            ({"noise": {"t2_a_s": math.nan}}, "config noise.t2_a_s must be finite"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])

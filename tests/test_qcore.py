@@ -62,6 +62,29 @@ class TestBasisAndChecks:
         with pytest.raises(ValueError, match="semidefinite"):
             qcore.check_density_matrix(rho)
 
+    def test_check_density_stack_fails_on_one_bad_member(self):
+        good = np.eye(4, dtype=complex) / 4
+        nonhermitian = good.copy()
+        nonhermitian[0, 1] = 0.3
+        negative = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
+        stack = np.array([[good, good], [good, good]])
+        assert qcore.check_density_matrix(stack) is stack
+        for bad, match in ((nonhermitian, "Hermitian"), (negative, "semidefinite"),
+                           (good * 2, r"trace != 1: \(2\+0j\)")):
+            for k in range(4):
+                members = stack.copy()
+                members.reshape(-1, 4, 4)[k] = bad
+                with pytest.raises(ValueError, match=match):
+                    qcore.check_density_matrix(members)
+
+    def test_check_density_accepts_a_transposed_view(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1], rho[1, 0] = 0.1j, -0.1j
+        qcore.check_density_matrix(rho.T)
+        rho[2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.check_density_matrix(rho.T)
+
     def test_check_density_psd_floor_is_configurable(self):
         rho = np.diag([1.0 + 1e-7, -1e-7, 0.0, 0.0]).astype(complex)
         qcore.check_density_matrix(rho, psd_floor=1e-6)

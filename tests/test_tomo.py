@@ -18,51 +18,49 @@ def random_density(rng):
     return rho / np.trace(rho)
 
 
-def record_for(records, rb, ra):
-    (rec,) = [r for r in records if r.readout_b == rb and r.readout_a == ra]
-    return rec
+#: Row of each readout pulse pair in ``simulate_readouts``' output.
+READOUT = {pair: r for r, pair in enumerate(tomo.READOUT_PAIRS)}
+
+
+def trace_readouts(rho):
+    """Readouts by explicit traces: tr(P U rho U^H) per readout and operator."""
+    rows = []
+    for rb, ra in tomo.READOUT_PAIRS:
+        u = tomo.readout_unitary(rb, ra)
+        rotated = u @ rho @ u.conj().T
+        rows.append([float(np.real(np.trace(op @ rotated))) for op in tomo.PRODUCT_OPS])
+    return np.array(rows)
 
 
 class TestSimulateReadouts:
     def test_returns_nine_records(self):
-        records = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
-        assert len(records) == 9
-        pairs = {(r.readout_b, r.readout_a) for r in records}
-        assert len(pairs) == 9
+        observed = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
+        assert observed.shape == (9, 16)
+        assert len(set(tomo.READOUT_PAIRS)) == 9
 
     def test_maximally_mixed_has_no_signal(self):
-        for rec in tomo.simulate_readouts(np.eye(4, dtype=complex) / 4):
-            assert rec.observed[0] == pytest.approx(1.0)
-            assert np.max(np.abs(rec.observed[1:])) < 1e-12
+        observed = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
+        assert np.allclose(observed[:, IDX["II"]], 1.0)
+        assert np.max(np.abs(observed[:, 1:])) < 1e-12
 
     def test_ground_state_longitudinal_terms(self):
-        records = tomo.simulate_readouts(qcore.pure_density(qcore.basis_state("00")))
-        rec = record_for(records, "I", "I")
-        assert rec.observed[IDX["ZI"]] == pytest.approx(1.0)
-        assert rec.observed[IDX["IZ"]] == pytest.approx(1.0)
-        assert rec.observed[IDX["ZZ"]] == pytest.approx(1.0)
+        observed = tomo.simulate_readouts(qcore.pure_density(qcore.basis_state("00")))
+        row = observed[READOUT["I", "I"]]
+        assert row[IDX["ZI"]] == pytest.approx(1.0)
+        assert row[IDX["IZ"]] == pytest.approx(1.0)
+        assert row[IDX["ZZ"]] == pytest.approx(1.0)
 
     def test_bell_state_correlations(self):
         bell = np.array([1, 0, 0, -1], dtype=complex) / RT2
-        records = tomo.simulate_readouts(qcore.pure_density(bell))
-        rec = record_for(records, "I", "I")
-        assert rec.observed[IDX["ZI"]] == pytest.approx(0.0, abs=1e-12)
-        assert rec.observed[IDX["IZ"]] == pytest.approx(0.0, abs=1e-12)
-        assert rec.observed[IDX["ZZ"]] == pytest.approx(1.0)
+        row = tomo.simulate_readouts(qcore.pure_density(bell))[READOUT["I", "I"]]
+        assert row[IDX["ZI"]] == pytest.approx(0.0, abs=1e-12)
+        assert row[IDX["IZ"]] == pytest.approx(0.0, abs=1e-12)
+        assert row[IDX["ZZ"]] == pytest.approx(1.0)
 
     def test_readout_pulse_rotates_observables(self):
         # an X90 on spin a turns z order into detectable transverse signal
-        records = tomo.simulate_readouts(qcore.pure_density(qcore.basis_state("00")))
-        rec = record_for(records, "I", "X90")
-        assert abs(rec.observed[IDX["IY"]]) == pytest.approx(1.0)
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            tomo.ReadoutRecord("I", "I", np.zeros(16))  # identity slot must be 1
-        with pytest.raises(ValueError):
-            tomo.ReadoutRecord("Z90", "I", np.eye(16)[0])
-        with pytest.raises(ValueError):
-            tomo.ReadoutRecord("I", "I", np.full(16, np.nan))
+        observed = tomo.simulate_readouts(qcore.pure_density(qcore.basis_state("00")))
+        assert abs(observed[READOUT["I", "X90"], IDX["IY"]]) == pytest.approx(1.0)
 
 
 class TestReconstruct:
@@ -86,33 +84,40 @@ class TestReconstruct:
             rec = tomo.reconstruct(tomo.simulate_readouts(rho))
             assert np.max(np.abs(rec - rho)) < 1e-8
 
+    def test_stacked_round_trip_equals_per_state_loop(self):
+        rng = np.random.default_rng(105)
+        states = np.array([[random_density(rng) for _ in range(5)] for _ in range(2)])
+        stacked = tomo.reconstruct(tomo.simulate_readouts(states))
+        assert stacked.shape == (2, 5, 4, 4)
+        for i in range(2):
+            for j in range(5):
+                single = tomo.reconstruct(tomo.simulate_readouts(states[i, j]))
+                assert np.array_equal(stacked[i, j], single)
+
     def test_output_is_valid_density(self):
         rng = np.random.default_rng(103)
         rec = tomo.reconstruct(tomo.simulate_readouts(random_density(rng)))
         qcore.check_density_matrix(rec, psd_floor=1e-6)
 
-    def test_rank_deficiency_single_record(self):
-        records = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
-        with pytest.raises(tomo.RankDeficiencyError):
-            tomo.reconstruct(records[:1])
-
-    def test_rank_deficiency_empty(self):
-        with pytest.raises(tomo.RankDeficiencyError):
-            tomo.reconstruct([])
+    def test_rejects_malformed_readouts(self):
+        observed = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
+        for shape_error in (observed[:8], observed[:, :15], observed[0], observed.T):
+            with pytest.raises(ValueError, match="shape"):
+                tomo.reconstruct(shape_error)
+        for value in (np.nan, np.inf):
+            bad = observed.copy()
+            bad[4, tomo.DETECTABLE_INDICES[0]] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                tomo.reconstruct(bad)
 
     def test_uses_only_detectable_channels(self):
         # zeroing the undetectable slots must not change the fit
         rng = np.random.default_rng(107)
-        rho = random_density(rng)
-        records = tomo.simulate_readouts(rho)
-        masked = []
-        for rec in records:
-            obs = np.zeros(16)
-            obs[0] = 1.0
-            for p in tomo.DETECTABLE_INDICES:
-                obs[p] = rec.observed[p]
-            masked.append(tomo.ReadoutRecord(rec.readout_b, rec.readout_a, obs))
-        assert np.max(np.abs(tomo.reconstruct(masked) - tomo.reconstruct(records))) < 1e-12
+        observed = tomo.simulate_readouts(random_density(rng))
+        masked = np.zeros_like(observed)
+        masked[:, IDX["II"]] = 1.0
+        masked[:, tomo.DETECTABLE_INDICES] = observed[:, tomo.DETECTABLE_INDICES]
+        assert np.max(np.abs(tomo.reconstruct(masked) - tomo.reconstruct(observed))) < 1e-12
 
     def test_clips_unphysical_fits(self):
         # craft observations of a trace-one Hermitian matrix with a negative
@@ -124,16 +129,19 @@ class TestReconstruct:
             + np.kron(qcore.SIGMA_Z, qcore.SIGMA_Z)
         ) / 4
         assert np.min(np.linalg.eigvalsh(fake)) < -1e-6
-        records = []
-        for rb, ra in [(b, a) for b in tomo.READOUT_PULSES for a in tomo.READOUT_PULSES]:
-            u = tomo.readout_unitary(rb, ra)
-            rotated = u @ fake @ u.conj().T
-            obs = np.array([float(np.real(np.trace(op @ rotated))) for op in tomo.PRODUCT_OPS])
-            records.append(tomo.ReadoutRecord(rb, ra, obs))
-        rec = tomo.reconstruct(records)
+        rec = tomo.reconstruct(trace_readouts(fake))
         assert np.min(np.linalg.eigvalsh(rec)) >= -1e-12
         assert np.trace(rec) == pytest.approx(1.0)
 
+
+class TestProjectUnphysical:
+    def test_projects_only_members_that_dip(self):
+        unphysical = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+        shallow = np.diag([0.5, 0.5 + 1e-9, -1e-9, 0.0]).astype(complex)
+        out = tomo.project_unphysical(np.array([unphysical, shallow]))
+        assert np.array_equal(out[0], tomo.clip_to_density(unphysical))
+        assert np.min(np.linalg.eigvalsh(out[0])) >= -1e-15
+        assert np.array_equal(out[1], shallow)
 
 class TestModulusTable:
     def test_basis_state_single_peak(self):
@@ -238,37 +246,29 @@ class TestConstantMap:
         for r, (rb, ra) in enumerate(tomo.READOUT_PAIRS):
             assert np.max(np.abs(tomo._DESIGN_BLOCKS[r] - old_design_rows(rb, ra))) < 1e-14
 
+    def test_fit_map_is_left_inverse_of_design(self):
+        design = np.concatenate([old_design_rows(rb, ra) for rb, ra in tomo.READOUT_PAIRS])
+        assert tomo._FIT_MAP.shape == (15, 72)
+        assert np.max(np.abs(tomo._FIT_MAP @ design - np.eye(15))) < 1e-14
+
     def test_simulate_readouts_matches_trace_oracle(self):
         rng = np.random.default_rng(113)
-        for _ in range(20):
-            rho = random_density(rng)
-            for rec in tomo.simulate_readouts(rho):
-                u = tomo.readout_unitary(rec.readout_b, rec.readout_a)
-                rotated = u @ rho @ u.conj().T
-                expected = [float(np.real(np.trace(op @ rotated))) for op in tomo.PRODUCT_OPS]
-                assert np.max(np.abs(rec.observed - expected)) < 1e-14
-
-    def test_record_order_and_multiplicity_do_not_matter(self):
-        rng = np.random.default_rng(127)
-        records = tomo.simulate_readouts(random_density(rng))
-        full = tomo.reconstruct(records)
-        permuted = [records[i] for i in rng.permutation(9)]
-        assert np.max(np.abs(tomo.reconstruct(permuted) - full)) < 1e-12
-        assert np.max(np.abs(tomo.reconstruct(records + records[:4]) - full)) < 1e-12
-        assert np.max(np.abs(tomo.reconstruct(records * 3) - full)) < 1e-12
+        states = np.array([random_density(rng) for _ in range(20)])
+        observed = tomo.simulate_readouts(states)
+        for rho, obs in zip(states, observed):
+            assert np.max(np.abs(obs - trace_readouts(rho))) < 1e-14
 
     @pytest.mark.parametrize("dropped", range(9))
     def test_every_eight_of_nine_subset_is_full_rank(self, dropped):
-        rng = np.random.default_rng(131)
-        records = tomo.simulate_readouts(random_density(rng))
-        full = tomo.reconstruct(records)
-        subset = records[:dropped] + records[dropped + 1:]
-        assert np.max(np.abs(tomo.reconstruct(subset) - full)) < 1e-12
+        # the readout set is redundant: any eight readouts fix all 15
+        # coefficients
+        subset = np.delete(tomo._DESIGN_BLOCKS, dropped, axis=0).reshape(-1, 15)
+        assert np.linalg.matrix_rank(subset) == 15
 
     def test_repeated_single_readout_is_rank_deficient(self):
-        records = tomo.simulate_readouts(np.eye(4, dtype=complex) / 4)
-        with pytest.raises(tomo.RankDeficiencyError):
-            tomo.reconstruct([record_for(records, "I", "I")] * 9)
+        # no one readout sees all 15 coefficients, however often repeated
+        for block in tomo._DESIGN_BLOCKS:
+            assert np.linalg.matrix_rank(np.tile(block, (9, 1))) < 15
 
 
 def random_hermitian(rng):
