@@ -143,10 +143,24 @@ MUTANTS = (
         DRAW_TESTS,
     ),
     Mutant(
-        "inc without its low bit",
+        "redraw seeded from the neighbour's words",
         "noise.py",
-        "inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128",
-        "inc = ((w2 << 64 | w3) << 1) & _MASK128",
+        "rng = np.random.default_rng(_ChildWords(words[k]))",
+        "rng = np.random.default_rng(_ChildWords(words[k - 1]))",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "child words handed to PCG64 without making them contiguous",
+        "noise.py",
+        "return np.ascontiguousarray(self.words, dtype=np.uint64)",
+        "return self.words",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "child words handed out for any request",
+        "noise.py",
+        "if n_words != 4 or np.dtype(dtype) != np.uint64:",
+        "if False:",
         DRAW_TESTS,
     ),
     Mutant(
@@ -190,6 +204,13 @@ MUTANTS = (
         "qcore.py",
         "min_eig = float(np.min(np.linalg.eigvalsh(rho)))",
         "min_eig = float(np.linalg.eigvalsh(rho.reshape(-1, 4, 4)[0])[0])",
+        ("tests/test_qcore.py",),
+    ),
+    Mutant(
+        "state finiteness read through a float view",
+        "qcore.py",
+        "np.all(np.isfinite(s))",
+        "np.all(np.isfinite(s.view(float)))",
         ("tests/test_qcore.py",),
     ),
     Mutant(

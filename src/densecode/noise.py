@@ -19,12 +19,11 @@ Results are deterministic for a fixed seed: member k draws from the stream
 of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
 in member order.  That stream is reached without spawning: the k-th child's
 seed words follow from the parent's entropy pool and k by numpy's
-SeedSequence hash, and its PCG64 state from those words by two LCG steps,
-so both are computed for a whole chunk at once and one generator is set to
-each member's state in turn.  The draws depend only on ``(params, seed)``,
-not on the pulse program, so programs run on one sample share them: each
-chunk is drawn once, and every run is composed from per-member block
-propagators compiled once each.
+SeedSequence hash, computed for a whole chunk at once, and each member's
+generator is seeded from its words by PCG64's own seeding.  The draws
+depend only on ``(params, seed)``, not on the pulse program, so programs
+run on one sample share them: each chunk is drawn once, and every run is
+composed from per-member block propagators compiled once each.
 """
 
 from __future__ import annotations
@@ -111,14 +110,11 @@ def _truncated_normal(rng: np.random.Generator, sigma: float) -> float:
     return float(sigma * z)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905).
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, skip: int, n: int) -> list[int]:
@@ -162,16 +158,18 @@ def _child_words(parent: np.random.SeedSequence, start: int, n: int) -> np.ndarr
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
-    """(states, incs) of ``PCG64`` seeded with each row of ``words``, the
-    (n, 4) uint64 output of ``generate_state(4, np.uint64)``: PCG64 sets
-    inc = 2 * initseq + 1 and takes two LCG steps from zero, adding
-    initstate after the first.  The 128-bit arithmetic runs on Python ints.
-    """
-    w0, w1, w2, w3 = words.astype(object).T
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
+class _ChildWords(np.random.bit_generator.ISeedSequence):
+    """Seed sequence of one row of ``_child_words``: a generator seeded from
+    it is seeded exactly as from the spawned child whose words they are."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("child words hold only generate_state(4, np.uint64)")
+        # PCG64 reads the buffer directly, ignoring strides
+        return np.ascontiguousarray(self.words, dtype=np.uint64)
 
 
 def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
@@ -180,29 +178,22 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
 
     Member k's draws are three ``_truncated_normal`` draws from
     ``default_rng`` of the k-th child of ``SeedSequence(seed).spawn(n)``.
-    The children's PCG64 states are computed per chunk from the parent's
-    pool (``_child_words``, ``_pcg64_states``) instead of spawned one by one;
-    one generator is set to each member's state in turn and draws three unit
-    normals.  The few members with a normal beyond 3 (the truncation) are
-    set back to their state and redrawn by ``_truncated_normal``.
+    The children's seed words are computed per chunk from the parent's pool
+    (``_child_words``) instead of spawned one by one; each member's
+    generator, seeded from its words, draws three unit normals.  The few
+    members with a normal beyond 3 (the truncation) are redrawn by
+    ``_truncated_normal`` from a generator seeded afresh from their words.
     """
     parent = np.random.SeedSequence(seed)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
     for start in range(0, p.ensemble_size, CHUNK_SIZE):
         n = min(CHUNK_SIZE, p.ensemble_size - start)
-        states, incs = _pcg64_states(_child_words(parent, start, n))
+        words = _child_words(parent, start, n)
         z = np.empty((n, 3))
-        for row, member_state, inc in zip(z, states, incs):
-            pcg["state"], pcg["inc"] = member_state, inc
-            bits.state = state
-            rng.standard_normal(out=row)
+        for row, member in zip(z, words):
+            np.random.default_rng(_ChildWords(member)).standard_normal(out=row)
         for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1)):
-            pcg["state"], pcg["inc"] = states[k], incs[k]
-            bits.state = state
+            rng = np.random.default_rng(_ChildWords(words[k]))
             z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]
         yield z * sigmas
 

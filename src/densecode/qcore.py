@@ -41,7 +41,7 @@ def check_state(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.shape != (4,) and s.shape != (2,):
         raise ValueError(f"state must have 2 or 4 amplitudes, got shape {s.shape}")
-    if not np.all(np.isfinite(s.view(float))):
+    if not np.all(np.isfinite(s)):
         raise ValueError("state contains non-finite amplitudes")
     norm2 = float(np.sum(np.abs(s) ** 2))
     if abs(norm2 - 1.0) > STATE_ATOL:
@@ -54,7 +54,7 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"operator must be 2x2 or 4x4, got shape {u.shape}")
-    if not np.all(np.isfinite(u.view(float))):
+    if not np.all(np.isfinite(u)):
         raise ValueError("operator contains non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if dev > OP_ATOL:
@@ -112,15 +112,6 @@ def apply(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     if u.shape[0] != s.shape[0]:
         raise ValueError(f"dimension mismatch: {u.shape} operator on {s.shape} state")
     return u @ s
-
-
-def evolve(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a density matrix: rho -> U rho U^H."""
-    u = check_unitary(u)
-    rho = check_density_matrix(rho)
-    if u.shape != (4, 4):
-        raise ValueError("evolve expects a 4x4 unitary")
-    return u @ rho @ u.conj().T
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:

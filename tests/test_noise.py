@@ -281,7 +281,8 @@ SEEDS = [0, 5, 2**40 + 3, 2**130 + 9]
 
 class TestVectorisedDraws:
     """_draw_chunks reaches member k's stream by computing the k-th child's
-    PCG64 state, not by spawning it; both must equal numpy's own."""
+    seed words, not by spawning it, and seeding PCG64 from them; both must
+    equal numpy's own."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_child_words_equal_spawn(self, seed):
@@ -294,13 +295,16 @@ class TestVectorisedDraws:
         assert np.array_equal(noise._child_words(parent, 25, 15), expected[25:])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_pcg64_states_equal_seeded_generator(self, seed):
+    def test_child_words_seed_pcg64_as_the_child(self, seed):
         children = np.random.SeedSequence(seed).spawn(40)
-        states, incs = noise._pcg64_states(
-            noise._child_words(np.random.SeedSequence(seed), 0, 40)
-        )
-        for child, state, inc in zip(children, states, incs):
-            assert np.random.PCG64(child).state["state"] == {"state": state, "inc": inc}
+        words = noise._child_words(np.random.SeedSequence(seed), 0, 40)
+        # a Fortran-ordered copy gives strided rows
+        for rows in (words, np.asfortranarray(words)):
+            for child, w in zip(children, rows):
+                expected = np.random.PCG64(child).state
+                assert np.random.PCG64(noise._ChildWords(w)).state == expected
+        with pytest.raises(ValueError):
+            noise._ChildWords(words[0]).generate_state(8, np.uint32)
 
     @pytest.mark.parametrize("rf_spread", [0.0, 0.05])
     @pytest.mark.parametrize("chunk", [300, None])

@@ -85,6 +85,28 @@ class TestBasisAndChecks:
         with pytest.raises(ValueError, match="non-finite"):
             qcore.check_density_matrix(rho.T)
 
+    def test_check_state_accepts_a_strided_view(self):
+        s = np.eye(4, dtype=complex)[:, 0]
+        assert np.array_equal(qcore.check_state(s), qcore.basis_state(0))
+        s = np.eye(4, dtype=complex)[:, 1] * np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.check_state(s)
+
+    def test_check_unitary_accepts_fortran_order(self):
+        u = np.asfortranarray(protocol.CNOT)
+        assert np.array_equal(qcore.check_unitary(u), protocol.CNOT)
+        u[3, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.check_unitary(u)
+
+    def test_pure_density_accepts_a_strided_view(self):
+        rho = qcore.pure_density(np.eye(4, dtype=complex)[:, 2])
+        assert np.array_equal(rho, qcore.pure_density(qcore.basis_state(2)))
+
+    def test_readout_accepts_a_strided_view(self):
+        out = protocol.readout((-np.eye(4, dtype=complex))[:, 1])
+        assert (out.y, out.x, out.phase) == (0, 1, -1)
+
     def test_check_density_psd_floor_is_configurable(self):
         rho = np.diag([1.0 + 1e-7, -1e-7, 0.0, 0.0]).astype(complex)
         qcore.check_density_matrix(rho, psd_floor=1e-6)
@@ -158,40 +180,13 @@ class TestApplyEvolve:
             out = qcore.apply(u, s)
             assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-10
 
-    def test_evolve_identity(self):
-        rho = qcore.pure_density(qcore.basis_state("01"))
-        assert np.allclose(qcore.evolve(qcore.ID4, rho), rho)
-
-    def test_evolve_bit_flip(self):
-        rho = qcore.pure_density(qcore.basis_state("00"))
-        u = qcore.tensor(qcore.SIGMA_X, qcore.ID2)
-        assert np.allclose(qcore.evolve(u, rho), qcore.pure_density(qcore.basis_state("10")))
-
-    def test_evolve_full_network_first_message(self):
-        u = qcore.tensor(protocol.HADAMARD, qcore.ID2) @ protocol.CNOT
-        u = u @ qcore.tensor(qcore.ID2, protocol.ENCODINGS[1])
-        u = u @ protocol.CNOT @ qcore.tensor(protocol.HADAMARD, qcore.ID2)
-        u = u @ qcore.tensor(qcore.SIGMA_X, qcore.ID2)
-        rho = qcore.evolve(u, qcore.pure_density(qcore.basis_state("00")))
-        assert np.allclose(rho, qcore.pure_density(qcore.basis_state("10")), atol=1e-12)
-
-    def test_evolve_preserves_trace_and_spectrum(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            rho = random_density(rng)
-            u = random_unitary(rng)
-            out = qcore.evolve(u, rho)
-            assert abs(np.trace(out) - 1.0) < 1e-10
-            assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out))
-                                 - np.sort(np.linalg.eigvalsh(rho)))) < 1e-10
-
     def test_pure_and_density_paths_agree(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             s = random_state(rng)
             u = random_unitary(rng)
             p_state = qcore.probabilities(qcore.apply(u, s))
-            p_rho = qcore.probabilities(qcore.evolve(u, qcore.pure_density(s)))
+            p_rho = qcore.probabilities(u @ qcore.pure_density(s) @ u.conj().T)
             assert np.max(np.abs(p_state - p_rho)) < 1e-12
 
 
