@@ -122,17 +122,17 @@ MUTANTS = (
         ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
     ),
     Mutant(
-        "truncation redraw dropped",
+        "fallback draw dropped",
         "noise.py",
         "z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]",
         "pass",
         DRAW_TESTS,
     ),
     Mutant(
-        "truncation redraw skips the last member",
+        "fallback skips the last member",
         "noise.py",
-        "for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1)):",
-        "for k in np.flatnonzero((np.abs(z) > 3.0).any(axis=1))[:-1]:",
+        "for k in np.flatnonzero(~sure.all(axis=1)):",
+        "for k in np.flatnonzero(~sure.all(axis=1))[:-1]:",
         DRAW_TESTS,
     ),
     Mutant(
@@ -143,7 +143,7 @@ MUTANTS = (
         DRAW_TESTS,
     ),
     Mutant(
-        "redraw seeded from the neighbour's words",
+        "fallback seeded from the neighbour's words",
         "noise.py",
         "rng = np.random.default_rng(_ChildWords(words[k]))",
         "rng = np.random.default_rng(_ChildWords(words[k - 1]))",
@@ -161,6 +161,48 @@ MUTANTS = (
         "noise.py",
         "if n_words != 4 or np.dtype(dtype) != np.uint64:",
         "if False:",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "one LCG step too few before the first output",
+        "noise.py",
+        "return _lcg_step((inc[0] + w0 + (lo < w1), lo), inc), inc",
+        "return (inc[0] + w0 + (lo < w1), lo), inc",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "carry of the low-word addition dropped",
+        "noise.py",
+        "+ inc[0] + (new_lo < inc[1]), new_lo",
+        "+ inc[0], new_lo",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "XSL-RR rotation read one bit low",
+        "noise.py",
+        "hi >> np.uint64(58)",
+        "hi >> np.uint64(59)",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "sign bit taken from bit 9",
+        "noise.py",
+        "where=r & np.uint64(1 << 8) != 0",
+        "where=r & np.uint64(1 << 9) != 0",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "idx 1 marked sure",
+        "noise.py",
+        "sure_below[2:] = (wi[1:-1] / wi[2:] * 2.0**52)",
+        "sure_below[1:] = (wi[:-1] / wi[1:] * 2.0**52)",
+        DRAW_TESTS,
+    ),
+    Mutant(
+        "sure draws beyond 3 kept on the fast path",
+        "noise.py",
+        "sure = (rabs < sure_below[idx]) & (np.abs(z) <= 3.0)",
+        "sure = rabs < sure_below[idx]",
         DRAW_TESTS,
     ),
     Mutant(
@@ -219,6 +261,13 @@ MUTANTS = (
         "if key in section and not math.isfinite(value):",
         "if False:",
         EPSILON_TESTS,
+    ),
+    Mutant(
+        "--seed accepted without --noise",
+        "cli.py",
+        'raise ValueError("--seed requires --noise")',
+        "pass",
+        ("tests/test_cli.py::TestSeedContract",),
     ),
     Mutant(
         "tiny epsilon reaches the checks",

@@ -11,7 +11,8 @@ from one file plus a seed.  ``resolve`` reads, in order: the document's keys
 and sections; the spin system and epsilon; the noise parameters (always for
 fig4 and validate, only with ``--noise`` for run and tomo, where ``--noise
 PATH`` replaces the section by a whole document's or a bare noise object);
-``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
+``noise.seed``, then ``--seed`` over it (``run`` and ``tomo`` refuse
+``--seed`` without ``--noise``); then ``validate --ensemble-size``.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def resolve(args: argparse.Namespace) -> Inputs:
     nc = _section(cfg, "noise", NOISE_KEYS)
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked
+            if args.seed is not None:
+                raise ValueError("--seed requires --noise")
             return Inputs(system, epsilon, None, None)
         if args.noise:  # a whole document, or a bare noise object
             doc = _read_document(args.noise)

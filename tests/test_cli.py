@@ -583,6 +583,11 @@ class TestSeedContract:
         err = usage_error(capsys, tmp_path, ["run", "-m", "1", "--layer", "pulse", "--noise", str(path)])
         assert "noise.seed" in err
 
+    @pytest.mark.parametrize("command", [["run", "-m", "1"], ["tomo", "-m", "1", "--layer", "pulse"]])
+    def test_seed_without_noise(self, capsys, tmp_path, command):
+        err = usage_error(capsys, tmp_path, command + ["--seed", "5"])
+        assert err == "error: --seed requires --noise\n"
+
     def test_zero_and_large_seeds_run(self, capsys):
         for seed in ("0", str(2**130 + 9)):
             code, out, _ = run_cli(

@@ -279,10 +279,36 @@ class TestFactorTable:
 SEEDS = [0, 5, 2**40 + 3, 2**130 + 9]
 
 
+def fallback_classes(children):
+    """The reasons for which ``children`` fall back from the vectorised
+    fast path, counting only children with exactly one: a draw at idx 0 or
+    1, inside the unsure band around ``ki``, above it, or a sure draw
+    beyond 3.  Each child's first three outputs come from numpy's PCG64."""
+    wi, sure_below = noise._ziggurat_tables()
+    band_top = sure_below + np.uint64(2 * noise._KI_BAND)
+    found = set()
+    for child in children:
+        reasons = set()
+        for r in np.random.PCG64(child).random_raw(3).tolist():
+            idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+            if idx < 2:
+                reasons.add(f"idx {idx}")
+            elif rabs >= band_top[idx]:
+                reasons.add("above the band")
+            elif rabs >= sure_below[idx]:
+                reasons.add("inside the band")
+            elif rabs * wi[idx] > 3.0:
+                reasons.add("sure beyond 3")
+        if len(reasons) == 1:
+            found |= reasons
+    return found
+
+
 class TestVectorisedDraws:
     """_draw_chunks reaches member k's stream by computing the k-th child's
-    seed words, not by spawning it, and seeding PCG64 from them; both must
-    equal numpy's own."""
+    seed words, not by spawning it, and most members' draws by computing
+    PCG64 and numpy's ziggurat fast path on arrays; all must equal numpy's
+    own."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_child_words_equal_spawn(self, seed):
@@ -306,13 +332,46 @@ class TestVectorisedDraws:
         with pytest.raises(ValueError):
             noise._ChildWords(words[0]).generate_state(8, np.uint32)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_limb_seeding_equals_pcg64(self, seed):
+        words = noise._child_words(np.random.SeedSequence(seed), 0, 40)
+        (hi, lo), (inc_hi, inc_lo) = noise._pcg64_seed(words)
+        raw = noise._pcg64_raw(words)
+        for k, w in enumerate(words):
+            bits = np.random.PCG64(noise._ChildWords(w))
+            state = bits.state["state"]
+            assert state["state"] == int(hi[k]) << 64 | int(lo[k])
+            assert state["inc"] == int(inc_hi[k]) << 64 | int(inc_lo[k])
+            assert raw[k].tolist() == bits.random_raw(3).tolist()
+
+    def test_sure_bound_brackets_numpy_ki(self):
+        """For every idx in 2..255, numpy returns the largest rabs marked
+        sure from its fast path, one word consumed, as ``±rabs * wi[idx]``;
+        and rejects the smallest rabs above the unsure band."""
+        wi, sure_below = noise._ziggurat_tables()
+        bits = np.random.PCG64(0)
+        gen = np.random.Generator(bits)
+        for idx in range(2, 256):
+            sure = int(sure_below[idx]) - 1
+            for sign in (0, 1):
+                r = idx | sign << 8 | sure << 9
+                bits.state = noise._crafted_state(r)
+                value = gen.standard_normal()
+                assert bits.state["state"]["state"] == r  # one word consumed
+                assert value == (-1) ** sign * (sure * wi[idx])
+            r = idx | (sure + 1 + 2 * noise._KI_BAND) << 9
+            bits.state = noise._crafted_state(r)
+            gen.standard_normal()
+            assert bits.state["state"]["state"] != r  # a second word drawn
+
     @pytest.mark.parametrize("rf_spread", [0.0, 0.05])
     @pytest.mark.parametrize("chunk", [300, None])
     def test_draw_chunks_equal_member_draws(self, monkeypatch, chunk, rf_spread):
         if chunk is not None:
             monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
         c = noise.CHUNK_SIZE
-        seed = 4242
+        # a seed whose first 601 members include one of each fallback class
+        seed = 192
         p = replace(noise.DEMO_PARAMS, rf_spread=rf_spread)
         children = np.random.SeedSequence(seed).spawn(2 * c + 1)
         expected = np.array([oracles.member_draws(p, child) for child in children])
@@ -320,16 +379,13 @@ class TestVectorisedDraws:
             chunks = list(noise._draw_chunks(replace(p, ensemble_size=size), seed))
             assert all(len(x) == c for x in chunks[:-1])
             assert np.array_equal(np.concatenate(chunks), expected[:size])
-        # the sample exercises the redraw: some member's first three unit
-        # normals include one beyond the truncation at 3
-        assert any(
-            np.any(np.abs(np.random.default_rng(child).standard_normal(3)) > 3.0)
-            for child in children
-        )
+        assert fallback_classes(children) == {
+            "idx 0", "idx 1", "inside the band", "above the band", "sure beyond 3"
+        }
 
     def test_no_warnings(self):
         p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 3)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             for seed in SEEDS:
                 list(noise._draw_chunks(p, seed))
