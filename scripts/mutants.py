@@ -122,6 +122,20 @@ MUTANTS = (
         ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
     ),
     Mutant(
+        "composition contracts over the wrong index",
+        "noise.py",
+        "out += a[:, j, None] * b[j, None]",
+        "out += a[j, :, None] * b[j, None]",
+        ("tests/test_noise.py::TestComposition::test_compose_equals_per_member_matmul",),
+    ),
+    Mutant(
+        "sum of W W^H without the conjugate",
+        "noise.py",
+        "total[i, j] += m @ m.conj().T",
+        "total[i, j] += m @ m.T",
+        ("tests/test_noise.py::TestComposition::test_mean_states_sum_member_outer_products",),
+    ),
+    Mutant(
         "fallback draw dropped",
         "noise.py",
         "z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]",

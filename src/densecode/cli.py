@@ -489,7 +489,9 @@ def cmd_validate(args, inputs: Inputs) -> int:
     payload = {
         "seed": inputs.seed,
         "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+            {"name": r.name, "passed": r.passed, "value": r.value, "bound": r.bound,
+             "detail": r.detail}
+            for r in results
         ],
         "passed": all(r.passed for r in results),
     }

@@ -8,10 +8,12 @@ survives, chemical shifts are zero unless the noise model injects offsets.
 One engine, ``_propagate``, applies every program's events in time order
 to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
-diagonal phase.  A noise-free program is one member with zero draws.  Each
-distinct event's factors are computed once per set of draws, in a table the
-ensemble average shares across every program of a chunk, and each event
-updates U in place, with the operands in the order of the expressions above.
+diagonal phase.  A stack has shape (4, k, n), the member axis last, so each
+update runs over contiguous rows of n members.  A noise-free program is one
+member with zero draws.  Each distinct event's factors are computed once per
+set of draws, in a table the ensemble average shares across every program of
+a chunk, and each event updates U in place, with the operands in the order
+of the expressions above.
 ``experiment.temporal_average`` runs the thermal state and prefixes built here.
 """
 
@@ -146,23 +148,24 @@ _RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for 
 def _event_factors(
     ev: PulseEvent, sys: SpinSystem, draws: np.ndarray, calib_offset: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray:
-    """Per-member factors of one event on ``draws``: ``(c, s, perm)`` of an
-    ``Rf`` pulse (U -> c*U + s*U[perm]), the diagonal phase column of a
-    ``Delay`` (U -> f*U)."""
+    """Per-member factors of one event on the (n, 3) ``draws``, members
+    last: ``(c, s, perm)`` of an ``Rf`` pulse (U -> c*U + s*U[perm]), c of
+    shape (n,) and s (4, 1, n); the diagonal phase (4, 1, n) of a ``Delay``
+    (U -> f*U)."""
     deltas, offs_a, offs_b = draws.T
     if isinstance(ev, Rf):
         angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
         perm, phase = _RF_ROWS[ev.spin, ev.axis]
-        c = np.cos(angles / 2.0)[:, None, None]
-        s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]
+        c = np.cos(angles / 2.0)
+        s = np.sin(angles / 2.0) * phase[:, None, None]
         return c, s, perm
     t = ev.duration
     angle = (
-        (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
-        + (math.pi * t) * (offs_b[:, None] * _ZB_DIAG[None, :])
-        + (math.pi * t) * (offs_a[:, None] * _ZA_DIAG[None, :])
+        (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[:, None]
+        + (math.pi * t) * (offs_b[None, :] * _ZB_DIAG[:, None])
+        + (math.pi * t) * (offs_a[None, :] * _ZA_DIAG[:, None])
     )
-    return np.exp(-1j * angle)[:, :, None]
+    return np.exp(-1j * angle)[:, None, :]
 
 
 def _propagate(
@@ -173,10 +176,11 @@ def _propagate(
     start: np.ndarray = qcore.ID4,
     factors: dict | None = None,
 ) -> np.ndarray:
-    """Per-member U_k @ start for the propagators U_k of ``seq``, shape
-    (n, 4, k) for a (4, k) ``start``; the identity gives the propagators.
-    Row k of the (n, 3) ``draws`` is member k's RF deviation and offsets (Hz)
-    of spins a and b; pulse angles scale by 1 + ``calib_offset`` + deviation.
+    """Per-member U_m @ start for the propagators U_m of ``seq``, shape
+    (4, k, n) for a (4, k) ``start``, member m at ``[..., m]``; the identity
+    gives the propagators.  Row m of the (n, 3) ``draws`` is member m's RF
+    deviation and offsets (Hz) of spins a and b; pulse angles scale by 1 +
+    ``calib_offset`` + deviation.
 
     ``factors`` maps each event to its ``_event_factors`` on these draws,
     filled on first use; callers share one table across the programs they
@@ -186,7 +190,7 @@ def _propagate(
     bitwise commutative, and ``U * f`` moves the last bits of a delay.
     """
     factors = {} if factors is None else factors
-    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
+    u = np.repeat(start[:, :, None], len(draws), axis=2)
     tmp = np.empty_like(u)
     for ev in seq:
         f = factors.get(ev)
@@ -194,7 +198,7 @@ def _propagate(
             f = factors[ev] = _event_factors(ev, sys, draws, calib_offset)
         if isinstance(ev, Rf):
             c, s, perm = f
-            np.take(u, perm, axis=1, out=tmp)
+            np.take(u, perm, axis=0, out=tmp, mode="wrap")  # mode "raise" buffers out
             np.multiply(s, tmp, out=tmp)
             np.multiply(c, u, out=u)
             np.add(u, tmp, out=u)
@@ -206,7 +210,7 @@ def _propagate(
 def compile_sequence(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Compile a sequence to its two-spin propagator (later events applied
     later): ``_propagate`` for one member with zero draws."""
-    return _propagate(seq, sys, np.zeros((1, 3)), 0.0)[0]
+    return _propagate(seq, sys, np.zeros((1, 3)), 0.0)[..., 0]
 
 
 def not_pulse(spin: str) -> PulseSequence:

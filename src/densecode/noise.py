@@ -11,9 +11,12 @@ The one ensemble average, ``_mean_states``, runs circuits (tuples of
 pulse blocks) after heads on one sample, propagating a factor V of the
 input (rho0 = V V^H) through the pulse engine of ``nmrsim``
 (``nmrsim._propagate``, the one that also compiles noise-free programs),
-one row of draws per member.  Members are drawn, propagated and summed in
-chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded
-however large the ensemble is.
+one row of draws per member, into stacks of shape (4, k, n) with the member
+axis last.  Blocks compose by four broadcast multiply-adds over contiguous
+member rows (``_compose``), and the sum of W W^H over a chunk is one matrix
+product.  Members are drawn, propagated and summed in chunks of
+``CHUNK_SIZE``, in a fixed order, so memory stays bounded however large the
+ensemble is.
 
 Results are deterministic for a fixed seed: member k draws from the stream
 of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -291,6 +293,16 @@ _COHERENT_A = _ZA_DIAG[:, None] != _ZA_DIAG[None, :]
 _COHERENT_B = _ZB_DIAG[:, None] != _ZB_DIAG[None, :]
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-member ``a[..., m] @ b[..., m]`` of a (4, 4, n) and a (4, k, n)
+    stack, shape (4, k, n): a sum of four broadcast products, each over
+    contiguous rows of n members."""
+    out = a[:, 0, None] * b[0, None]
+    for j in range(1, 4):
+        out += a[:, j, None] * b[j, None]
+    return out
+
+
 def _mean_states(
     sys: SpinSystem,
     p: ErrorParams,
@@ -306,8 +318,10 @@ def _mean_states(
     each circuit is a tuple of blocks run after it (``()`` runs the head
     alone).  Per chunk, each distinct block is compiled once, all from one
     table of event factors, and a circuit is composed onto the head as
-    ``(U_last @ ...) @ U_first``.  Each mean
-    is T2-damped over its run's free-evolution time and checked.
+    ``(U_last @ ...) @ U_first`` by ``_compose``.  A run's stack W of shape
+    (4, k, n) adds the sum of W_m W_m^H over its members as one product of
+    its (4, k*n) reshape with that reshape's adjoint.  Each mean is
+    T2-damped over its run's free-evolution time and checked.
     """
     t_totals = np.array([
         [head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]
@@ -321,10 +335,10 @@ def _mean_states(
         u_blocks = {b: _propagate(b, sys, draws, p.calib_offset, qcore.ID4, factors) for b in blocks}
         for i, circuit in enumerate(circuits):
             stacks = [u_blocks[block] for block in reversed(circuit)]
-            u = functools.reduce(operator.matmul, stacks) if stacks else None
+            u = functools.reduce(_compose, stacks) if stacks else None
             for j, w in enumerate(w_heads):
-                w = w if u is None else u @ w
-                total[i, j] += np.einsum("nik,njk->ij", w, w.conj())  # sum of W_k W_k^H
+                m = (w if u is None else _compose(u, w)).reshape(4, -1)
+                total[i, j] += m @ m.conj().T  # sum of W_m W_m^H
     f_a = np.exp(-t_totals / p.t2_a)[..., None, None]
     f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B

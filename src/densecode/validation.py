@@ -24,8 +24,15 @@ ERROR_BAND = (0.05, 0.15)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.  ``value`` is the measured figure and ``bound``
+    its limit: a check passes when ``value`` lies within ``bound``, at most
+    a number or inside a ``(lo, hi)`` band (temporal averaging also needs a
+    positive pure weight)."""
+
     name: str
     passed: bool
+    value: float
+    bound: float | tuple[float, float]
     detail: str
 
 
@@ -69,7 +76,7 @@ def _check_eq1() -> CheckResult:
     s = protocol.prepare_bell(BellVariant.MINUS_PHI)
     expected = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0)
     dev = float(np.max(np.abs(s - expected)))
-    return CheckResult("eq1-bell-prep", dev <= 1e-12, f"max amplitude deviation {dev:.3e}")
+    return CheckResult("eq1-bell-prep", dev <= 1e-12, dev, 1e-12, f"max amplitude deviation {dev:.3e}")
 
 
 def _check_eq2() -> CheckResult:
@@ -85,7 +92,7 @@ def _check_eq2() -> CheckResult:
         float(np.max(np.abs(protocol.encode(start, m) - expected[m])))
         for m in protocol.MESSAGES
     )
-    return CheckResult("eq2-encodings", dev <= 1e-12, f"max amplitude deviation {dev:.3e}")
+    return CheckResult("eq2-encodings", dev <= 1e-12, dev, 1e-12, f"max amplitude deviation {dev:.3e}")
 
 
 def check_table() -> CheckResult:
@@ -101,11 +108,10 @@ def check_table() -> CheckResult:
                 mismatches.append(f"m={m},v={v.value}")
     first_column = tuple(grid[i][0].ket for i in range(4))
     expected_column = ("|10>", "|00>", "|11>", "-|01>")
-    column_ok = first_column == expected_column
-    ok = not mismatches and column_ok
+    wrong = len(mismatches) + sum(a != b for a, b in zip(first_column, expected_column))
     detail = "all 16 cells match brute force" if not mismatches else "cells differ: " + ",".join(mismatches)
     detail += f"; minus-phi column {' '.join(first_column)}"
-    return CheckResult("table1-vs-brute-force", ok, detail)
+    return CheckResult("table1-vs-brute-force", wrong == 0, wrong, 0, detail)
 
 
 def _check_capacity() -> CheckResult:
@@ -118,7 +124,7 @@ def _check_capacity() -> CheckResult:
             bad.append(v.value + ":round-trip")
     ok = not bad
     detail = "message -> bits bijective for all variants" if ok else "failed: " + ",".join(bad)
-    return CheckResult("capacity-bijection", ok, detail)
+    return CheckResult("capacity-bijection", ok, len(bad), 0, detail)
 
 
 def _check_pulse_cnot(sys: nmrsim.SpinSystem) -> CheckResult:
@@ -127,7 +133,11 @@ def _check_pulse_cnot(sys: nmrsim.SpinSystem) -> CheckResult:
         compiled = nmrsim.compile_sequence(nmrsim.cnot_pulse_sequence(sys, refocus=refocus), sys)
         worst = max(worst, qcore.phase_aligned_distance(compiled, protocol.CNOT))
     return CheckResult(
-        "pulse-cnot-distance", worst < 1e-9, f"phase-aligned max-norm distance {worst:.3e}"
+        "pulse-cnot-distance",
+        worst < 1e-9,
+        worst,
+        1e-9,
+        f"phase-aligned max-norm distance {worst:.3e}",
     )
 
 
@@ -148,9 +158,12 @@ def _check_pulse_protocol(sys: nmrsim.SpinSystem) -> CheckResult:
         for j, v in enumerate(BELL_VARIANT_ORDER):
             k = protocol.run_network(m, v).index
             worst = min(worst, float(states[i, j, k, k].real))
+    # value: how far the worst population falls short of 1
     return CheckResult(
         "pulse-protocol-populations",
         worst >= 1.0 - 1e-9,
+        1.0 - worst,
+        1e-9,
         f"min population on expected state {worst:.12f}",
     )
 
@@ -162,6 +175,8 @@ def _check_temporal_averaging(sys: nmrsim.SpinSystem, epsilon: float) -> CheckRe
     return CheckResult(
         "temporal-averaging",
         ok,
+        residual,
+        1e-10,
         f"pseudo-pure residual {residual:.3e}, pure weight {beta:.3e}",
     )
 
@@ -182,6 +197,8 @@ def _check_tomography(seed: int) -> CheckResult:
     return CheckResult(
         "tomography-round-trip",
         worst < 1e-8,
+        worst,
+        1e-8,
         f"max element error over {N_RANDOM_STATES} random + 4 protocol outputs {worst:.3e}",
     )
 
@@ -195,6 +212,8 @@ def _check_error_band(
     return CheckResult(
         "noise-error-band",
         lo <= worst <= hi,
+        worst,
+        ERROR_BAND,
         f"max relative element error {worst:.4f} (band {lo:.2f}..{hi:.2f})",
     )
 
@@ -211,6 +230,8 @@ def _check_determinism(
     return CheckResult(
         "noise-determinism",
         identical,
+        float(np.max(np.abs(first - second))),
+        0.0,
         "repeated run bit-identical" if identical else "repeated run differs",
     )
 

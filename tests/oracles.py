@@ -95,7 +95,8 @@ def reference_propagate(
     start: np.ndarray = qcore.ID4,
 ) -> np.ndarray:
     """Per-member U_k @ start, applying each event's factors as they are
-    computed: the reference for ``nmrsim._propagate``."""
+    computed, on a members-first stack: the reference for
+    ``nmrsim._propagate``, returned as its (4, k, n) stack, members last."""
     deltas, offs_a, offs_b = draws.T
     u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
     for ev in seq:
@@ -113,7 +114,7 @@ def reference_propagate(
                 + (math.pi * t) * (offs_a[:, None] * nmrsim._ZA_DIAG[None, :])
             )
             u = np.exp(-1j * angle)[:, :, None] * u
-    return u
+    return np.moveaxis(u, 0, -1)
 
 
 def member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
@@ -133,7 +134,7 @@ def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_se
     noise-free compilation exactly.
     """
     draws = np.array([member_draws(p, sample_seed)])
-    return nmrsim._propagate(seq, sys, draws, p.calib_offset)[0]
+    return nmrsim._propagate(seq, sys, draws, p.calib_offset)[..., 0]
 
 
 def temporal_average(

@@ -267,6 +267,35 @@ class TestValidate:
         assert "noise-error-band" in names
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_json_value_and_bound_agree_with_passed(self, monkeypatch, capsys, tmp_path):
+        def within(value, bound):
+            if isinstance(bound, list):
+                lo, hi = bound
+                return lo <= value <= hi
+            return value <= bound
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"ensemble_size": 400}}))
+        argv = ["validate", "--config", str(cfg), "--format", "json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        healthy = strict_json(out)["checks"]
+        wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # unitary, not H
+        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        broken = strict_json(out)["checks"]
+        assert not all(c["passed"] for c in broken)
+        for checks in (healthy, broken):
+            assert len(checks) == 10
+            for c in checks:
+                assert type(c["value"]) in (int, float), c
+                bound = c["bound"]
+                assert type(bound) in (int, float) or len(bound) == 2, c
+                assert c["passed"] is within(c["value"], bound), c
+        band = next(c for c in healthy if c["name"] == "noise-error-band")
+        assert band["bound"] == list(validation.ERROR_BAND)
+
     def test_text_output_one_line_per_check(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"noise": {"ensemble_size": 400}}))

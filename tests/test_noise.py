@@ -194,7 +194,7 @@ class TestRowPermutationEngine:
         draws = np.column_stack([deltas, [5.0, -3.0, 0.0, 12.0], [1.0, 2.0, -7.0, 0.0]])
         seq = PulseSequence((Rf(spin, axis, 1.3, phase_sign),))
         stack = nmrsim._propagate(seq, system, draws, p.calib_offset)
-        for u, delta in zip(stack, deltas):
+        for u, delta in zip(np.moveaxis(stack, -1, 0), deltas):
             expected = oracles.rf_unitary(spin, axis, 1.3 * (1.0 + 0.03 + delta), phase_sign)
             assert np.max(np.abs(u - expected)) < 1e-14
 
@@ -273,6 +273,47 @@ class TestFactorTable:
 
         monkeypatch.setattr(noise, "_propagate", reference)
         assert np.array_equal(got, noise._mean_states(system, p, 11, circuits, heads, v_th))
+
+
+def random_unitaries(rng, n):
+    """A (4, 4, n) stack of random unitaries, members last."""
+    z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    return np.moveaxis(np.linalg.qr(z)[0], 0, -1)
+
+
+class TestComposition:
+    """The members-last block composition and the one-product sum of W W^H."""
+
+    @pytest.mark.parametrize("n", [1, 3, 1000])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_compose_equals_per_member_matmul(self, k, n):
+        rng = np.random.default_rng(10 * k + n)
+        a = random_unitaries(rng, n)
+        b = np.ascontiguousarray(random_unitaries(rng, n)[:, :k])
+        got = noise._compose(a, b)
+        assert got.shape == (4, k, n)
+        expected = np.stack([a[..., m] @ b[..., m] for m in range(n)], axis=-1)
+        assert np.max(np.abs(got - expected)) < 1e-15
+
+    def test_mean_states_sum_member_outer_products(self, system):
+        """With T2 off, each run's mean is the sum over members of W_m W_m^H
+        over n, W_m the head's member m composed through the circuit's blocks
+        one matrix product at a time."""
+        p = replace(noise.DEMO_PARAMS, t2_a=math.inf, t2_b=math.inf, ensemble_size=7)
+        rho0 = np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex)
+        v = qcore.psd_factor(qcore.check_density_matrix(rho0))
+        head = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PSI)
+        blocks = (nmrsim.encoding_pulse(4), nmrsim.decode_sequence(system))
+        draws = np.concatenate(list(noise._draw_chunks(p, 3)))
+        w_head = nmrsim._propagate(head, system, draws, p.calib_offset, v)
+        w_run = w_head
+        for block in blocks:
+            u = nmrsim._propagate(block, system, draws, p.calib_offset)
+            w_run = np.stack([u[..., m] @ w_run[..., m] for m in range(len(draws))], axis=-1)
+        got = noise._mean_states(system, p, 3, [blocks, ()], [head], v)
+        for state, w in zip(got[:, 0], (w_run, w_head)):
+            expected = sum(w[..., m] @ w[..., m].conj().T for m in range(len(draws))) / len(draws)
+            assert np.max(np.abs(state - expected)) < 1e-15
 
 
 # One-word, two-word and five-word seeds (more words than the pool of 4).
