@@ -76,15 +76,36 @@ MUTANTS = (
         "factor key drops the spin",
         "nmrsim.py",
         FACTOR_LOOKUP,
-        _factor_key("ev.axis, ev.angle, ev.phase_sign"),
+        _factor_key("ev.axis, ev.angle"),
         FACTOR_TESTS,
     ),
     Mutant(
         "factor key drops the axis",
         "nmrsim.py",
         FACTOR_LOOKUP,
-        _factor_key("ev.spin, ev.angle, ev.phase_sign"),
+        _factor_key("ev.spin, ev.angle"),
         FACTOR_TESTS,
+    ),
+    Mutant(
+        "refocusing pair without its minus sign",
+        "nmrsim.py",
+        'Rf("a", "X", -math.pi),',
+        'Rf("a", "X", math.pi),',
+        ("tests/test_nmrsim.py::TestCnotSequence::test_refocusing_pairs_have_opposed_phases",),
+    ),
+    Mutant(
+        "infinite CNOT delay accepted",
+        "nmrsim.py",
+        "if not math.isfinite(1.0 / (2.0 * self.j_coupling)):",
+        "if False:",
+        ("tests/test_nmrsim.py::TestSpinSystem",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "noisy run started from |01> instead of |00>",
+        "experiment.py",
+        "start = qcore.basis_state(0)[:, None]",
+        "start = qcore.basis_state(1)[:, None]",
+        ("tests/test_noise.py::test_noisy_output_density_from_the_pure_column",),
     ),
     Mutant(
         "phase table conjugated",
@@ -112,6 +133,13 @@ MUTANTS = (
         "noise.py",
         "[head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]",
         "[sum(circuit, PulseSequence()).total_delay() for head in heads]",
+        ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
+    ),
+    Mutant(
+        "single-pulse blocks skipped as if empty",
+        "noise.py",
+        "circuits = [[block for block in circuit if len(block)] for circuit in circuits]",
+        "circuits = [[block for block in circuit if len(block) > 1] for circuit in circuits]",
         ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
     ),
     Mutant(

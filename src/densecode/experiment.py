@@ -2,8 +2,8 @@
 averaging, noisy pulse programs, tomography and deviation rescaling.
 
 ``temporal_average`` is the one loop over the three permutation prefixes:
-one call to the ensemble average of ``noise`` with the prefixes as heads on
-the thermal state.  ``fig4_panels`` is the pipeline behind the
+one call to the ensemble average ``noise.mean_states`` with the prefixes
+as heads on the thermal state.  ``fig4_panels`` is the pipeline behind the
 element-modulus bar-chart data: for each of the four encodings, run the
 temporal-averaged protocol with the error model, reconstruct the averaged
 state by tomography, extract the pseudo-pure deviation and compare against
@@ -59,8 +59,8 @@ def noisy_output_density(
 ) -> np.ndarray:
     """Ensemble-averaged pulse-layer output for a pure |00> input."""
     seq = nmrsim.dense_coding_sequence(sys, m, variant)
-    rho0 = qcore.pure_density(qcore.basis_state(0))
-    return noise.ensemble_average(seq, sys, params, rho0, seed=seed)
+    start = qcore.basis_state(0)[:, None]
+    return noise.mean_states(sys, params, seed, [()], [seq], start)[0, 0]
 
 
 def temporal_average(
@@ -80,7 +80,7 @@ def temporal_average(
     """
     v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
     prefixes = nmrsim.permutation_sequences(sys, refocus=refocus)
-    return noise._mean_states(sys, params, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
+    return noise.mean_states(sys, params, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
 
 
 def fig4_panels(

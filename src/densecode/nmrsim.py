@@ -42,7 +42,7 @@ DEFAULT_EPSILON = 1e-5
 @dataclass(frozen=True)
 class SpinSystem:
     """Static parameters of the two-spin sample: finite positive Larmor
-    frequencies and J coupling, with a finite ratio of the frequencies."""
+    frequencies and J coupling, a finite frequency ratio and a finite 1/(2J)."""
 
     freq_a: float = DEFAULT_FREQ_A_MHZ  # MHz, spin a (1H)
     freq_b: float = DEFAULT_FREQ_B_MHZ  # MHz, spin b (13C)
@@ -57,6 +57,8 @@ class SpinSystem:
                 raise ValueError(f"SpinSystem.{name} must be finite")
         if not math.isfinite(self.polarization_ratio):
             raise ValueError("SpinSystem.freq_b is too small: freq_a/freq_b is not finite")
+        if not math.isfinite(1.0 / (2.0 * self.j_coupling)):
+            raise ValueError("SpinSystem.j_coupling is too small: 1/(2J) is not finite")
 
     @property
     def polarization_ratio(self) -> float:
@@ -68,14 +70,13 @@ class SpinSystem:
 class Rf:
     """A hard RF rotation pulse on one spin.
 
-    ``phase_sign`` = -1 flips the RF phase by 180 degrees, i.e. rotates about
-    the negative axis; miscalibration scales ``angle`` but never the sign.
+    A negative ``angle`` rotates about the negative axis (the RF phase
+    flipped by 180 degrees); miscalibration scales it but never its sign.
     """
 
     spin: str
     axis: str
     angle: float
-    phase_sign: int = 1
 
     def __post_init__(self) -> None:
         if self.spin not in SPINS:
@@ -84,8 +85,6 @@ class Rf:
             raise ValueError(f"Rf axis must be one of {AXES}, got {self.axis!r}")
         if not math.isfinite(self.angle):
             raise ValueError("Rf angle must be finite")
-        if self.phase_sign not in (1, -1):
-            raise ValueError("Rf phase_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _event_factors(
     (U -> f*U)."""
     deltas, offs_a, offs_b = draws.T
     if isinstance(ev, Rf):
-        angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
+        angles = ev.angle * (1.0 + calib_offset + deltas)
         perm, phase = _RF_ROWS[ev.spin, ev.axis]
         c = np.cos(angles / 2.0)
         s = np.sin(angles / 2.0) * phase[:, None, None]
@@ -239,7 +238,7 @@ def cnot_pulse_sequence(
     phase of exp(-i*pi/4).
 
     With ``refocus`` the J delay is split in half around a simultaneous
-    X(pi) pair on both spins, undone by a second pair of opposed phase; this
+    X(pi) pair on both spins, undone by an X(-pi) pair of opposed phase; this
     cancels static resonance offsets (and the pair's own miscalibration)
     without touching the J evolution.
     """
@@ -253,8 +252,8 @@ def cnot_pulse_sequence(
             Rf("b", "X", math.pi),
             Rf("a", "X", math.pi),
             Delay(tau / 2),
-            Rf("b", "X", math.pi, phase_sign=-1),
-            Rf("a", "X", math.pi, phase_sign=-1),
+            Rf("b", "X", -math.pi),
+            Rf("a", "X", -math.pi),
         )
     else:
         coupling = (Delay(tau),)

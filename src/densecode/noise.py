@@ -7,9 +7,9 @@ the member, so refocusing pairs cancel them exactly the way a spin echo
 does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
-The one ensemble average, ``_mean_states``, runs circuits (tuples of
-pulse blocks) after heads on one sample, propagating a factor V of the
-input (rho0 = V V^H) through the pulse engine of ``nmrsim``
+The package's one ensemble average, ``mean_states``, runs circuits
+(tuples of pulse blocks) after heads on one sample, propagating a factor V
+of the input (rho0 = V V^H) through the pulse engine of ``nmrsim``
 (``nmrsim._propagate``, the one that also compiles noise-free programs),
 one row of draws per member, into stacks of shape (4, k, n) with the member
 axis last.  Blocks compose by four broadcast multiply-adds over contiguous
@@ -303,7 +303,7 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_states(
+def mean_states(
     sys: SpinSystem,
     p: ErrorParams,
     seed,
@@ -314,19 +314,21 @@ def _mean_states(
     """Bulk-sample states of every (circuit, head) run on one sample, shape
     (len(circuits), len(heads), 4, 4).
 
-    Each head is propagated from ``start``, a (4, k) factor of the input;
-    each circuit is a tuple of blocks run after it (``()`` runs the head
-    alone).  Per chunk, each distinct block is compiled once, all from one
-    table of event factors, and a circuit is composed onto the head as
-    ``(U_last @ ...) @ U_first`` by ``_compose``.  A run's stack W of shape
-    (4, k, n) adds the sum of W_m W_m^H over its members as one product of
-    its (4, k*n) reshape with that reshape's adjoint.  Each mean is
-    T2-damped over its run's free-evolution time and checked.
+    Each head is propagated from ``start``, a (4, k) factor of the input
+    (``basis_state(0)[:, None]`` for |00>); each circuit is a tuple of
+    blocks run after it (``()`` runs the head alone).  Per chunk, each
+    distinct non-empty block is compiled once, all from one table of event
+    factors, and composed onto the head as ``(U_last @ ...) @ U_first`` by
+    ``_compose``.  A run's stack W of shape (4, k, n) adds the sum of W_m
+    W_m^H over its members as one product of its (4, k*n) reshape with that
+    reshape's adjoint.  Each mean is T2-damped over its run's
+    free-evolution time and checked.
     """
     t_totals = np.array([
         [head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]
         for circuit in circuits
     ])
+    circuits = [[block for block in circuit if len(block)] for circuit in circuits]
     blocks = dict.fromkeys(block for circuit in circuits for block in circuit)
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
@@ -344,25 +346,3 @@ def _mean_states(
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     return qcore.check_density_matrix(rho)
-
-
-def ensemble_average(
-    seq: PulseSequence,
-    sys: SpinSystem,
-    p: ErrorParams,
-    rho0: np.ndarray,
-    seed=0,
-) -> np.ndarray:
-    """Bulk-sample output state: mean over members of U_k rho0 U_k^H, then T2.
-
-    Member k uses the k-th child of SeedSequence(seed); members are drawn,
-    propagated and summed in chunks of ``CHUNK_SIZE`` in member order, so the
-    result is bit-identical for a fixed seed and memory does not grow with
-    ``p.ensemble_size``.  Only a factor V of rho0 = V V^H is propagated (one
-    column for a pure input).  The draws are a function of ``(p, seed)``
-    alone: every sequence run with the same ``(p, seed)`` sees the same
-    sample.  This is ``_mean_states`` with one head, ``seq``, and the empty
-    circuit.
-    """
-    v = qcore.psd_factor(qcore.check_density_matrix(rho0))
-    return _mean_states(sys, p, seed, [()], [seq], v)[0, 0]

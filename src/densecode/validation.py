@@ -148,7 +148,7 @@ def _pulse_protocol_states(sys: nmrsim.SpinSystem) -> np.ndarray:
     circuits = [(nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
     heads = [nmrsim.bell_prep_sequence(sys, v) for v in BELL_VARIANT_ORDER]
     start = qcore.basis_state(0)[:, None]
-    return noise._mean_states(sys, noise.ErrorParams(), 0, circuits, heads, start)
+    return noise.mean_states(sys, noise.ErrorParams(), 0, circuits, heads, start)
 
 
 def _check_pulse_protocol(sys: nmrsim.SpinSystem) -> CheckResult:
@@ -223,9 +223,9 @@ def _check_determinism(
 ) -> CheckResult:
     small = replace(params, ensemble_size=min(params.ensemble_size, 32))
     seq = nmrsim.dense_coding_sequence(sys, 1, BellVariant.MINUS_PHI)
-    rho0 = qcore.pure_density(qcore.basis_state(0))
-    first = noise.ensemble_average(seq, sys, small, rho0, seed=seed)
-    second = noise.ensemble_average(seq, sys, small, rho0, seed=seed)
+    start = qcore.basis_state(0)[:, None]
+    first = noise.mean_states(sys, small, seed, [()], [seq], start)[0, 0]
+    second = noise.mean_states(sys, small, seed, [()], [seq], start)[0, 0]
     identical = bool(np.array_equal(first, second))
     return CheckResult(
         "noise-determinism",

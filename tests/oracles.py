@@ -54,10 +54,10 @@ def pauli_rotation(axis: str, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * qcore.ID2 - 1j * np.sin(angle / 2) * sigma
 
 
-def rf_unitary(spin: str, axis: str, angle: float, phase_sign: int = 1) -> np.ndarray:
+def rf_unitary(spin: str, axis: str, angle: float) -> np.ndarray:
     """Two-spin unitary of a single hard pulse."""
-    ev = Rf(spin, axis, angle, phase_sign)
-    u2 = pauli_rotation(ev.axis, ev.angle * ev.phase_sign)
+    ev = Rf(spin, axis, angle)
+    u2 = pauli_rotation(ev.axis, ev.angle)
     if ev.spin == "b":
         return np.kron(u2, qcore.ID2)
     return np.kron(qcore.ID2, u2)
@@ -81,7 +81,7 @@ def kron_compile(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     u = qcore.ID4.copy()
     for ev in seq:
         if isinstance(ev, Rf):
-            u = rf_unitary(ev.spin, ev.axis, ev.angle, ev.phase_sign) @ u
+            u = rf_unitary(ev.spin, ev.axis, ev.angle) @ u
         else:
             u = j_evolution(sys, ev.duration) @ u
     return u
@@ -101,7 +101,7 @@ def reference_propagate(
     u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
     for ev in seq:
         if isinstance(ev, Rf):
-            angles = ev.angle * (1.0 + calib_offset + deltas) * ev.phase_sign
+            angles = ev.angle * (1.0 + calib_offset + deltas)
             perm, phase = nmrsim._RF_ROWS[ev.spin, ev.axis]
             c = np.cos(angles / 2.0)[:, None, None]
             s = np.sin(angles / 2.0)[:, None, None] * phase[:, None]

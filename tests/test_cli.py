@@ -489,6 +489,8 @@ class TestRangeErrorsNameConfigKeys:
             # json.dumps writes the non-standard constants Infinity and NaN
             ({"noise": {"t2_a_s": math.inf}}, "config noise.t2_a_s must be finite"),
             ({"noise": {"t2_a_s": math.nan}}, "config noise.t2_a_s must be finite"),
+            # 1/(2J), the CNOT delay, overflows to inf
+            ({"spin_system": {"j_hz": 1e-320}}, "config spin_system.j_hz is too small"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])

@@ -13,6 +13,13 @@ from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 RHO00 = qcore.pure_density(qcore.basis_state(0))
 
 
+def mean_state(seq, system, p, rho0, seed):
+    """``seq`` run alone on ``rho0`` (a density matrix) through the one
+    ensemble average: one head, the empty circuit, a factor of ``rho0``."""
+    v = qcore.psd_factor(qcore.check_density_matrix(rho0))
+    return noise.mean_states(system, p, seed, [()], [seq], v)[0, 0]
+
+
 @pytest.fixture
 def system():
     return SpinSystem()
@@ -25,7 +32,7 @@ def bell_seq(system):
 
 def bell_infidelity(system, seq, params, seed):
     """Infidelity of the noisy run against the noise-free output of ``seq``."""
-    rho = noise.ensemble_average(seq, system, params, RHO00, seed=seed)
+    rho = mean_state(seq, system, params, RHO00, seed=seed)
     u = nmrsim.compile_sequence(seq, system)
     return 1.0 - qcore.fidelity(rho, u @ RHO00 @ u.conj().T)
 
@@ -104,7 +111,7 @@ class TestNoisyCompile:
 class TestEnsembleAverage:
     def test_zero_noise_any_size_is_clean_evolution(self, system, bell_seq):
         p = noise.ErrorParams(ensemble_size=17)
-        rho = noise.ensemble_average(bell_seq, system, p, RHO00, seed=5)
+        rho = mean_state(bell_seq, system, p, RHO00, seed=5)
         u = nmrsim.compile_sequence(bell_seq, system)
         assert np.max(np.abs(rho - u @ RHO00 @ u.conj().T)) < 1e-12
 
@@ -117,13 +124,13 @@ class TestEnsembleAverage:
             u = oracles.noisy_compile(bell_seq, system, p, sample_seed=child)
             total += u @ RHO00 @ u.conj().T
         expected = total / p.ensemble_size
-        rho = noise.ensemble_average(bell_seq, system, p, RHO00, seed=seed)
+        rho = mean_state(bell_seq, system, p, RHO00, seed=seed)
         assert np.max(np.abs(rho - expected)) < 1e-12  # T2 inf: no damping
 
     def test_bit_identical_reruns(self, system, bell_seq):
         p = noise.ErrorParams(rf_spread=0.08, offset_spread_hz=40.0, ensemble_size=64)
-        a = noise.ensemble_average(bell_seq, system, p, RHO00, seed=123)
-        b = noise.ensemble_average(bell_seq, system, p, RHO00, seed=123)
+        a = mean_state(bell_seq, system, p, RHO00, seed=123)
+        b = mean_state(bell_seq, system, p, RHO00, seed=123)
         assert np.array_equal(a, b)
 
     def test_output_valid_density_for_aggressive_params(self, system, bell_seq):
@@ -131,13 +138,13 @@ class TestEnsembleAverage:
             rf_spread=0.5, calib_offset=0.2, offset_spread_hz=200.0,
             t2_a=0.01, t2_b=0.02, ensemble_size=50,
         )
-        rho = noise.ensemble_average(bell_seq, system, p, RHO00, seed=9)
+        rho = mean_state(bell_seq, system, p, RHO00, seed=9)
         qcore.check_density_matrix(rho)
 
     def test_huge_rf_spread_kills_coherence(self, system):
         seq = PulseSequence((Rf("a", "X", np.pi / 2),))
         p = noise.ErrorParams(rf_spread=50.0, ensemble_size=2000)
-        rho = noise.ensemble_average(seq, system, p, RHO00, seed=21)
+        rho = mean_state(seq, system, p, RHO00, seed=21)
         # transverse coherence of spin a lives on the (00,01) and (10,11) elements
         assert abs(rho[0, 1]) < 0.05
         assert abs(rho[2, 3]) < 0.05
@@ -146,8 +153,8 @@ class TestEnsembleAverage:
         seq = PulseSequence((Rf("a", "X", np.pi / 2), nmrsim.Delay(0.05)))
         p_decay = noise.ErrorParams(t2_a=0.1, t2_b=0.1)
         p_clean = noise.ErrorParams()
-        damped = noise.ensemble_average(seq, system, p_decay, RHO00, seed=0)
-        clean = noise.ensemble_average(seq, system, p_clean, RHO00, seed=0)
+        damped = mean_state(seq, system, p_decay, RHO00, seed=0)
+        clean = mean_state(seq, system, p_clean, RHO00, seed=0)
         assert np.allclose(np.diag(damped), np.diag(clean), atol=1e-12)
         factor = math.exp(-0.05 / 0.1)
         assert abs(damped[0, 1]) == pytest.approx(abs(clean[0, 1]) * factor, rel=1e-9)
@@ -163,7 +170,7 @@ def member_oracle(seq, system, p, rho0, seed):
         for ev in seq:
             if isinstance(ev, Rf):
                 angle = ev.angle * (1.0 + p.calib_offset + delta)
-                u = oracles.rf_unitary(ev.spin, ev.axis, angle, ev.phase_sign) @ u
+                u = oracles.rf_unitary(ev.spin, ev.axis, angle) @ u
             else:
                 za = np.array([1, -1, 1, -1])
                 zb = np.array([1, 1, -1, -1])
@@ -185,17 +192,17 @@ def member_oracle(seq, system, p, rho0, seed):
 
 
 class TestRowPermutationEngine:
-    @pytest.mark.parametrize("phase_sign", [1, -1])
+    @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("axis", nmrsim.AXES)
     @pytest.mark.parametrize("spin", nmrsim.SPINS)
-    def test_pulse_matches_rf_unitary(self, system, spin, axis, phase_sign):
+    def test_pulse_matches_rf_unitary(self, system, spin, axis, sign):
         p = noise.ErrorParams(calib_offset=0.03)
         deltas = np.array([0.0, 0.07, -0.11, 0.4])
         draws = np.column_stack([deltas, [5.0, -3.0, 0.0, 12.0], [1.0, 2.0, -7.0, 0.0]])
-        seq = PulseSequence((Rf(spin, axis, 1.3, phase_sign),))
+        seq = PulseSequence((Rf(spin, axis, sign * 1.3),))
         stack = nmrsim._propagate(seq, system, draws, p.calib_offset)
         for u, delta in zip(np.moveaxis(stack, -1, 0), deltas):
-            expected = oracles.rf_unitary(spin, axis, 1.3 * (1.0 + 0.03 + delta), phase_sign)
+            expected = oracles.rf_unitary(spin, axis, sign * 1.3 * (1.0 + 0.03 + delta))
             assert np.max(np.abs(u - expected)) < 1e-14
 
     @pytest.mark.parametrize(
@@ -214,7 +221,7 @@ class TestRowPermutationEngine:
         base = replace(noise.DEMO_PARAMS, t2_a=0.05, t2_b=0.08)
         for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             p = replace(base, ensemble_size=size)
-            rho = noise.ensemble_average(seq, system, p, rho0, seed=size)
+            rho = mean_state(seq, system, p, rho0, seed=size)
             assert np.max(np.abs(rho - member_oracle(seq, system, p, rho0, size))) < 1e-12
 
     @pytest.mark.parametrize("chunk", [3, None])
@@ -266,13 +273,13 @@ class TestFactorTable:
         prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
         decode = nmrsim.decode_sequence(system)
         circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
-        got = noise._mean_states(system, p, 11, circuits, heads, v_th)
+        got = noise.mean_states(system, p, 11, circuits, heads, v_th)
 
         def reference(seq, sys, draws, calib_offset, start=qcore.ID4, factors=None):
             return oracles.reference_propagate(seq, sys, draws, calib_offset, start)
 
         monkeypatch.setattr(noise, "_propagate", reference)
-        assert np.array_equal(got, noise._mean_states(system, p, 11, circuits, heads, v_th))
+        assert np.array_equal(got, noise.mean_states(system, p, 11, circuits, heads, v_th))
 
 
 def random_unitaries(rng, n):
@@ -310,7 +317,7 @@ class TestComposition:
         for block in blocks:
             u = nmrsim._propagate(block, system, draws, p.calib_offset)
             w_run = np.stack([u[..., m] @ w_run[..., m] for m in range(len(draws))], axis=-1)
-        got = noise._mean_states(system, p, 3, [blocks, ()], [head], v)
+        got = noise.mean_states(system, p, 3, [blocks, ()], [head], v)
         for state, w in zip(got[:, 0], (w_run, w_head)):
             expected = sum(w[..., m] @ w[..., m].conj().T for m in range(len(draws))) / len(draws)
             assert np.max(np.abs(state - expected)) < 1e-15
@@ -488,12 +495,13 @@ def test_simulated_experiment_zero_noise_recovers_ideal(system):
 
 
 def reference_simulated_experiment(system, epsilon, params, m, seed, refocus):
-    """The fig4 extraction with one public ensemble average per prefix run."""
+    """The fig4 extraction with one whole-program ensemble average per
+    prefix run."""
     rho_th = nmrsim.thermal_state(system, epsilon)
     circuit = nmrsim.dense_coding_sequence(system, m, BellVariant.MINUS_PHI, refocus)
     total = np.zeros((4, 4), dtype=complex)
     for prefix in nmrsim.permutation_sequences(system, refocus=refocus):
-        total += noise.ensemble_average(prefix + circuit, system, params, rho_th, seed=seed)
+        total += mean_state(prefix + circuit, system, params, rho_th, seed=seed)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(total / 3.0))
     beta = nmrsim.pseudo_pure_beta(system, epsilon)
     rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
@@ -512,6 +520,32 @@ def test_shared_block_composition_matches_per_program_averages(system, refocus):
     for m, panel in zip(protocol.MESSAGES, panels):
         expected = reference_simulated_experiment(system, 1e-5, params, m, seed, refocus)
         assert np.max(np.abs(panel.experimental - expected)) < 1e-10
+
+
+def test_empty_block_leaves_runs_bit_identical(system):
+    """An empty block (the first encoding) is skipped: the circuit with it
+    gives the same states as the circuit without it, bit for bit."""
+    p = replace(noise.DEMO_PARAMS, ensemble_size=50)
+    v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+    heads = nmrsim.permutation_sequences(system)
+    prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+    decode = nmrsim.decode_sequence(system)
+    empty = nmrsim.encoding_pulse(1)
+    with_empty = noise.mean_states(system, p, 4, [(prep, empty, decode)], heads, v_th)
+    without = noise.mean_states(system, p, 4, [(prep, decode)], heads, v_th)
+    assert np.array_equal(with_empty, without)
+
+
+def test_noisy_output_density_from_the_pure_column(system, monkeypatch):
+    """A noisy run over two chunks from the |00> column equals the same run
+    from the factor ``psd_factor`` gives of |00><00|, bit for bit."""
+    monkeypatch.setattr(noise, "CHUNK_SIZE", 16)
+    p = replace(noise.DEMO_PARAMS, ensemble_size=25)
+    variant = BellVariant.MINUS_PSI
+    seq = nmrsim.dense_coding_sequence(system, 3, variant)
+    got = experiment.noisy_output_density(system, p, 3, variant, seed=8)
+    expected = noise.mean_states(system, p, 8, [()], [seq], qcore.psd_factor(RHO00))[0, 0]
+    assert np.array_equal(got, expected)
 
 
 def test_batched_pulse_protocol_states_match_compiled_programs(system):
