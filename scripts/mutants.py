@@ -40,20 +40,7 @@ DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
 TOMO_TESTS = ("tests/test_tomo.py",)
-FACTOR_LOOKUP = """\
-        f = factors.get(ev)
-        if f is None:
-            f = factors[ev] = _event_factors(ev, sys, draws, calib_offset)
-"""
-
-
-def _factor_key(fields: str) -> str:
-    """The lookup keyed by ``fields`` of an Rf pulse instead of the event."""
-    return (
-        f"        key = ({fields}) if isinstance(ev, Rf) else ev\n"
-        + FACTOR_LOOKUP.replace("factors.get(ev)", "factors.get(key)")
-        .replace("factors[ev]", "factors[key]")
-    )
+FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 
 
 MUTANTS = (
@@ -65,26 +52,72 @@ MUTANTS = (
         FACTOR_TESTS,
     ),
     Mutant(
-        "factor table hoisted out of the chunk loop",
+        "reversed pulse adds",
+        "nmrsim.py",
+        "(np.subtract if ev.angle < 0 else np.add)(u, tmp, out=u)",
+        "np.add(u, tmp, out=u)",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "factors refilled only on the first chunk",
         "noise.py",
         "    for draws in _draw_chunks(p, seed):\n"
-        "        factors = {}  # each distinct event's factors on this chunk's draws\n",
-        "    factors = {}\n    for draws in _draw_chunks(p, seed):\n",
+        "        factors = _event_factors(table, sys, draws, p.calib_offset)\n",
+        "    factors = None\n"
+        "    for draws in _draw_chunks(p, seed):\n"
+        "        factors = factors or _event_factors(table, sys, draws, p.calib_offset)\n",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "factor table hoisted out of the chunk loop: trig pairs kept from the first chunk",
+        "nmrsim.py",
+        "    for angle, trig in table.trig.items():\n",
+        "    seen, table.seen = hasattr(table, 'seen'), True\n"
+        "    for angle, trig in ({} if seen else table.trig).items():\n",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "one trig pair for every angle magnitude",
+        "nmrsim.py",
+        "c, sin = table.trig[abs(ev.angle)][:, :n]",
+        "c, sin = next(iter(table.trig.values()))[:, :n]",
         FACTOR_TESTS,
     ),
     Mutant(
         "factor key drops the spin",
         "nmrsim.py",
-        FACTOR_LOOKUP,
-        _factor_key("ev.axis, ev.angle"),
+        FACTOR_KEY,
+        FACTOR_KEY.replace("(ev.spin, ev.axis, abs(ev.angle))", "(ev.axis, abs(ev.angle))"),
         FACTOR_TESTS,
     ),
     Mutant(
         "factor key drops the axis",
         "nmrsim.py",
-        FACTOR_LOOKUP,
-        _factor_key("ev.spin, ev.angle"),
+        FACTOR_KEY,
+        FACTOR_KEY.replace("(ev.spin, ev.axis, abs(ev.angle))", "(ev.spin, abs(ev.angle))"),
         FACTOR_TESTS,
+    ),
+    Mutant(
+        # the first pulse of each magnitude still builds s from its own spin and axis
+        "factor key is the angle magnitude alone, for all spins and axes",
+        "nmrsim.py",
+        FACTOR_KEY,
+        FACTOR_KEY.replace("(ev.spin, ev.axis, abs(ev.angle))", "abs(ev.angle)"),
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        "workspace sized by the ensemble, not the chunk",
+        "noise.py",
+        "size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]",
+        "size, k = p.ensemble_size, start.shape[1]",
+        ("tests/test_noise.py::TestFactorTable::test_memory_bounded_however_large_the_ensemble",),
+    ),
+    Mutant(
+        "partial products composed into their own operand",
+        "noise.py",
+        "zip(stacks[1:], itertools.cycle(partials))",
+        "zip(stacks[1:], itertools.cycle(partials[:1]))",
+        ("tests/test_noise.py",),
     ),
     Mutant(
         "refocusing pair without its minus sign",
@@ -99,6 +132,20 @@ MUTANTS = (
         "if not math.isfinite(1.0 / (2.0 * self.j_coupling)):",
         "if False:",
         ("tests/test_nmrsim.py::TestSpinSystem",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "overflowing J phase accepted",
+        "nmrsim.py",
+        "if not math.isfinite(math.pi * self.j_coupling):",
+        "if False:",
+        ("tests/test_nmrsim.py::TestSpinSystem",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "T2 with an infinite reciprocal accepted",
+        "noise.py",
+        "if not math.isfinite(1.0 / value):",
+        "if False:",
+        ("tests/test_noise.py::TestErrorParams",) + EPSILON_TESTS,
     ),
     Mutant(
         "noisy run started from |01> instead of |00>",
@@ -152,15 +199,15 @@ MUTANTS = (
     Mutant(
         "composition contracts over the wrong index",
         "noise.py",
-        "out += a[:, j, None] * b[j, None]",
-        "out += a[j, :, None] * b[j, None]",
+        "np.multiply(a[:, j, None], b[j, None], out=tmp)",
+        "np.multiply(a[j, :, None], b[j, None], out=tmp)",
         ("tests/test_noise.py::TestComposition::test_compose_equals_per_member_matmul",),
     ),
     Mutant(
         "sum of W W^H without the conjugate",
         "noise.py",
-        "total[i, j] += m @ m.conj().T",
-        "total[i, j] += m @ m.T",
+        "np.conjugate(m, out=conj)",
+        "np.copyto(conj, m)",
         ("tests/test_noise.py::TestComposition::test_mean_states_sum_member_outer_products",),
     ),
     Mutant(

@@ -10,16 +10,21 @@ to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
 diagonal phase.  A stack has shape (4, k, n), the member axis last, so each
 update runs over contiguous rows of n members.  A noise-free program is one
-member with zero draws.  Each distinct event's factors are computed once per
-set of draws, in a table the ensemble average shares across every program of
-a chunk, and each event updates U in place, with the operands in the order
-of the expressions above.
+member with zero draws.  The factors are computed once per set of draws
+into a ``_FactorTable``, whose buffers the ensemble average allocates once
+per call, refills for each chunk and shares across every program of the
+chunk.  A pulse's factors are keyed by (spin, axis, |angle|), so a
+reversed pulse reuses its twin's and subtracts the permuted term, and each
+distinct |angle| has one cos and one sin.  Each event updates U in place,
+in buffers the caller gives, with the operands in the order of the
+expressions above.
 ``experiment.temporal_average`` runs the thermal state and prefixes built here.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +47,8 @@ DEFAULT_EPSILON = 1e-5
 @dataclass(frozen=True)
 class SpinSystem:
     """Static parameters of the two-spin sample: finite positive Larmor
-    frequencies and J coupling, a finite frequency ratio and a finite 1/(2J)."""
+    frequencies and J coupling, a finite frequency ratio, and a finite
+    1/(2J) and pi*J."""
 
     freq_a: float = DEFAULT_FREQ_A_MHZ  # MHz, spin a (1H)
     freq_b: float = DEFAULT_FREQ_B_MHZ  # MHz, spin b (13C)
@@ -59,6 +65,8 @@ class SpinSystem:
             raise ValueError("SpinSystem.freq_b is too small: freq_a/freq_b is not finite")
         if not math.isfinite(1.0 / (2.0 * self.j_coupling)):
             raise ValueError("SpinSystem.j_coupling is too small: 1/(2J) is not finite")
+        if not math.isfinite(math.pi * self.j_coupling):
+            raise ValueError("SpinSystem.j_coupling is too large: pi*J is not finite")
 
     @property
     def polarization_ratio(self) -> float:
@@ -144,72 +152,134 @@ def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
 _RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
 
 
+def _factor_key(ev: PulseEvent):
+    """Factor-table key of an event: (spin, axis, |angle|) for a pulse, so a
+    reversed pulse shares the factors of its forward twin, and the event
+    itself for a delay."""
+    return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading part of the flat ``buf`` as a contiguous array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class _FactorTable:
+    """Buffers for the per-member factors of a set of events, for up to
+    ``size`` members, refilled in place by ``_event_factors`` for each set
+    of draws: per key of ``_factor_key`` one (4, 1, size) complex array,
+    per distinct pulse |angle| a cos and a sin row, and real scratch for
+    the delay phases.  Each dtype is one allocation, so that the heap keeps
+    it whole for the next table of its size."""
+
+    def __init__(self, events: Iterable[PulseEvent], size: int) -> None:
+        self.events = {}  # the first event of each key stands for all of them
+        for ev in events:
+            self.events.setdefault(_factor_key(ev), ev)
+        angles = dict.fromkeys(abs(ev.angle) for ev in self.events.values() if isinstance(ev, Rf))
+        self.phases = dict(zip(self.events, np.empty((len(self.events), 4 * size), dtype=complex)))
+        real = np.empty((2 * len(angles) + 8, size))
+        self.trig = dict(zip(angles, real[:-8].reshape(len(angles), 2, size)))
+        self.scratch = real[-8:].reshape(2, 4 * size)
+
+
 def _event_factors(
-    ev: PulseEvent, sys: SpinSystem, draws: np.ndarray, calib_offset: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray:
-    """Per-member factors of one event on the (n, 3) ``draws``, members
-    last: ``(c, s, perm)`` of an ``Rf`` pulse (U -> c*U + s*U[perm]), c of
-    shape (n,) and s (4, 1, n); the diagonal phase (4, 1, n) of a ``Delay``
-    (U -> f*U)."""
+    table: _FactorTable, sys: SpinSystem, draws: np.ndarray, calib_offset: float
+) -> dict:
+    """Refill ``table`` in place with the factors of its events on the (n,
+    3) ``draws``, members last, and return them by ``_factor_key``:
+    ``(c, s, perm)`` of a pulse (U -> c*U + s*U[perm], or c*U - s*U[perm]
+    for a negative angle), c of shape (n,) and s (4, 1, n); the diagonal
+    phase f (4, 1, n) of a ``Delay`` (U -> f*U).
+
+    Each |angle| has one cos and one sin for every pulse of that magnitude.
+    A reversed pulse needs no factors of its own: its angles are exactly
+    the negated ones, numpy's ``cos(-x)`` and ``sin(-x)`` equal ``cos(x)``
+    and ``-sin(x)`` bit for bit, and ``u + (-v)`` is ``u - v``.  The
+    arithmetic, operand order included, is that of the fresh arrays
+    ``tests/oracles.reference_propagate`` builds, so every factor is the
+    same to the bit.
+    """
+    n = len(draws)
     deltas, offs_a, offs_b = draws.T
-    if isinstance(ev, Rf):
-        angles = ev.angle * (1.0 + calib_offset + deltas)
-        perm, phase = _RF_ROWS[ev.spin, ev.axis]
-        c = np.cos(angles / 2.0)
-        s = np.sin(angles / 2.0) * phase[:, None, None]
-        return c, s, perm
-    t = ev.duration
-    angle = (
-        (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[:, None]
-        + (math.pi * t) * (offs_b[None, :] * _ZB_DIAG[:, None])
-        + (math.pi * t) * (offs_a[None, :] * _ZA_DIAG[:, None])
-    )
-    return np.exp(-1j * angle)[:, None, :]
+    scale = table.scratch[0, :n]  # 1 + calib_offset + deviation, for every |angle|
+    np.add(1.0 + calib_offset, deltas, out=scale)
+    for angle, trig in table.trig.items():
+        c, sin = trig[:, :n]
+        np.multiply(angle, scale, out=c)
+        np.divide(c, 2.0, out=c)
+        np.sin(c, out=sin)
+        np.cos(c, out=c)
+    x, y = (_view(row, 4, n) for row in table.scratch)  # the delay phases' scratch
+    factors = {}
+    for key, ev in table.events.items():
+        f = _view(table.phases[key], 4, 1, n)
+        if isinstance(ev, Rf):
+            c, sin = table.trig[abs(ev.angle)][:, :n]
+            perm, phase = _RF_ROWS[ev.spin, ev.axis]
+            np.multiply(sin, phase[:, None, None], out=f)
+            factors[key] = c, f, perm
+        else:
+            t = ev.duration
+            np.multiply(offs_b[None, :], _ZB_DIAG[:, None], out=x)
+            np.multiply(math.pi * t, x, out=x)
+            np.add((math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[:, None], x, out=x)
+            np.multiply(offs_a[None, :], _ZA_DIAG[:, None], out=y)
+            np.multiply(math.pi * t, y, out=y)
+            np.add(x, y, out=x)
+            np.multiply(-1j, x, out=f[:, 0])
+            np.exp(f, out=f)
+            factors[key] = f
+    return factors
 
 
 def _propagate(
-    seq: PulseSequence,
-    sys: SpinSystem,
-    draws: np.ndarray,
-    calib_offset: float,
-    start: np.ndarray = qcore.ID4,
-    factors: dict | None = None,
+    seq: PulseSequence, factors: dict, start: np.ndarray, u: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
-    """Per-member U_m @ start for the propagators U_m of ``seq``, shape
-    (4, k, n) for a (4, k) ``start``, member m at ``[..., m]``; the identity
-    gives the propagators.  Row m of the (n, 3) ``draws`` is member m's RF
-    deviation and offsets (Hz) of spins a and b; pulse angles scale by 1 +
-    ``calib_offset`` + deviation.
+    """Per-member U_m @ start for the propagators U_m of ``seq``, written
+    into ``u`` of shape (4, k, n) for a (4, k) ``start``, member m at
+    ``[..., m]``, and returned; the identity gives the propagators.
+    ``factors`` holds each event's ``_event_factors`` on the members'
+    draws, and ``tmp`` is scratch of ``u``'s shape.
 
-    ``factors`` maps each event to its ``_event_factors`` on these draws,
-    filled on first use; callers share one table across the programs they
-    run on the same draws (``None``: a fresh table).  Each event updates U
-    in place through one preallocated buffer, keeping the operand order of
-    ``c * U + s * U[perm]`` and ``f * U``: numpy's complex multiply is not
-    bitwise commutative, and ``U * f`` moves the last bits of a delay.
+    Each event updates U in place, keeping the operand order of ``c * U +
+    s * U[perm]`` and ``f * U``: numpy's complex multiply is not bitwise
+    commutative, and ``U * f`` moves the last bits of a delay.
     """
-    factors = {} if factors is None else factors
-    u = np.repeat(start[:, :, None], len(draws), axis=2)
-    tmp = np.empty_like(u)
+    np.copyto(u, start[:, :, None])
     for ev in seq:
-        f = factors.get(ev)
-        if f is None:
-            f = factors[ev] = _event_factors(ev, sys, draws, calib_offset)
+        f = factors[_factor_key(ev)]
         if isinstance(ev, Rf):
             c, s, perm = f
             np.take(u, perm, axis=0, out=tmp, mode="wrap")  # mode "raise" buffers out
             np.multiply(s, tmp, out=tmp)
             np.multiply(c, u, out=u)
-            np.add(u, tmp, out=u)
+            (np.subtract if ev.angle < 0 else np.add)(u, tmp, out=u)
         else:
             np.multiply(f, u, out=u)
     return u
 
 
+def _compile_stack(
+    seq: PulseSequence,
+    sys: SpinSystem,
+    draws: np.ndarray,
+    calib_offset: float,
+    start: np.ndarray = qcore.ID4,
+) -> np.ndarray:
+    """``_propagate`` of ``seq`` alone on the (n, 3) ``draws``, in buffers
+    of its own.  Row m of ``draws`` is member m's RF deviation and
+    offsets (Hz) of spins a and b; pulse angles scale by 1 +
+    ``calib_offset`` + deviation."""
+    factors = _event_factors(_FactorTable(seq, len(draws)), sys, draws, calib_offset)
+    u = np.empty((4, start.shape[1], len(draws)), dtype=complex)
+    return _propagate(seq, factors, start, u, np.empty_like(u))
+
+
 def compile_sequence(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Compile a sequence to its two-spin propagator (later events applied
-    later): ``_propagate`` for one member with zero draws."""
-    return _propagate(seq, sys, np.zeros((1, 3)), 0.0)[..., 0]
+    later): the engine for one member with zero draws."""
+    return _compile_stack(seq, sys, np.zeros((1, 3)), 0.0)[..., 0]
 
 
 def not_pulse(spin: str) -> PulseSequence:

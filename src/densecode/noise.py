@@ -16,7 +16,10 @@ axis last.  Blocks compose by four broadcast multiply-adds over contiguous
 member rows (``_compose``), and the sum of W W^H over a chunk is one matrix
 product.  Members are drawn, propagated and summed in chunks of
 ``CHUNK_SIZE``, in a fixed order, so memory stays bounded however large the
-ensemble is.
+ensemble is.  Every chunk-sized array lives in one workspace per call,
+sized for ``min(CHUNK_SIZE, ensemble_size)`` members and refilled in place
+by each chunk: arrays freed and allocated again for every chunk are handed
+back to the OS by the heap and faulted in again, page by page.
 
 Results are deterministic for a fixed seed: member k draws from the stream
 of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
@@ -32,6 +35,7 @@ from per-member block propagators compiled once each.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -39,7 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .nmrsim import PulseSequence, SpinSystem, _ZA_DIAG, _ZB_DIAG, _propagate
+from .nmrsim import (
+    PulseSequence,
+    SpinSystem,
+    _FactorTable,
+    _ZA_DIAG,
+    _ZB_DIAG,
+    _event_factors,
+    _propagate,
+    _view,
+)
 
 #: Members drawn, propagated and summed together in the ensemble average.
 CHUNK_SIZE = 2048
@@ -73,8 +86,11 @@ class ErrorParams:
         if not math.isfinite(self.calib_offset):
             raise ValueError("ErrorParams.calib_offset must be finite")
         for name in ("t2_a", "t2_b"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"ErrorParams.{name} must be positive")
+            if not math.isfinite(1.0 / value):
+                raise ValueError(f"ErrorParams.{name} is too small: 1/T2 is not finite")
         size = self.ensemble_size
         valid = isinstance(size, int) and not isinstance(size, bool)
         if not (valid and 1 <= size <= MAX_ENSEMBLE_SIZE):
@@ -293,13 +309,15 @@ _COHERENT_A = _ZA_DIAG[:, None] != _ZA_DIAG[None, :]
 _COHERENT_B = _ZB_DIAG[:, None] != _ZB_DIAG[None, :]
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _compose(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-member ``a[..., m] @ b[..., m]`` of a (4, 4, n) and a (4, k, n)
-    stack, shape (4, k, n): a sum of four broadcast products, each over
-    contiguous rows of n members."""
-    out = a[:, 0, None] * b[0, None]
+    stack, written into ``out`` of shape (4, k, n) and returned, ``tmp``
+    scratch of that shape: a sum of four broadcast products ``a[:, j] *
+    b[j]`` in order of j, each over contiguous rows of n members."""
+    np.multiply(a[:, 0, None], b[0, None], out=out)
     for j in range(1, 4):
-        out += a[:, j, None] * b[j, None]
+        np.multiply(a[:, j, None], b[j, None], out=tmp)
+        np.add(out, tmp, out=out)
     return out
 
 
@@ -323,24 +341,53 @@ def mean_states(
     W_m^H over its members as one product of its (4, k*n) reshape with that
     reshape's adjoint.  Each mean is T2-damped over its run's
     free-evolution time and checked.
+
+    Every chunk-sized array lives in one workspace, allocated for
+    ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
+    factor table, a stack per head and per block, and the composition and
+    conjugate scratch.  Each chunk refills it in place; the shorter last
+    chunk uses the leading part of each buffer.
     """
     t_totals = np.array([
         [head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]
         for circuit in circuits
     ])
     circuits = [[block for block in circuit if len(block)] for circuit in circuits]
-    blocks = dict.fromkeys(block for circuit in circuits for block in circuit)
+    blocks = list(dict.fromkeys(block for circuit in circuits for block in circuit))
+    size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
+    table = _FactorTable([ev for seq in (*heads, *blocks) for ev in seq], size)
+    # The stacks and scratch, in (4, width, size) slices of one allocation
+    # that the heap keeps whole for the next call: a stack per head and per
+    # block, then tmp, two partial products, a composed run and its conjugate.
+    widths = [k] * len(heads) + [4] * len(blocks) + [max(k, 4), 4, 4, k, k]
+    arena = np.empty(4 * size * sum(widths), dtype=complex)
+    bufs = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
+    w_bufs, u_bufs = bufs[: len(heads)], bufs[len(heads) : -5]
+    tmp_buf, *partial_bufs, run_buf, conj_buf = bufs[-5:]
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
-        factors = {}  # each distinct event's factors on this chunk's draws
-        w_heads = [_propagate(head, sys, draws, p.calib_offset, start, factors) for head in heads]
-        u_blocks = {b: _propagate(b, sys, draws, p.calib_offset, qcore.ID4, factors) for b in blocks}
+        factors = _event_factors(table, sys, draws, p.calib_offset)
+        n = len(draws)
+        tmp_k, tmp_4 = _view(tmp_buf, 4, k, n), _view(tmp_buf, 4, 4, n)
+        w_heads = [
+            _propagate(head, factors, start, _view(buf, 4, k, n), tmp_k)
+            for head, buf in zip(heads, w_bufs)
+        ]
+        u_blocks = {
+            block: _propagate(block, factors, qcore.ID4, _view(buf, 4, 4, n), tmp_4)
+            for block, buf in zip(blocks, u_bufs)
+        }
+        partials = [_view(buf, 4, 4, n) for buf in partial_bufs]
+        run, conj = _view(run_buf, 4, k, n), _view(conj_buf, 4, k * n)
         for i, circuit in enumerate(circuits):
             stacks = [u_blocks[block] for block in reversed(circuit)]
-            u = functools.reduce(_compose, stacks) if stacks else None
+            u = stacks[0] if stacks else None
+            for stack, out in zip(stacks[1:], itertools.cycle(partials)):
+                u = _compose(u, stack, out, tmp_4)
             for j, w in enumerate(w_heads):
-                m = (w if u is None else _compose(u, w)).reshape(4, -1)
-                total[i, j] += m @ m.conj().T  # sum of W_m W_m^H
+                m = (w if u is None else _compose(u, w, run, tmp_k)).reshape(4, -1)
+                np.conjugate(m, out=conj)
+                total[i, j] += m @ conj.T  # sum of W_m W_m^H
     f_a = np.exp(-t_totals / p.t2_a)[..., None, None]
     f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B

@@ -134,7 +134,7 @@ def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_se
     noise-free compilation exactly.
     """
     draws = np.array([member_draws(p, sample_seed)])
-    return nmrsim._propagate(seq, sys, draws, p.calib_offset)[..., 0]
+    return nmrsim._compile_stack(seq, sys, draws, p.calib_offset)[..., 0]
 
 
 def temporal_average(

@@ -491,6 +491,11 @@ class TestRangeErrorsNameConfigKeys:
             ({"noise": {"t2_a_s": math.nan}}, "config noise.t2_a_s must be finite"),
             # 1/(2J), the CNOT delay, overflows to inf
             ({"spin_system": {"j_hz": 1e-320}}, "config spin_system.j_hz is too small"),
+            # pi*J, the scale of the J phase, overflows to inf
+            ({"spin_system": {"j_hz": 6e307}}, "config spin_system.j_hz is too large"),
+            # 1/t2, the rate of the T2 damping, overflows to inf
+            ({"noise": {"t2_a_s": 1e-320}}, "config noise.t2_a_s is too small"),
+            ({"noise": {"t2_b_s": 5e-324}}, "config noise.t2_b_s is too small"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
@@ -500,7 +505,8 @@ class TestRangeErrorsNameConfigKeys:
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
     def test_overflow_is_usage_error(self, capsys, tmp_path, command):
-        document = {"noise": {"t2_a_s": 1e-320, "ensemble_size": 2}}
+        # each value is in range alone; the J delay over t2 overflows
+        document = {"spin_system": {"j_hz": 1e-300}, "noise": {"t2_a_s": 1e-10, "ensemble_size": 2}}
         err = usage_error(capsys, tmp_path, command, document)
         assert err.startswith("error: overflow encountered")
         assert err.endswith(": a config value is out of range\n")

@@ -61,6 +61,13 @@ class TestSpinSystem:
         system = SpinSystem(j_coupling=2.2250738585072014e-308)
         assert math.isfinite(nmrsim.cnot_pulse_sequence(system).total_delay())
 
+    def test_rejects_overflowing_j_phase(self):
+        # pi*J, the scale of every J phase, overflows to inf above J ~ 5.72e307
+        with pytest.raises(ValueError, match=r"^SpinSystem\.j_coupling is too large"):
+            SpinSystem(j_coupling=6e307)
+        system = SpinSystem(j_coupling=5e307)
+        assert np.all(np.isfinite(nmrsim.compile_sequence(nmrsim.cnot_pulse_sequence(system), system)))
+
 
 class TestEvents:
     def test_rf_validation(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -57,6 +58,8 @@ class TestErrorParams:
             {"ensemble_size": True},
             {"rf_spread": math.inf},
             {"offset_spread_hz": math.inf},
+            {"t2_a": 1e-320},
+            {"t2_b": 5e-324},
         ],
     )
     def test_validation(self, kwargs):
@@ -200,7 +203,7 @@ class TestRowPermutationEngine:
         deltas = np.array([0.0, 0.07, -0.11, 0.4])
         draws = np.column_stack([deltas, [5.0, -3.0, 0.0, 12.0], [1.0, 2.0, -7.0, 0.0]])
         seq = PulseSequence((Rf(spin, axis, sign * 1.3),))
-        stack = nmrsim._propagate(seq, system, draws, p.calib_offset)
+        stack = nmrsim._compile_stack(seq, system, draws, p.calib_offset)
         for u, delta in zip(np.moveaxis(stack, -1, 0), deltas):
             expected = oracles.rf_unitary(spin, axis, sign * 1.3 * (1.0 + 0.03 + delta))
             assert np.max(np.abs(u - expected)) < 1e-14
@@ -252,22 +255,29 @@ def fig4_programs(system, refocus):
 
 
 class TestFactorTable:
-    """The per-chunk factor table and the in-place updates move no bit."""
+    """The factor table, the workspace and the in-place updates move no bit."""
 
     @pytest.mark.parametrize("refocus", [True, False])
     def test_engine_equals_reference_engine(self, system, refocus):
         p = replace(noise.DEMO_PARAMS, ensemble_size=300)
         draws = next(noise._draw_chunks(p, 7))
-        shared = {}  # one table across every program, as in one chunk
-        for seq, start in fig4_programs(system, refocus):
+        programs = fig4_programs(system, refocus)
+        # one table across every program, as in one chunk, sized for more
+        # members than drawn, as for a shorter last chunk
+        table = nmrsim._FactorTable([ev for seq, _ in programs for ev in seq], len(draws) + 3)
+        shared = nmrsim._event_factors(table, system, draws, p.calib_offset)
+        for seq, start in programs:
             expected = oracles.reference_propagate(seq, system, draws, p.calib_offset, start)
-            for factors in (shared, None):
-                got = nmrsim._propagate(seq, system, draws, p.calib_offset, start, factors)
-                assert np.array_equal(got, expected)
+            u = np.empty_like(expected)
+            got = nmrsim._propagate(seq, shared, start, u, np.empty_like(u))
+            assert np.array_equal(got, expected)
+            alone = nmrsim._compile_stack(seq, system, draws, p.calib_offset, start)
+            assert np.array_equal(alone, expected)
 
     def test_mean_states_equal_reference_engine_across_chunks(self, system, monkeypatch):
-        # a second, shorter chunk must build its own table
-        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 5)
+        # two full chunks and a shorter third, each refilling the workspace
+        monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
         v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
         heads = nmrsim.permutation_sequences(system)
         prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
@@ -275,11 +285,49 @@ class TestFactorTable:
         circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
         got = noise.mean_states(system, p, 11, circuits, heads, v_th)
 
-        def reference(seq, sys, draws, calib_offset, start=qcore.ID4, factors=None):
-            return oracles.reference_propagate(seq, sys, draws, calib_offset, start)
+        def draws_only(table, sys, draws, calib_offset):
+            return draws  # what ``reference`` reads in place of the factors
 
+        def reference(seq, draws, start, u, tmp):
+            u[...] = oracles.reference_propagate(seq, system, draws, p.calib_offset, start)
+            return u
+
+        monkeypatch.setattr(noise, "_event_factors", draws_only)
         monkeypatch.setattr(noise, "_propagate", reference)
         assert np.array_equal(got, noise.mean_states(system, p, 11, circuits, heads, v_th))
+
+    def test_no_state_leaks_between_calls(self, system, monkeypatch):
+        """Back-to-back calls with other parameters and seeds each give what
+        the same call gives on its own."""
+        monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
+        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        heads = nmrsim.permutation_sequences(system)
+        circuits = [(nmrsim.bell_prep_sequence(system, BellVariant.PLUS_PSI),)]
+        calls = [
+            (replace(noise.DEMO_PARAMS, ensemble_size=150), 3),
+            (replace(noise.DEMO_PARAMS, ensemble_size=70, calib_offset=-0.02, rf_spread=0.1), 4),
+        ]
+        first = [noise.mean_states(system, p, seed, circuits, heads, v_th) for p, seed in calls]
+        for (p, seed), expected in zip(calls[::-1], first[::-1]):
+            assert np.array_equal(noise.mean_states(system, p, seed, circuits, heads, v_th), expected)
+
+    def test_memory_bounded_however_large_the_ensemble(self, system):
+        """The traced peak of a temporal average over 8 chunks is at most
+        that over 2 chunks, plus a little: the workspace is sized by the
+        chunk, not by the ensemble."""
+        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+        circuits = [(prep, nmrsim.encoding_pulse(3), nmrsim.decode_sequence(system))]
+
+        def peak(chunks):
+            p = replace(noise.DEMO_PARAMS, ensemble_size=chunks * noise.CHUNK_SIZE)
+            tracemalloc.start()
+            try:
+                experiment.temporal_average(system, 1e-5, circuits, p, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) <= peak(2) + 64 * 1024
 
 
 def random_unitaries(rng, n):
@@ -297,8 +345,9 @@ class TestComposition:
         rng = np.random.default_rng(10 * k + n)
         a = random_unitaries(rng, n)
         b = np.ascontiguousarray(random_unitaries(rng, n)[:, :k])
-        got = noise._compose(a, b)
-        assert got.shape == (4, k, n)
+        out = np.empty_like(b)
+        got = noise._compose(a, b, out, np.empty_like(b))
+        assert got is out
         expected = np.stack([a[..., m] @ b[..., m] for m in range(n)], axis=-1)
         assert np.max(np.abs(got - expected)) < 1e-15
 
@@ -312,10 +361,10 @@ class TestComposition:
         head = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PSI)
         blocks = (nmrsim.encoding_pulse(4), nmrsim.decode_sequence(system))
         draws = np.concatenate(list(noise._draw_chunks(p, 3)))
-        w_head = nmrsim._propagate(head, system, draws, p.calib_offset, v)
+        w_head = nmrsim._compile_stack(head, system, draws, p.calib_offset, v)
         w_run = w_head
         for block in blocks:
-            u = nmrsim._propagate(block, system, draws, p.calib_offset)
+            u = nmrsim._compile_stack(block, system, draws, p.calib_offset)
             w_run = np.stack([u[..., m] @ w_run[..., m] for m in range(len(draws))], axis=-1)
         got = noise.mean_states(system, p, 3, [blocks, ()], [head], v)
         for state, w in zip(got[:, 0], (w_run, w_head)):
