@@ -39,6 +39,9 @@ ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
+RANGE_TESTS = (
+    "tests/test_noise.py::TestEnsembleAverage::test_overflowing_phase_refused_before_any_draw",
+) + EPSILON_TESTS
 TOMO_TESTS = ("tests/test_tomo.py",)
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 
@@ -127,9 +130,9 @@ MUTANTS = (
         ("tests/test_nmrsim.py::TestCnotSequence::test_refocusing_pairs_have_opposed_phases",),
     ),
     Mutant(
-        "infinite CNOT delay accepted",
+        "overflowing delay phase scale accepted",
         "nmrsim.py",
-        "if not math.isfinite(1.0 / (2.0 * self.j_coupling)):",
+        "if not math.isfinite(math.pi / self.j_coupling):",
         "if False:",
         ("tests/test_nmrsim.py::TestSpinSystem",) + EPSILON_TESTS,
     ),
@@ -146,6 +149,62 @@ MUTANTS = (
         "if not math.isfinite(1.0 / value):",
         "if False:",
         ("tests/test_noise.py::TestErrorParams",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "spread whose 3 sigma overflows accepted",
+        "noise.py",
+        "if not math.isfinite(3.0 * value):",
+        "if False:",
+        ("tests/test_noise.py::TestErrorParams",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "overflowing pulse angle reaches the engine",
+        "noise.py",
+        "if not math.isfinite(2.0 * angle * (abs(1.0 + calib) + 3.0 * rf)):",
+        "if False:",
+        RANGE_TESTS,
+    ),
+    Mutant(
+        "overflowing delay phase reaches the engine",
+        "noise.py",
+        "if not math.isfinite(2.0 * math.pi * delay * (6.0 * offset + float(sys.j_coupling))):",
+        "if False:",
+        RANGE_TESTS,
+    ),
+    Mutant(
+        "overflowing T2 exponent reaches the engine",
+        "noise.py",
+        "if not math.isfinite(t_max / float(getattr(p, name))):",
+        "if False:",
+        RANGE_TESTS,
+    ),
+    Mutant(
+        "overflowing thermal deviation reaches numpy",
+        "nmrsim.py",
+        "if math.isfinite(epsilon * (r + 1.0)):",
+        "if True:",
+        ("tests/test_nmrsim.py::TestThermalState",) + EPSILON_TESTS,
+    ),
+    Mutant(
+        "usage error names the dataclass field, not the config key",
+        "cli.py",
+        'print(f"error: {_config_message(str(exc))}", file=_sys.stderr)',
+        'print(f"error: {exc}", file=_sys.stderr)',
+        EPSILON_TESTS,
+    ),
+    Mutant(
+        "parser rebuilt on every call",
+        "cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = build_parser().parse_args(argv)",
+        ("tests/test_cli.py::TestOneParserPerProcess::test_parser_built_once",),
+    ),
+    Mutant(
+        "namespace kept across calls",
+        "cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = _parser().parse_args(argv, vars(_parser()).setdefault('kept', argparse.Namespace()))",
+        ("tests/test_cli.py::TestOneParserPerProcess::test_no_state_leaks_between_calls",),
     ),
     Mutant(
         "noisy run started from |01> instead of |00>",

@@ -13,15 +13,20 @@ fig4 and validate, only with ``--noise`` for run and tomo, where ``--noise
 PATH`` replaces the section by a whole document's or a bare noise object);
 ``noise.seed``, then ``--seed`` over it (``run`` and ``tomo`` refuse
 ``--seed`` without ``--noise``); then ``validate --ensemble-size``.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+the first call and shared by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import re
 import sys as _sys
 from dataclasses import dataclass, replace
 
@@ -110,10 +115,33 @@ def _config_value(section: dict, name: str, key: str, default, integer: bool = F
     return value
 
 
+#: Dataclass fields, as the library's range errors name them, and the config
+#: keys that set them.
+_CONFIG_NAMES = {
+    f"{cls}.{field}": f"config {name}.{key}"
+    for cls, name, keys in (
+        ("SpinSystem", "spin_system", SPIN_SYSTEM_KEYS),
+        ("ErrorParams", "noise", NOISE_KEYS),
+    )
+    for key, field in keys.items()
+    if field is not None
+}
+
+
+def _config_message(message: str) -> str:
+    """``message`` with every dataclass field it names replaced by its config
+    key (``config noise.t2_a_s must be positive``)."""
+    return re.sub(
+        r"\b(?:SpinSystem|ErrorParams)\.\w+",
+        lambda match: _CONFIG_NAMES.get(match[0], match[0]),
+        message,
+    )
+
+
 def _from_section(cls, section: dict, name: str, keys: dict, base):
     """``cls`` built from the fields ``keys`` maps ``section``'s keys to,
     each defaulting to ``base``'s; a range error of ``cls`` is reported under
-    the config key (``config noise.t2_a_s must be positive``)."""
+    the config key."""
     fields = {
         field: _config_value(
             section, name, key, getattr(base, field), integer=field == "ensemble_size"
@@ -124,12 +152,7 @@ def _from_section(cls, section: dict, name: str, keys: dict, base):
     try:
         return cls(**fields)
     except ValueError as exc:
-        message = str(exc)
-        for key, field in keys.items():
-            prefix = f"{cls.__name__}.{field} "
-            if field is not None and message.startswith(prefix):
-                raise ValueError(f"config {name}.{key} {message[len(prefix):]}") from None
-        raise
+        raise ValueError(_config_message(str(exc))) from None
 
 
 def _check_seed(value, name: str) -> int:
@@ -442,8 +465,9 @@ def cmd_tomo(args, inputs: Inputs) -> int:
     params = inputs.params
     m, v = args.message, args.variant
 
+    ideal = experiment.ideal_output_density(m, v)
     if args.layer == "ideal":
-        rho_in = experiment.ideal_output_density(m, v)
+        rho_in = ideal
     elif params is None:
         rho_in = qcore.pure_density(experiment.pulse_output_state(inputs.system, m, v))
     else:
@@ -452,7 +476,6 @@ def cmd_tomo(args, inputs: Inputs) -> int:
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_in))
     table = tomo.element_modulus_table(reconstructed)
     roundtrip = float(np.max(np.abs(reconstructed - rho_in)))
-    ideal = experiment.ideal_output_density(m, v)
     err = tomo.max_element_error(reconstructed, ideal)
     fid = qcore.fidelity(reconstructed, ideal)
 
@@ -564,9 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built on first use.  Sharing
+    is safe: ``parse_args`` writes only into a fresh ``Namespace``, never
+    into the parser, its defaults (``set_defaults(subparser=...)``) or its
+    subparsers, and ``args.subparser.error`` only prints and exits."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # an overflow or NaN is an error, not a warning beside a result
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -581,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"error: {_config_message(str(exc))}", file=_sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:
         print(f"error: {exc}: a config value is out of range", file=_sys.stderr)

@@ -63,8 +63,10 @@ class SpinSystem:
                 raise ValueError(f"SpinSystem.{name} must be finite")
         if not math.isfinite(self.polarization_ratio):
             raise ValueError("SpinSystem.freq_b is too small: freq_a/freq_b is not finite")
-        if not math.isfinite(1.0 / (2.0 * self.j_coupling)):
-            raise ValueError("SpinSystem.j_coupling is too small: 1/(2J) is not finite")
+        # pi/J bounds the phase scale pi*t of every delay (t <= 1/(2J)) and a
+        # program's total delay
+        if not math.isfinite(math.pi / self.j_coupling):
+            raise ValueError("SpinSystem.j_coupling is too small: pi/J is not finite")
         if not math.isfinite(math.pi * self.j_coupling):
             raise ValueError("SpinSystem.j_coupling is too large: pi*J is not finite")
 
@@ -390,7 +392,10 @@ def thermal_state(sys: SpinSystem, epsilon: float) -> np.ndarray:
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be finite and >= 0")
     r = sys.polarization_ratio
-    diag = 0.25 + epsilon * (r * _ZA_DIAG + _ZB_DIAG) / 2.0
+    if math.isfinite(epsilon * (r + 1.0)):
+        diag = 0.25 + epsilon * (r * _ZA_DIAG + _ZB_DIAG) / 2.0
+    else:  # a deviation beyond the floats takes a population below 0
+        diag = np.full(4, -math.inf)
     if np.any(diag < 0):
         raise ValueError(
             f"epsilon {epsilon!r} too large: thermal populations go negative"

@@ -45,6 +45,7 @@ import numpy as np
 from . import qcore
 from .nmrsim import (
     PulseSequence,
+    Rf,
     SpinSystem,
     _FactorTable,
     _ZA_DIAG,
@@ -83,6 +84,8 @@ class ErrorParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"ErrorParams.{name} must be finite and >= 0")
+            if not math.isfinite(3.0 * value):
+                raise ValueError(f"ErrorParams.{name} is too large: 3 sigma is not finite")
         if not math.isfinite(self.calib_offset):
             raise ValueError("ErrorParams.calib_offset must be finite")
         for name in ("t2_a", "t2_b"):
@@ -321,6 +324,33 @@ def _compose(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> 
     return out
 
 
+def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -> None:
+    """Refuse, before any draw, parameters under which a member's pulse
+    angle or delay phase over ``events``, or the T2 exponent of a run as
+    long as ``t_max``, is not finite: a ``ValueError`` naming the fields.
+    Every draw is taken at its 3 sigma bound, with a factor 2 of headroom
+    for rounding."""
+    angle = max((abs(float(ev.angle)) for ev in events if isinstance(ev, Rf)), default=0.0)
+    delay = max((float(ev.duration) for ev in events if not isinstance(ev, Rf)), default=0.0)
+    calib, rf, offset = float(p.calib_offset), float(p.rf_spread), float(p.offset_spread_hz)
+    if not math.isfinite(2.0 * angle * (abs(1.0 + calib) + 3.0 * rf)):
+        raise ValueError(
+            "ErrorParams.calib_offset or ErrorParams.rf_spread is too large: "
+            "a pulse angle is not finite"
+        )
+    if not math.isfinite(2.0 * math.pi * delay * (6.0 * offset + float(sys.j_coupling))):
+        raise ValueError(
+            "ErrorParams.offset_spread_hz is too large for the delays set by "
+            "SpinSystem.j_coupling: a delay phase is not finite"
+        )
+    for name in ("t2_a", "t2_b"):
+        if not math.isfinite(t_max / float(getattr(p, name))):
+            raise ValueError(
+                f"ErrorParams.{name} is too small for the delays set by "
+                "SpinSystem.j_coupling: total delay / T2 is not finite"
+            )
+
+
 def mean_states(
     sys: SpinSystem,
     p: ErrorParams,
@@ -340,7 +370,9 @@ def mean_states(
     ``_compose``.  A run's stack W of shape (4, k, n) adds the sum of W_m
     W_m^H over its members as one product of its (4, k*n) reshape with that
     reshape's adjoint.  Each mean is T2-damped over its run's
-    free-evolution time and checked.
+    free-evolution time and checked.  Parameters under which a phase or a
+    T2 exponent of these runs would overflow raise ``ValueError`` before
+    any draw (``_check_ranges``).
 
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
@@ -354,8 +386,10 @@ def mean_states(
     ])
     circuits = [[block for block in circuit if len(block)] for circuit in circuits]
     blocks = list(dict.fromkeys(block for circuit in circuits for block in circuit))
+    events = [ev for seq in (*heads, *blocks) for ev in seq]
+    _check_ranges(sys, p, events, float(t_totals.max()))
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
-    table = _FactorTable([ev for seq in (*heads, *blocks) for ev in seq], size)
+    table = _FactorTable(events, size)
     # The stacks and scratch, in (4, width, size) slices of one allocation
     # that the heap keeps whole for the next call: a stack per head and per
     # block, then tmp, two partial products, a composed run and its conjugate.

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -433,15 +435,83 @@ class TestEnsembleSizeBound:
             assert out == ""
             assert err.startswith("error: --ensemble-size ") and err.count("\n") == 1
 
-    def test_module_entry_point(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "densecode.cli", "validate", "--ensemble-size", "0"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: --ensemble-size ") and proc.stderr.count("\n") == 1
+    def test_module_entry_point(self, tmp_path):
+        code, out, err = fresh_interpreter(["validate", "--ensemble-size", "0"], tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --ensemble-size ") and err.count("\n") == 1
+
+
+def fresh_interpreter(argv, cwd) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m densecode.cli`` on
+    ``argv`` alone in a new interpreter, run in ``cwd``; the output is
+    decoded without translating newlines."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "densecode.cli", *argv], cwd=cwd, capture_output=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+class TestOneParserPerProcess:
+    """``cli.main`` builds its parser once and shares it across calls; no
+    call leaves anything behind for the next."""
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        for argv in (["table"], ["run", "-m", "1"], ["tomo", "-m", "2"], ["run", "-m", "3", "--seed", "1"]):
+            cli.main(argv)
+        assert len(built) == 1
+
+    def test_no_state_leaks_between_calls(self, monkeypatch, capsys, tmp_path):
+        """Each call of a series in one interpreter, later ones leaving out
+        options earlier ones set, with argparse exits mixed in, gives what
+        its argv gives alone in a fresh interpreter."""
+        monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal
+        cfg, noise_path = tmp_path / "cfg.json", tmp_path / "noise.json"
+        cfg.write_text(json.dumps({"spin_system": {"j_hz": 210.0}, "noise": {"ensemble_size": 20, "seed": 9}}))
+        noise_path.write_text(json.dumps({"rf_spread": 0.07, "ensemble_size": 30}))
+        series = [
+            ["run", "-m", "2", "-v", "plus-psi", "--layer", "pulse", "--config", str(cfg),
+             "--noise", str(noise_path), "--seed", "5", "--format", "json", "--out", "run.json"],
+            ["run", "-m", "2", "--noise"],  # exits through args.subparser.error
+            ["run", "-m", "2", "-v", "plus-psi", "--layer", "pulse", "--noise"],
+            ["run", "-m", "1", "--seed", "3"],  # --seed without --noise
+            ["-h"],
+            ["validate", "--config", str(cfg), "--seed", "2", "--ensemble-size", "5",
+             "--format", "json", "--out", "validate.json"],
+            ["validate"],
+            ["fig4", "--config", str(cfg), "--seed", "4", "--format", "json", "--out", "."],
+            ["fig4", "--config", str(cfg)],
+            ["tomo", "-m", "3", "-v", "minus-psi", "--layer", "pulse", "--format", "csv", "--out", "tomo.csv"],
+            ["tomo", "-m", "3"],
+            ["table", "--check", "--format", "csv"],
+            ["table"],
+        ]
+        fresh = [tmp_path / "fresh" / str(i) for i in range(len(series))]
+        for path in fresh:
+            path.mkdir(parents=True)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            expected = list(pool.map(fresh_interpreter, series, fresh))
+        cli._parser.cache_clear()
+        for i, argv in enumerate(series):
+            shared = tmp_path / "shared" / str(i)
+            shared.mkdir(parents=True)
+            monkeypatch.chdir(shared)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # -h and argparse's errors
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == expected[i], argv
+            assert files_under(shared) == files_under(fresh[i]), argv
 
 
 CONFIG_COMMANDS = [
@@ -489,13 +559,27 @@ class TestRangeErrorsNameConfigKeys:
             # json.dumps writes the non-standard constants Infinity and NaN
             ({"noise": {"t2_a_s": math.inf}}, "config noise.t2_a_s must be finite"),
             ({"noise": {"t2_a_s": math.nan}}, "config noise.t2_a_s must be finite"),
-            # 1/(2J), the CNOT delay, overflows to inf
+            # pi/J, the phase scale of the delays, overflows to inf
             ({"spin_system": {"j_hz": 1e-320}}, "config spin_system.j_hz is too small"),
             # pi*J, the scale of the J phase, overflows to inf
             ({"spin_system": {"j_hz": 6e307}}, "config spin_system.j_hz is too large"),
             # 1/t2, the rate of the T2 damping, overflows to inf
             ({"noise": {"t2_a_s": 1e-320}}, "config noise.t2_a_s is too small"),
             ({"noise": {"t2_b_s": 5e-324}}, "config noise.t2_b_s is too small"),
+            # 3 sigma, the truncation of the draws, overflows to inf
+            ({"noise": {"rf_spread": 1e308}}, "config noise.rf_spread is too large"),
+            ({"noise": {"offset_spread_hz": 1e308}}, "config noise.offset_spread_hz is too large"),
+            # each value is in range alone; a phase or T2 exponent overflows
+            ({"spin_system": {"j_hz": 1e-300}, "noise": {"t2_a_s": 1e-10}},
+             "config noise.t2_a_s is too small for the delays set by config spin_system.j_hz"),
+            ({"spin_system": {"j_hz": 1e-300}, "noise": {"t2_b_s": 1e-10}},
+             "config noise.t2_b_s is too small for the delays set by config spin_system.j_hz"),
+            ({"spin_system": {"j_hz": 1e-300}, "noise": {"offset_spread_hz": 1e10}},
+             "config noise.offset_spread_hz is too large for the delays set by config spin_system.j_hz"),
+            ({"noise": {"calib_offset": 1e308}},
+             "config noise.calib_offset or config noise.rf_spread is too large"),
+            # pi/J, the phase scale of the delays, overflows to inf
+            ({"spin_system": {"j_hz": 3.5e-309}}, "config spin_system.j_hz is too small"),
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
@@ -504,10 +588,12 @@ class TestRangeErrorsNameConfigKeys:
         assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[:1] + CONFIG_COMMANDS[2:])
-    def test_overflow_is_usage_error(self, capsys, tmp_path, command):
-        # each value is in range alone; the J delay over t2 overflows
-        document = {"spin_system": {"j_hz": 1e-300}, "noise": {"t2_a_s": 1e-10, "ensemble_size": 2}}
-        err = usage_error(capsys, tmp_path, command, document)
+    def test_overflow_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        # the last resort against a traceback: draws beyond any range check
+        # overflow the scaled pulse angles inside the engine
+        draws = lambda p, seed: iter([np.full((p.ensemble_size, 3), 1e308)])  # noqa: E731
+        monkeypatch.setattr(noise, "_draw_chunks", draws)
+        err = usage_error(capsys, tmp_path, command, {"noise": {"ensemble_size": 2}})
         assert err.startswith("error: overflow encountered")
         assert err.endswith(": a config value is out of range\n")
 
@@ -536,6 +622,15 @@ class TestRangeErrorsNameConfigKeys:
         err = usage_error(capsys, tmp_path, command, document)
         assert err == (
             "error: config spin_system.epsilon 0.2 too large: thermal populations go negative\n"
+        )
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[2:])
+    def test_epsilon_overflowing_thermal_state(self, capsys, tmp_path, command):
+        # epsilon * freq_a/freq_b overflows
+        document = {"spin_system": {"epsilon": 1e233, "freq_b_mhz": 1e-121}, "noise": {"ensemble_size": 5}}
+        err = usage_error(capsys, tmp_path, command, document)
+        assert err == (
+            "error: config spin_system.epsilon 1e+233 too large: thermal populations go negative\n"
         )
 
     def test_smallest_accepted_epsilon_runs(self, capsys, tmp_path):
@@ -675,6 +770,19 @@ def fuzzed_section(keys) -> st.SearchStrategy:
 FUZZED_DOCUMENTS = fuzzed_object(
     {"spin_system": fuzzed_section(SPIN_SYSTEM_KEYS), "noise": fuzzed_section(NOISE_KEYS)}
 )
+#: Positive floats, log-uniform from the subnormals to near the largest float.
+LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda exponent: 10.0**exponent)
+#: Documents whose every value is in range for its type, drawn jointly: some
+#: of each section's numeric keys, a few members.
+JOINT_DOCUMENTS = st.fixed_dictionaries({
+    "spin_system": st.fixed_dictionaries({}, optional={key: LOG_UNIFORM for key in SPIN_SYSTEM_KEYS}),
+    "noise": st.fixed_dictionaries(
+        {"ensemble_size": st.integers(1, 3)},
+        optional={key: LOG_UNIFORM for key in NOISE_KEYS if key not in ("ensemble_size", "seed")},
+    ),
+})
+#: A usage error names what to change: a config key or an option.
+NAMED_USAGE_ERROR = re.compile(r"error: .*(config (spin_system|noise)\.[a-z_]+|--[a-z])")
 
 
 class TestConfigFuzz:
@@ -700,22 +808,46 @@ class TestConfigFuzz:
         ensemble_size=st.none() | ENSEMBLE_SIZE_OPTIONS,
     )
     def test_exit_code_and_stderr(self, command, document, as_noise_path, seed, ensemble_size):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(document, fh)
-            argv = command + ([path] if as_noise_path and command[-1] == "--noise" else ["--config", path])
-            if seed is not None:
-                argv += ["--seed", str(seed)]
-            if ensemble_size is not None and command == ["validate"]:
-                argv += ["--ensemble-size", str(ensemble_size)]
-            argv += ["--out", tmp if command == ["fig4"] else os.path.join(tmp, "out")]
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = cli.main(argv)
+        options = [] if seed is None else ["--seed", str(seed)]
+        if ensemble_size is not None and command == ["validate"]:
+            options += ["--ensemble-size", str(ensemble_size)]
+        code, stderr, caught = run_with_document(command, document, as_noise_path, options)
         assert code in (0, 1, 2, 3)
-        stderr = err.getvalue()
         assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1), stderr
-        assert [str(w.message) for w in caught] == []
+        assert caught == []
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @example(CONFIG_COMMANDS[0], {"spin_system": {"j_hz": 1e-300},
+                                  "noise": {"t2_a_s": 1e-10, "ensemble_size": 2}})
+    @example(CONFIG_COMMANDS[3], {"spin_system": {"j_hz": 3.5e-309}, "noise": {"ensemble_size": 2}})
+    @example(CONFIG_COMMANDS[3], {"spin_system": {"freq_b_mhz": 1e-121, "epsilon": 1e233},
+                                  "noise": {"ensemble_size": 2}})
+    @given(command=st.sampled_from(CONFIG_COMMANDS), document=JOINT_DOCUMENTS)
+    def test_joint_out_of_range_values_name_their_keys(self, command, document):
+        code, stderr, caught = run_with_document(command, document)
+        assert code in (0, 1, 2)
+        assert caught == []
+        if code == 2:
+            assert NAMED_USAGE_ERROR.match(stderr) and stderr.count("\n") == 1, stderr
+            assert "a config value is out of range" not in stderr
+        else:
+            assert stderr == ""
+
+
+def run_with_document(command, document, as_noise_path=False, options=()):
+    """Exit code, stderr and warnings of ``cli.main`` on ``command`` plus
+    ``options``, with ``document`` in a config file given as ``--noise PATH``
+    if ``as_noise_path`` and ``command`` ends in ``--noise``, else as
+    ``--config PATH``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        argv = command + ([path] if as_noise_path and command[-1] == "--noise" else ["--config", path])
+        argv += list(options) + ["--out", tmp if command == ["fig4"] else os.path.join(tmp, "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]

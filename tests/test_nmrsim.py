@@ -55,9 +55,12 @@ class TestSpinSystem:
             SpinSystem(freq_b=1e-320)
 
     def test_rejects_overflowing_cnot_delay(self):
-        # 1/(2J) overflows to inf below J ~ 2.8e-309; the smallest normal J is accepted
-        with pytest.raises(ValueError, match=r"^SpinSystem\.j_coupling is too small"):
-            SpinSystem(j_coupling=1e-320)
+        # pi/J, which bounds the phase scale pi*t of every delay, overflows to
+        # inf below J ~ 1.75e-308 (1/(2J) only below ~2.8e-309); the smallest
+        # normal J is accepted
+        for j in (1e-320, 3.5e-309):
+            with pytest.raises(ValueError, match=r"^SpinSystem\.j_coupling is too small"):
+                SpinSystem(j_coupling=j)
         system = SpinSystem(j_coupling=2.2250738585072014e-308)
         assert math.isfinite(nmrsim.cnot_pulse_sequence(system).total_delay())
 
@@ -310,6 +313,12 @@ class TestThermalState:
     def test_rejects_psd_breaking_epsilon(self, system):
         with pytest.raises(ValueError, match="negative"):
             nmrsim.thermal_state(system, 0.2)
+
+    def test_rejects_overflowing_deviation(self):
+        # epsilon * ratio overflows: refused as too large, not raised by numpy
+        system = SpinSystem(freq_b=1e-121)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="negative"):
+            nmrsim.thermal_state(system, 1e233)
 
     def test_valid_density(self, system):
         qcore.check_density_matrix(nmrsim.thermal_state(system, 1e-3))

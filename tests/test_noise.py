@@ -60,6 +60,8 @@ class TestErrorParams:
             {"offset_spread_hz": math.inf},
             {"t2_a": 1e-320},
             {"t2_b": 5e-324},
+            {"rf_spread": 1e308},  # 3 sigma, the truncation, overflows
+            {"offset_spread_hz": 1e308},
         ],
     )
     def test_validation(self, kwargs):
@@ -161,6 +163,26 @@ class TestEnsembleAverage:
         assert np.allclose(np.diag(damped), np.diag(clean), atol=1e-12)
         factor = math.exp(-0.05 / 0.1)
         assert abs(damped[0, 1]) == pytest.approx(abs(clean[0, 1]) * factor, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "j,params,message",
+        [
+            # each value is in range alone; the J delay over T2 overflows
+            (1e-300, {"t2_a": 1e-10}, r"^ErrorParams\.t2_a is too small .* SpinSystem\.j_coupling"),
+            (1e-300, {"t2_b": 1e-10}, r"^ErrorParams\.t2_b is too small .* SpinSystem\.j_coupling"),
+            (1e-300, {"offset_spread_hz": 1e10},
+             r"^ErrorParams\.offset_spread_hz is too large .* SpinSystem\.j_coupling"),
+            (215.0, {"calib_offset": 1e308}, r"^ErrorParams\.calib_offset or ErrorParams\.rf_spread"),
+            (215.0, {"calib_offset": 1e300, "rf_spread": 1e308 / 3.5},
+             r"^ErrorParams\.calib_offset or ErrorParams\.rf_spread"),
+        ],
+    )
+    def test_overflowing_phase_refused_before_any_draw(self, monkeypatch, j, params, message):
+        system = SpinSystem(j_coupling=j)
+        seq = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+        monkeypatch.setattr(noise, "_draw_chunks", lambda p, seed: pytest.fail("drew before refusing"))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            mean_state(seq, system, noise.ErrorParams(**params), RHO00, seed=0)
 
 
 def member_oracle(seq, system, p, rho0, seed):
