@@ -204,7 +204,10 @@ MUTANTS = (
         "cli.py",
         "args = _parser().parse_args(argv)",
         "args = _parser().parse_args(argv, vars(_parser()).setdefault('kept', argparse.Namespace()))",
-        ("tests/test_cli.py::TestOneParserPerProcess::test_no_state_leaks_between_calls",),
+        (
+            "tests/test_cli.py::TestOneParserPerProcess::test_no_state_leaks_between_calls",
+            "tests/test_cli.py::TestOneParserPerProcess::test_namespace_holds_only_its_argv",
+        ),
     ),
     Mutant(
         "noisy run started from |01> instead of |00>",
@@ -416,6 +419,20 @@ MUTANTS = (
         'raise ValueError("--seed requires --noise")',
         "pass",
         ("tests/test_cli.py::TestSeedContract",),
+    ),
+    Mutant(
+        "layer rule dropped",
+        "cli.py",
+        'if args.noise is not None and args.layer != "pulse":',
+        "if False:",
+        ("tests/test_cli.py::TestRun::test_noise_requires_pulse_layer",),
+    ),
+    Mutant(
+        "parse error without its path",
+        "cli.py",
+        'f"config {path} is not a JSON document: {exc}"',
+        'f"config is not a JSON document: {exc}"',
+        ("tests/test_cli.py::TestRun::test_unparsable_file_names_itself",),
     ),
     Mutant(
         "tiny epsilon reaches the checks",

@@ -7,12 +7,13 @@ unwritable output).
 
 Runs are configured by a single JSON document with optional ``spin_system``
 and ``noise`` objects; every field has a default, so any run is reproducible
-from one file plus a seed.  ``resolve`` reads, in order: the document's keys
-and sections; the spin system and epsilon; the noise parameters (always for
-fig4 and validate, only with ``--noise`` for run and tomo, where ``--noise
-PATH`` replaces the section by a whole document's or a bare noise object);
-``noise.seed``, then ``--seed`` over it (``run`` and ``tomo`` refuse
-``--seed`` without ``--noise``); then ``validate --ensemble-size``.
+from one file plus a seed.  ``resolve`` first checks run and tomo's option
+rules (``--seed`` needs ``--noise``, ``--noise`` needs ``--layer pulse``),
+before any file is read; then it reads, in order: the document's keys and
+sections; the spin system and epsilon; the noise parameters (always for fig4
+and validate, only with ``--noise`` for run and tomo, where ``--noise PATH``
+replaces the section by a whole document's or a bare noise object);
+``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
 the first call and shared by every later one.
@@ -62,14 +63,17 @@ NOISE_KEYS = {
 
 
 def _read_document(path: str) -> dict:
-    """The JSON object at ``path``; an unreadable path raises ``OSError``."""
+    """The JSON object at ``path``; an unreadable path raises ``OSError``, a
+    file that is not one raises ``ValueError`` naming ``path``."""
     with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except RecursionError:
             raise ValueError(f"config {path} is nested too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"config {path} is not a JSON document: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     return cfg
 
 
@@ -140,8 +144,7 @@ def _config_message(message: str) -> str:
 
 def _from_section(cls, section: dict, name: str, keys: dict, base):
     """``cls`` built from the fields ``keys`` maps ``section``'s keys to,
-    each defaulting to ``base``'s; a range error of ``cls`` is reported under
-    the config key."""
+    each defaulting to ``base``'s."""
     fields = {
         field: _config_value(
             section, name, key, getattr(base, field), integer=field == "ensemble_size"
@@ -149,10 +152,7 @@ def _from_section(cls, section: dict, name: str, keys: dict, base):
         for key, field in keys.items()
         if field is not None
     }
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ValueError(_config_message(str(exc))) from None
+    return cls(**fields)
 
 
 def _check_seed(value, name: str) -> int:
@@ -175,7 +175,13 @@ class Inputs:
 def resolve(args: argparse.Namespace) -> Inputs:
     """The inputs of a run, fig4, tomo or validate command, resolved in the
     order the module docstring gives.  Malformed or out-of-range values
-    raise ``ValueError`` naming the config key or option."""
+    raise ``ValueError`` naming the config key (or the dataclass field, which
+    ``main`` turns into the key) or the option."""
+    if args.command in ("run", "tomo"):
+        if args.seed is not None and args.noise is None:
+            raise ValueError("--seed requires --noise")
+        if args.noise is not None and args.layer != "pulse":
+            raise ValueError("--noise requires --layer pulse")
     cfg = _check_keys(_read_document(args.config), "", CONFIG_SECTIONS) if args.config else {}
     sc = _section(cfg, "spin_system", SPIN_SYSTEM_KEYS)
     system = _from_section(
@@ -197,8 +203,6 @@ def resolve(args: argparse.Namespace) -> Inputs:
     nc = _section(cfg, "noise", NOISE_KEYS)
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked
-            if args.seed is not None:
-                raise ValueError("--seed requires --noise")
             return Inputs(system, epsilon, None, None)
         if args.noise:  # a whole document, or a bare noise object
             doc = _read_document(args.noise)
@@ -558,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", metavar="PATH")
-    p_run.set_defaults(subparser=p_run)  # reports --noise without --layer pulse
 
     p_fig4 = sub.add_parser("fig4", help="emit theory/experiment element-modulus tables")
     p_fig4.add_argument("--config", metavar="PATH")
@@ -575,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--seed", type=int)
     p_tomo.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_tomo.add_argument("--out", metavar="PATH")
-    p_tomo.set_defaults(subparser=p_tomo)
 
     p_val = sub.add_parser("validate", help="run the full verification suite")
     p_val.add_argument("--config", metavar="PATH")
@@ -591,8 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` shares across calls, built on first use.  Sharing
     is safe: ``parse_args`` writes only into a fresh ``Namespace``, never
-    into the parser, its defaults (``set_defaults(subparser=...)``) or its
-    subparsers, and ``args.subparser.error`` only prints and exits."""
+    into the parser or the parsers of its commands."""
     return build_parser()
 
 
@@ -604,8 +605,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "table":
                 return cmd_table(args)
             inputs = resolve(args)
-            if inputs.params is not None and getattr(args, "layer", None) == "ideal":
-                args.subparser.error("noise simulation requires --layer pulse")
             commands = {"run": cmd_run, "fig4": cmd_fig4, "tomo": cmd_tomo, "validate": cmd_validate}
             return commands[args.command](args, inputs)
     except OSError as exc:  # a config path that cannot be read

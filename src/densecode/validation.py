@@ -222,10 +222,8 @@ def _check_determinism(
     sys: nmrsim.SpinSystem, params: noise.ErrorParams, seed: int
 ) -> CheckResult:
     small = replace(params, ensemble_size=min(params.ensemble_size, 32))
-    seq = nmrsim.dense_coding_sequence(sys, 1, BellVariant.MINUS_PHI)
-    start = qcore.basis_state(0)[:, None]
-    first = noise.mean_states(sys, small, seed, [()], [seq], start)[0, 0]
-    second = noise.mean_states(sys, small, seed, [()], [seq], start)[0, 0]
+    first = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI, seed)
+    second = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI, seed)
     identical = bool(np.array_equal(first, second))
     return CheckResult(
         "noise-determinism",

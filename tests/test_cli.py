@@ -93,14 +93,20 @@ class TestRun:
         assert payload["dominant_population"] > 1 - 1e-9
         assert payload["recovered_message"] == 1
 
-    def test_noise_requires_pulse_layer(self, capsys):
+    def test_noise_requires_pulse_layer(self, capsys, tmp_path):
+        """The layer rule is checked before --config or --noise PATH is read."""
+        malformed = tmp_path / "noise.json"
+        malformed.write_text(json.dumps({"rf_sprad": 0.05}))
+        cases = [
+            ["--noise"],
+            ["--layer", "ideal", "--noise", str(tmp_path)],
+            ["--noise", str(malformed)],
+            ["--noise", "--config", str(tmp_path / "missing.json")],
+        ]
         for command in ("run", "tomo"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main([command, "-m", "3", "--layer", "ideal", "--noise"])
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"usage: densecode {command} [-h]")
-            assert err.endswith(f"densecode {command}: error: noise simulation requires --layer pulse\n")
+            for options in cases:
+                argv = [command, "-m", "3"] + options
+                assert run_cli(capsys, argv) == (2, "", "error: --noise requires --layer pulse\n"), argv
 
     def test_noisy_run_reports_fidelity(self, capsys, tmp_path):
         cfg = tmp_path / "noise.json"
@@ -151,6 +157,25 @@ class TestRun:
         code, out, err = run_cli(capsys, ["run", "-m", "1", "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert err == f"error: config {cfg} is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "option", [["--config"], ["--layer", "pulse", "--noise"]], ids=["config", "noise"]
+    )
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"noise": {"rf_spread": 0.05,\n', "is not a JSON document: Expecting"),
+            (b'\xff{"noise": {}}', "is not a JSON document: 'utf-8' codec can't decode"),
+            (b"[1, 2]", "must be a JSON object\n"),
+        ],
+        ids=["truncated", "non-utf-8", "array"],
+    )
+    def test_unparsable_file_names_itself(self, capsys, tmp_path, option, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["run", "-m", "1"] + option + [str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {path} {message}") and err.count("\n") == 1
 
 
 class TestFig4:
@@ -470,6 +495,23 @@ class TestOneParserPerProcess:
             cli.main(argv)
         assert len(built) == 1
 
+    def test_namespace_holds_only_its_argv(self, monkeypatch, capsys):
+        """Each command sees what a new parser gives its argv alone: nothing
+        an earlier call parsed is left in its namespace."""
+        seen = []
+        resolve = cli.resolve
+        monkeypatch.setattr(cli, "resolve", lambda args: seen.append(vars(args).copy()) or resolve(args))
+        series = [
+            ["run", "-m", "2", "-v", "plus-psi", "--layer", "pulse", "--noise", "--seed", "4"],
+            ["tomo", "-m", "1"],
+            ["validate", "--ensemble-size", "5"],
+            ["run", "-m", "3"],
+        ]
+        cli._parser.cache_clear()
+        for argv in series:
+            cli.main(argv)
+        assert seen == [vars(cli.build_parser().parse_args(argv)) for argv in series]
+
     def test_no_state_leaks_between_calls(self, monkeypatch, capsys, tmp_path):
         """Each call of a series in one interpreter, later ones leaving out
         options earlier ones set, with argparse exits mixed in, gives what
@@ -481,7 +523,7 @@ class TestOneParserPerProcess:
         series = [
             ["run", "-m", "2", "-v", "plus-psi", "--layer", "pulse", "--config", str(cfg),
              "--noise", str(noise_path), "--seed", "5", "--format", "json", "--out", "run.json"],
-            ["run", "-m", "2", "--noise"],  # exits through args.subparser.error
+            ["run", "-m", "2", "--noise"],  # --noise without --layer pulse
             ["run", "-m", "2", "-v", "plus-psi", "--layer", "pulse", "--noise"],
             ["run", "-m", "1", "--seed", "3"],  # --seed without --noise
             ["-h"],
@@ -715,7 +757,14 @@ class TestSeedContract:
         err = usage_error(capsys, tmp_path, ["run", "-m", "1", "--layer", "pulse", "--noise", str(path)])
         assert "noise.seed" in err
 
-    @pytest.mark.parametrize("command", [["run", "-m", "1"], ["tomo", "-m", "1", "--layer", "pulse"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "-m", "1"],
+            ["tomo", "-m", "1", "--layer", "pulse"],
+            ["run", "-m", "1", "--config", "/nonexistent/cfg.json"],  # refused before it is read
+        ],
+    )
     def test_seed_without_noise(self, capsys, tmp_path, command):
         err = usage_error(capsys, tmp_path, command + ["--seed", "5"])
         assert err == "error: --seed requires --noise\n"
