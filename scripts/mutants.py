@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 FACTOR_TESTS = ("tests/test_noise.py::TestFactorTable",)
 ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
+QUADRATURE_TESTS = ("tests/test_noise.py::TestUnbiasedAverage",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
 RANGE_TESTS = (
@@ -44,6 +45,12 @@ RANGE_TESTS = (
 ) + EPSILON_TESTS
 TOMO_TESTS = ("tests/test_tomo.py",)
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
+#: The draw of one chunk in ``noise._draw_chunks``.
+DRAWS = """        z = rng.standard_normal((CHUNK_SIZE, 3))
+        while (beyond := np.abs(z) > 3.0).any():
+            z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
+        yield z[: p.ensemble_size - start] * sigmas
+"""
 
 
 MUTANTS = (
@@ -226,9 +233,9 @@ MUTANTS = (
     Mutant(
         "last chunk dropped",
         "noise.py",
-        "for start in range(0, p.ensemble_size, CHUNK_SIZE):",
-        "for start in range(0, max(1, p.ensemble_size - CHUNK_SIZE), CHUNK_SIZE):",
-        ENGINE_TESTS,
+        "enumerate(range(0, p.ensemble_size, CHUNK_SIZE))",
+        "enumerate(range(0, max(1, p.ensemble_size - CHUNK_SIZE), CHUNK_SIZE))",
+        DRAW_TESTS,
     ),
     Mutant(
         "T2 factors swapped",
@@ -273,88 +280,41 @@ MUTANTS = (
         ("tests/test_noise.py::TestComposition::test_mean_states_sum_member_outer_products",),
     ),
     Mutant(
-        "fallback draw dropped",
+        "every chunk on spawn key 0",
         "noise.py",
-        "z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]",
-        "pass",
+        "np.random.SeedSequence(seed, spawn_key=(c,))",
+        "np.random.SeedSequence(seed, spawn_key=(0,))",
         DRAW_TESTS,
     ),
     Mutant(
-        "fallback skips the last member",
+        "chunk sliced before its rejection",
         "noise.py",
-        "for k in np.flatnonzero(~sure.all(axis=1)):",
-        "for k in np.flatnonzero(~sure.all(axis=1))[:-1]:",
+        DRAWS,
+        DRAWS.replace("(CHUNK_SIZE, 3))\n", "(CHUNK_SIZE, 3))[: p.ensemble_size - start]\n")
+        .replace("z[: p.ensemble_size - start] * sigmas", "z * sigmas"),
         DRAW_TESTS,
     ),
     Mutant(
-        "wrong hash-step count for long seeds",
+        "draws scaled before their rejection",
         "noise.py",
-        "16 + 4 * max(0, words - 4)",
-        "16 + 4 * max(0, words - 5)",
+        DRAWS,
+        DRAWS.replace("(CHUNK_SIZE, 3))\n", "(CHUNK_SIZE, 3)) * sigmas\n")
+        .replace("z[: p.ensemble_size - start] * sigmas", "z[: p.ensemble_size - start]"),
         DRAW_TESTS,
     ),
     Mutant(
-        "fallback seeded from the neighbour's words",
+        "offset sigma 1.25 times too large",
         "noise.py",
-        "rng = np.random.default_rng(_ChildWords(words[k]))",
-        "rng = np.random.default_rng(_ChildWords(words[k - 1]))",
-        DRAW_TESTS,
+        "[p.rf_spread, p.offset_spread_hz, p.offset_spread_hz]",
+        "[p.rf_spread, 1.25 * p.offset_spread_hz, 1.25 * p.offset_spread_hz]",
+        QUADRATURE_TESTS,
     ),
     Mutant(
-        "child words handed to PCG64 without making them contiguous",
+        "draws truncated at 2 sigma",
         "noise.py",
-        "return np.ascontiguousarray(self.words, dtype=np.uint64)",
-        "return self.words",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "child words handed out for any request",
-        "noise.py",
-        "if n_words != 4 or np.dtype(dtype) != np.uint64:",
-        "if False:",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "one LCG step too few before the first output",
-        "noise.py",
-        "return _lcg_step((inc[0] + w0 + (lo < w1), lo), inc), inc",
-        "return (inc[0] + w0 + (lo < w1), lo), inc",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "carry of the low-word addition dropped",
-        "noise.py",
-        "+ inc[0] + (new_lo < inc[1]), new_lo",
-        "+ inc[0], new_lo",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "XSL-RR rotation read one bit low",
-        "noise.py",
-        "hi >> np.uint64(58)",
-        "hi >> np.uint64(59)",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "sign bit taken from bit 9",
-        "noise.py",
-        "where=r & np.uint64(1 << 8) != 0",
-        "where=r & np.uint64(1 << 9) != 0",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "idx 1 marked sure",
-        "noise.py",
-        "sure_below[2:] = (wi[1:-1] / wi[2:] * 2.0**52)",
-        "sure_below[1:] = (wi[:-1] / wi[1:] * 2.0**52)",
-        DRAW_TESTS,
-    ),
-    Mutant(
-        "sure draws beyond 3 kept on the fast path",
-        "noise.py",
-        "sure = (rabs < sure_below[idx]) & (np.abs(z) <= 3.0)",
-        "sure = rabs < sure_below[idx]",
-        DRAW_TESTS,
+        "while (beyond := np.abs(z) > 3.0).any():",
+        "while (beyond := np.abs(z) > 2.0).any():",
+        QUADRATURE_TESTS,
     ),
     Mutant(
         "clip and rescale in place of the exact projection",

@@ -23,8 +23,8 @@ from .protocol import BellVariant
 EXPERIMENTAL_PANELS = ("a", "b", "c", "d")
 THEORY_PANELS = ("e", "f", "g", "h")
 #: Smallest epsilon fig4 accepts.  Against the largest relative element
-#: error at 1e-5 (seed 3, 200 members), the error drifts by 9e-8 at 1e-10,
-#: 3e-5 at 1e-12 and 5e-3 at 1e-14, and jumps to 0.26 at 1e-15.
+#: error at 1e-5 (0.0857 at seed 3, 200 members), the error drifts by 6e-8
+#: at 1e-10, 1.5e-6 at 1e-12, 8e-4 at 1e-14 and 1.1e-2 at 1e-15.
 MIN_EPSILON = 1e-10
 
 

@@ -21,20 +21,20 @@ sized for ``min(CHUNK_SIZE, ensemble_size)`` members and refilled in place
 by each chunk: arrays freed and allocated again for every chunk are handed
 back to the OS by the heap and faulted in again, page by page.
 
-Results are deterministic for a fixed seed: member k draws from the stream
-of ``default_rng(SeedSequence(seed).spawn(n)[k])`` and the chunks are summed
-in member order.  That stream is reached without spawning: the children's
-seed words come from the parent's pool by numpy's SeedSequence hash, and
-most members' draws from PCG64 and numpy's ziggurat computed on arrays
-(``_draw_chunks``), all for a whole chunk at once.  The draws depend only
-on ``(params, seed)``, not on the pulse program, so programs run on one
-sample share them: each chunk is drawn once, and every run is composed
-from per-member block propagators compiled once each.
+Results are bit-reproducible for a fixed config and seed: the draws
+depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
+chunk (``_draw_chunks``), and the chunks are summed in member order.
+``CHUNK_SIZE`` is part of that contract: another chunk size draws another
+sample.  Member k's draws are not those of numpy's per-member child
+stream ``default_rng(SeedSequence(seed).spawn(n)[k])``: the contract is
+reproducibility, not bit identity to per-child streams.  The draws do not
+depend on the pulse program, so programs run on one sample share them:
+each chunk is drawn once, and every run is composed from per-member block
+propagators compiled once each.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -55,7 +55,8 @@ from .nmrsim import (
     _view,
 )
 
-#: Members drawn, propagated and summed together in the ensemble average.
+#: Members drawn, propagated and summed together in the ensemble average;
+#: part of the draw contract (``_draw_chunks``): one generator per chunk.
 CHUNK_SIZE = 2048
 #: Largest accepted ``ErrorParams.ensemble_size``.
 MAX_ENSEMBLE_SIZE = 1_000_000
@@ -118,192 +119,27 @@ DEMO_PARAMS = ErrorParams(
 DEMO_SEED = 20260808
 
 
-def _truncated_normal(rng: np.random.Generator, sigma: float) -> float:
-    """Gaussian draw truncated at +-3 sigma.
-
-    The unit draw is rejected independently of sigma, so for a fixed seed the
-    stream consumption is identical for every sigma and the result scales
-    monotonically with it.
-    """
-    z = rng.standard_normal()
-    while abs(z) > 3.0:
-        z = rng.standard_normal()
-    return float(sigma * z)
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, skip: int, n: int) -> list[int]:
-    """Hash constants ``init * mult**j mod 2**32`` for j = skip .. skip + n."""
-    h = init * pow(mult, skip, 1 << 32) & _MASK32
-    out = [h]
-    for _ in range(n):
-        h = h * mult & _MASK32
-        out.append(h)
-    return out
-
-
-def _child_words(parent: np.random.SeedSequence, start: int, n: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of children ``start .. start + n - 1``
-    of ``parent``, a SeedSequence of integer entropy and no spawn key, shape
-    (n, 4), computed for all n at once.
-
-    A child's entropy is the seed's L uint32 words, zero-padded to the pool
-    size 4, followed by its spawn key k (one word: k < MAX_ENSEMBLE_SIZE <
-    2**32).  The parent fills a short pool with hashed zeros, so everything
-    before k is mixed exactly as in the parent: the child pool is the
-    parent's ``pool`` with k mixed into each word, under hash constants that
-    have advanced 16 + 4 * max(0, L - 4) steps.  The output hash then reads
-    the pool twice.
-    """
-    words = max(1, -(-int(parent.entropy).bit_length() // 32))
-    key = np.arange(start, start + n, dtype=np.uint32)
-    shift = np.uint32(16)
-    mixing = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4), 4)
-    pool = []
-    for i, word in enumerate(parent.pool.tolist()):
-        value = (key ^ np.uint32(mixing[i])) * np.uint32(mixing[i + 1])
-        value ^= value >> shift
-        mixed = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * value
-        pool.append(mixed ^ (mixed >> shift))
-    output = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-    state = np.empty((n, 8), dtype=np.uint32)
-    for j in range(8):
-        value = (pool[j % 4] ^ np.uint32(output[j])) * np.uint32(output[j + 1])
-        state[:, j] = value ^ (value >> shift)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _ChildWords(np.random.bit_generator.ISeedSequence):
-    """Seed sequence of one row of ``_child_words``: a generator seeded from
-    it is seeded exactly as from the spawned child whose words they are."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("child words hold only generate_state(4, np.uint64)")
-        # PCG64 reads the buffer directly, ignoring strides
-        return np.ascontiguousarray(self.words, dtype=np.uint64)
-
-
-# numpy's PCG64: a 128-bit LCG state, here a (high, low) pair of uint64
-# arrays; its multiplier, the inverse mod 2**128, the multiplier's 64-bit
-# words and its low word's 32-bit limbs.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
-_M1, _M0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
-_LOW32, _S32 = np.uint64(_MASK32), np.uint64(32)
-
-
-def _lcg_step(state: tuple, inc: tuple) -> tuple:
-    """``state * _PCG64_MULT + inc`` mod 2**128.  Only arrays multiply:
-    they wrap, where numpy integer scalars raise under ``cli.main``'s
-    ``np.errstate``.  The high word of ``low * _MULT_LO`` is summed from
-    32-bit limbs."""
-    hi, lo = state
-    a0, a1 = lo & _LOW32, lo >> _S32
-    p00, p01, p10 = a0 * _M0, a0 * _M1, a1 * _M0
-    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
-    mul_hi = a1 * _M1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    new_lo = lo * _MULT_LO + inc[1]
-    return mul_hi + lo * _MULT_HI + hi * _MULT_LO + inc[0] + (new_lo < inc[1]), new_lo
-
-
-def _pcg64_seed(words: np.ndarray) -> tuple[tuple, tuple]:
-    """(state, inc) of PCG64 seeded from each row ``w0..w3`` of ``words``:
-    ``inc = (w2:w3 << 1) | 1``, one step from 0, add ``w0:w1``, one step."""
-    w0, w1, w2, w3 = words.T
-    one = np.uint64(1)
-    inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
-    lo = inc[1] + w1
-    return _lcg_step((inc[0] + w0 + (lo < w1), lo), inc), inc
-
-
-def _pcg64_raw(words: np.ndarray) -> np.ndarray:
-    """First three outputs (n, 3) of PCG64 seeded from ``words``: a step,
-    then XSL-RR (high ^ low rotated right by the state's top 6 bits)."""
-    state, inc = _pcg64_seed(words)
-    out = np.empty((len(words), 3), dtype=np.uint64)
-    for j in range(3):
-        state = hi, lo = _lcg_step(state, inc)
-        xsl, rot = hi ^ lo, hi >> np.uint64(58)
-        out[:, j] = xsl >> rot | xsl << (np.uint64(64) - rot & np.uint64(63))
-    return out
-
-
-def _crafted_state(r: int) -> dict:
-    """A PCG64 state whose first output is ``r``: one step (increment 1)
-    before the state ``r``, whose high word 0 leaves it unrotated."""
-    before = (r - 1) * _PCG64_MULT_INV % (1 << 128)
-    state = {"state": before, "inc": 1}
-    return {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-
-
-#: Half-width of the band around an estimated ``ki`` where a draw is unsure.
-_KI_BAND = 2**32
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat ``wi`` table, and per ``idx`` the bound below which
-    ``rabs`` is surely on numpy's fast path (0 for idx 0 and 1: never sure).
-
-    ``Generator.standard_normal`` splits an output ``r`` into ``idx = r &
-    0xff``, a sign (bit 8) and ``rabs = r >> 9`` (52 bits); it returns
-    ``±rabs * wi[idx]`` if ``rabs < ki[idx]``, else draws more words.  So
-    the output ``idx | 1 << 9`` returns ``wi[idx]`` exactly (for idx 1,
-    whose ``ki`` is 0, after a wedge test that a value so near 0 passes):
-    256 crafted states read the table.  ``ki[idx]`` is estimated as
-    ``wi[idx - 1] / wi[idx] * 2**52``, less ``_KI_BAND`` for the bound.
-    """
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    wi = np.empty(256)
-    for idx in range(256):
-        bits.state = _crafted_state(idx | 1 << 9)
-        wi[idx] = gen.standard_normal()
-    sure_below = np.zeros(256, dtype=np.uint64)
-    sure_below[2:] = (wi[1:-1] / wi[2:] * 2.0**52).astype(np.uint64) - np.uint64(_KI_BAND)
-    wi.flags.writeable = sure_below.flags.writeable = False  # shared by every caller
-    return wi, sure_below
-
-
 def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
     """Per-member (RF deviation, offset a, offset b) in member order, in
     chunks of shape (<= CHUNK_SIZE, 3), for an integer ``seed`` >= 0.
 
-    Member k's draws are three ``_truncated_normal`` draws from
-    ``default_rng`` of the k-th child of ``SeedSequence(seed).spawn(n)``.
-    Per chunk, the children's seed words (``_child_words``) give every
-    member's first three PCG64 outputs at once, each mapped by numpy's
-    ziggurat fast path to ``±rabs * wi[idx]`` (``_ziggurat_tables``).  A
-    member with a draw that is unsure (idx 0 or 1, or ``rabs`` not below
-    the band around the estimated ``ki``) or beyond 3 (the truncation) is
-    drawn by ``_truncated_normal`` from a generator seeded from its words.
+    Chunk c, members ``c * CHUNK_SIZE`` on, has one generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(c,)))`` (the c-th child of
+    ``SeedSequence(seed).spawn``).  It draws a full ``(CHUNK_SIZE, 3)``
+    block of ``standard_normal`` and redraws every entry beyond 3 from the
+    same generator until none is left; the block is then sliced to the
+    chunk's members and scaled by the sigmas.  A full block for every chunk
+    keeps the sample prefix-stable: the first n members of any ensemble are
+    the n-member ensemble.  Rejecting the unit draw before scaling makes the
+    draws scale exactly with sigma.
     """
-    parent = np.random.SeedSequence(seed)
     sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
-    wi, sure_below = _ziggurat_tables()
-    for start in range(0, p.ensemble_size, CHUNK_SIZE):
-        n = min(CHUNK_SIZE, p.ensemble_size - start)
-        words = _child_words(parent, start, n)
-        r = _pcg64_raw(words)
-        idx, rabs = r & np.uint64(0xFF), r >> np.uint64(9) & np.uint64((1 << 52) - 1)
-        z = rabs * wi[idx]
-        np.negative(z, out=z, where=r & np.uint64(1 << 8) != 0)
-        sure = (rabs < sure_below[idx]) & (np.abs(z) <= 3.0)
-        for k in np.flatnonzero(~sure.all(axis=1)):
-            rng = np.random.default_rng(_ChildWords(words[k]))
-            z[k] = [_truncated_normal(rng, 1.0) for _ in range(3)]
-        yield z * sigmas
+    for c, start in enumerate(range(0, p.ensemble_size, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        z = rng.standard_normal((CHUNK_SIZE, 3))
+        while (beyond := np.abs(z) > 3.0).any():
+            z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
+        yield z[: p.ensemble_size - start] * sigmas
 
 
 # Coherences damped by T2 of spin a / spin b: elements whose row and column

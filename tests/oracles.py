@@ -4,13 +4,18 @@ The library applies every pulse event through one row-permutation engine
 (``densecode.nmrsim._propagate``).  These oracles build the same objects the
 direct way: a pulse as the Kronecker product of a single-spin rotation
 matrix with the identity, a delay as a diagonal matrix, a program as the
-matrix product of its events, and one member's errors as three draws from a
-generator seeded with that member's spawned child.  ``reference_propagate``
-is the engine as it was before its per-chunk factor table and in-place
-updates: every factor recomputed per event, every update a fresh array.
-The library engine must equal it bit for bit.  ``noisy_compile``
-applies such draws with the library engine: it is the reference for the
-draws and the chunked ensemble average, not for the engine.
+matrix product of its events.  A member's errors are its row of the
+library's own draw chunks (``member_draws``): the oracles check the engine
+and the average, not the draw stream, whose contract has tests of its own.
+``reference_propagate`` is the engine as it was before its per-chunk factor
+table and in-place updates: every factor recomputed per event, every update
+a fresh array.  The library engine must equal it bit for bit.
+``noisy_compile`` applies one member's draws with the library engine: it
+is the reference for the chunked ensemble average, not for the engine.
+``quadrature_moments`` integrates over the error distribution itself, by a
+tensor Gauss-Legendre rule: the exact mean that a Monte Carlo average
+estimates, and the variance that sets its standard error, so a draw that
+is reproducible but biased (a wrong sigma, a wrong truncation) shows.
 ``temporal_average`` compiles each permutation prefix and the circuit as one
 program and evolves the thermal state run by run: the reference for the
 block-composing ensemble average behind ``experiment.temporal_average``.
@@ -26,7 +31,7 @@ import numpy as np
 
 from densecode import nmrsim, qcore
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
-from densecode.noise import ErrorParams, _truncated_normal
+from densecode.noise import ErrorParams, _draw_chunks
 
 
 #: Controlled-NOT with spin a as control and spin b as target, the ideal
@@ -117,24 +122,48 @@ def reference_propagate(
     return np.moveaxis(u, 0, -1)
 
 
-def member_draws(p: ErrorParams, seed) -> tuple[float, float, float]:
-    """(RF deviation, offset of spin a, offset of spin b) of the member whose
-    generator is seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
-    delta = _truncated_normal(rng, p.rf_spread)
-    off_a = _truncated_normal(rng, p.offset_spread_hz)
-    off_b = _truncated_normal(rng, p.offset_spread_hz)
-    return delta, off_a, off_b
+def member_draws(p: ErrorParams, seed) -> np.ndarray:
+    """Per-member (RF deviation, offset of spin a, offset of spin b), shape
+    (ensemble_size, 3): the library's draw chunks for ``seed``, joined."""
+    return np.concatenate(list(_draw_chunks(p, seed)))
 
 
-def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_seed) -> np.ndarray:
-    """Propagator of one ensemble member, with that member's drawn errors.
+def noisy_compile(
+    seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_seed, member: int = 0
+) -> np.ndarray:
+    """Propagator of member ``member`` of the ensemble drawn with
+    ``sample_seed``, with that member's drawn errors.
 
     With all spreads and the calibration offset at zero this equals the
     noise-free compilation exactly.
     """
-    draws = np.array([member_draws(p, sample_seed)])
+    draws = member_draws(p, sample_seed)[member : member + 1]
     return nmrsim._compile_stack(seq, sys, draws, p.calib_offset)[..., 0]
+
+
+def quadrature_moments(
+    seq: PulseSequence, sys: SpinSystem, p: ErrorParams, start: np.ndarray, nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance (the mean of |x - mean|^2) of each element of
+    W W^H, W = U start, over the member errors of ``p``, each (4, 4).
+
+    Each of the three errors is a normal truncated at +-3 sigma: a
+    Gauss-Legendre rule of ``nodes`` nodes on [-3, 3], weighted by the
+    normal density and normalised, scaled by the error's sigma.  The
+    tensor rule's nodes are fed to the library engine as draws.  The mean
+    is what ``noise.mean_states`` estimates with T2 off.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = 3.0 * x
+    w = w * np.exp(-(x**2) / 2.0)
+    w /= w.sum()
+    grid = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    draws = grid * [p.rf_spread, p.offset_spread_hz, p.offset_spread_hz]
+    stack = nmrsim._compile_stack(seq, sys, draws, p.calib_offset, start)
+    outer = np.einsum("ikn,jkn->nij", stack, stack.conj())
+    mean = np.tensordot(weights, outer, axes=1)
+    return mean, np.tensordot(weights, np.abs(outer - mean) ** 2, axes=1)
 
 
 def temporal_average(
