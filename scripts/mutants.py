@@ -44,6 +44,7 @@ RANGE_TESTS = (
     "tests/test_noise.py::TestEnsembleAverage::test_overflowing_phase_refused_before_any_draw",
 ) + EPSILON_TESTS
 TOMO_TESTS = ("tests/test_tomo.py",)
+OUTPUT_TESTS = ("tests/test_outputs.py",)
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 #: The draw of one chunk in ``noise._draw_chunks``.
 DRAWS = """        z = rng.standard_normal((CHUNK_SIZE, 3))
@@ -407,6 +408,28 @@ MUTANTS = (
         "nmrsim.thermal_state(system, epsilon)",
         "pass",
         EPSILON_TESTS,
+    ),
+    Mutant(
+        "table verdict printed after the grid",
+        "cli.py",
+        "before, after = result.notes, ()",
+        "before, after = (), result.notes",
+        OUTPUT_TESTS + ("tests/test_cli.py::TestTable::test_self_check_passes",),
+    ),
+    Mutant(
+        "fig4 summary printed before its files are written",
+        "cli.py",
+        'before, after = (), (*result.notes, "wrote " + ", ".join(outputs))',
+        'before, after = (*result.notes, "wrote " + ", ".join(outputs)), ()',
+        OUTPUT_TESTS + ("tests/test_cli.py::TestFig4::test_unwritable_directory_is_io_error",),
+    ),
+    Mutant(
+        "table --check FAIL still writes the grid",
+        "cli.py",
+        "return Result(notes=notes, code=EXIT_FAIL)",
+        "return replace(cmd_table(argparse.Namespace(**dict(vars(args), check=False))),"
+        " notes=notes, code=EXIT_FAIL)",
+        ("tests/test_cli.py::TestMutationSanity::test_failed_table_check_writes_only_its_verdict",),
     ),
     Mutant(
         "fourth encoding's sign flipped",

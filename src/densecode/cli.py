@@ -16,7 +16,8 @@ replaces the section by a whole document's or a bare noise object);
 ``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
-the first call and shared by every later one.
+the first call and shared by every later one.  Each command returns a
+``Result``; ``main`` alone renders it and writes it.
 """
 
 from __future__ import annotations
@@ -231,40 +232,68 @@ def _variant(value: str) -> BellVariant:
         ) from None
 
 
-def _write_output(text: str, out_path: str | None) -> int:
+def _write_output(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:  # CSV ends rows in \r\n
+            fh.write(text)
+    else:
+        _sys.stdout.write(text)
+
+
+def _render(fmt: str, data) -> str:
+    """``data`` in format ``fmt``: a payload as strict JSON (a non-finite
+    float raises ``ValueError``), rows as CSV, else lines of text."""
+    if fmt == "json":
+        return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(data)
+        return buf.getvalue()
+    return "\n".join(data) + "\n"
+
+
+@dataclass(frozen=True)
+class Result:
+    """A command's result, which ``main`` alone renders and writes.
+
+    ``--format`` chooses ``payload`` (JSON), ``lines`` (text) or ``rows``
+    (CSV) for ``--out`` or stdout; one that is ``None`` writes nothing.
+    fig4 has ``files``: names in the ``--out`` directory, each mapped to a
+    payload or rows and rendered by its suffix.  ``notes`` are stdout lines,
+    printed before the output, or after the files and then a ``wrote`` line.
+    ``code`` is the exit code if every write succeeds."""
+
+    payload: dict | None = None
+    lines: list[str] | None = None
+    rows: list[list] | None = None
+    files: dict | None = None
+    notes: tuple[str, ...] = ()
+    code: int = EXIT_OK
+
+
+def _write(args, result: Result) -> int:
+    """Write ``result`` as ``Result`` says; a failed write is ``EXIT_IO``."""
+    if result.files is None:
+        data = {"json": result.payload, "csv": result.rows, "text": result.lines}[args.format]
+        outputs = {} if data is None else {args.out: _render(args.format, data)}
+        before, after = result.notes, ()
+    else:
+        outputs = {
+            f"{args.out}/{name}" if args.out else name: _render(name.rsplit(".", 1)[1], data)
+            for name, data in result.files.items()
+        }
+        before, after = (), (*result.notes, "wrote " + ", ".join(outputs))
+    for line in before:
+        print(line)
     try:
-        if out_path:
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:  # CSV ends rows in \r\n
-                fh.write(text)
-        else:
-            _sys.stdout.write(text)
-        return EXIT_OK
+        for path, text in outputs.items():
+            _write_output(text, path)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=_sys.stderr)
         return EXIT_IO
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    """``payload`` as strict JSON: a non-finite float raises ``ValueError``."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
-def _emit(args, payload, lines: list[str], rows=None) -> int:
-    """Write a command's result in ``args.format`` to ``args.out`` (stdout
-    without one): ``payload`` as JSON, ``rows`` as CSV, else ``lines``."""
-    if args.format == "json":
-        text = _json_text(payload)
-    elif args.format == "csv":
-        text = _csv_text(rows)
-    else:
-        text = "\n".join(lines) + "\n"
-    return _write_output(text, args.out)
+    for line in after:
+        print(line)
+    return result.code
 
 
 def _state_entries(s: np.ndarray) -> list[dict]:
@@ -279,13 +308,12 @@ def _state_entries(s: np.ndarray) -> list[dict]:
     ]
 
 
-def _state_lines(title: str, s: np.ndarray) -> list[str]:
-    lines = [title]
-    for e in _state_entries(s):
-        lines.append(
-            f"  {e['basis']}  {e['re']:+.8f} {e['im']:+.8f}i   p={e['probability']:.9f}"
-        )
-    return lines
+def _state_lines(title: str, entries: list[dict]) -> list[str]:
+    """``title`` and one line per ``_state_entries`` entry."""
+    return [title] + [
+        f"  {e['basis']}  {e['re']:+.8f} {e['im']:+.8f}i   p={e['probability']:.9f}"
+        for e in entries
+    ]
 
 
 def _density_json(rho: np.ndarray) -> list[list[list[float]]]:
@@ -295,14 +323,15 @@ def _density_json(rho: np.ndarray) -> list[list[list[float]]]:
 # ---------------------------------------------------------------- table ----
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Result:
     grid = protocol.table1()
     columns = [v.value for v in BELL_VARIANT_ORDER]
+    notes = ()
     if args.check:
         reference = validation.check_table()
-        print(("PASS " if reference.passed else "FAIL ") + reference.detail)
+        notes = (("PASS " if reference.passed else "FAIL ") + reference.detail,)
         if not reference.passed:
-            return EXIT_FAIL
+            return Result(notes=notes, code=EXIT_FAIL)
     payload = {
         "columns": columns,
         "rows": [
@@ -329,13 +358,13 @@ def cmd_table(args) -> int:
         lines.append(
             f"U_a{m}    " + "".join(grid[i][j].ket.rjust(width) for j in range(4))
         )
-    return _emit(args, payload, lines, rows)
+    return Result(payload, lines, rows, notes=notes)
 
 
 # ------------------------------------------------------------------ run ----
 
 
-def cmd_run(args, inputs: Inputs) -> int:
+def cmd_run(args, inputs: Inputs) -> Result:
     params, seed = inputs.params, inputs.seed
     m, v = args.message, args.variant
 
@@ -348,60 +377,53 @@ def cmd_run(args, inputs: Inputs) -> int:
         encoded = protocol.encode(prepared, m)
         decoded = protocol.decode(encoded)
         out = protocol.readout(decoded)
-        recovered = protocol.recover_message((out.y, out.x), v)
         report.update(
             prepared=_state_entries(prepared),
             encoded=_state_entries(encoded),
             decoded=_state_entries(decoded),
             readout={"y": out.y, "x": out.x, "phase": out.phase, "ket": out.ket},
-            recovered_message=recovered,
+            recovered_message=protocol.recover_message((out.y, out.x), v),
         )
-        lines += _state_lines("prepared state:", prepared)
-        lines += _state_lines("encoded state:", encoded)
-        lines += _state_lines("decoded state:", decoded)
+        for stage in ("prepared", "encoded", "decoded"):
+            lines += _state_lines(f"{stage} state:", report[stage])
         lines.append(f"readout: {out.ket}  bits={out.bits}")
-        lines.append(f"recovered message: {recovered}")
+        lines.append(f"recovered message: {report['recovered_message']}")
     elif params is None:
         final = experiment.pulse_output_state(inputs.system, m, v)
         probs = qcore.probabilities(final)
         k = int(np.argmax(probs))
-        recovered = protocol.recover_message((k >> 1, k & 1), v)
         report.update(
             populations={qcore.BASIS_LABELS[i]: float(probs[i]) for i in range(4)},
             dominant_state=f"|{qcore.BASIS_LABELS[k]}>",
             dominant_population=float(probs[k]),
-            recovered_message=recovered,
+            recovered_message=protocol.recover_message((k >> 1, k & 1), v),
         )
-        lines += _state_lines("final pulse-layer state:", final)
+        lines += _state_lines("final pulse-layer state:", _state_entries(final))
         lines.append(f"dominant state: |{qcore.BASIS_LABELS[k]}>  population={probs[k]:.12f}")
-        lines.append(f"recovered message: {recovered}")
+        lines.append(f"recovered message: {report['recovered_message']}")
     else:
         rho = experiment.noisy_output_density(inputs.system, params, m, v, seed=seed)
         probs = qcore.probabilities(rho)
         k = int(np.argmax(probs))
-        recovered = protocol.recover_message((k >> 1, k & 1), v)
-        ideal = experiment.ideal_output_density(m, v)
-        fid = qcore.fidelity(rho, ideal)
         report.update(
             seed=seed,
             ensemble_size=params.ensemble_size,
             populations={qcore.BASIS_LABELS[i]: float(probs[i]) for i in range(4)},
             density_matrix=_density_json(rho),
-            recovered_message=recovered,
-            fidelity_vs_ideal=fid,
+            recovered_message=protocol.recover_message((k >> 1, k & 1), v),
+            fidelity_vs_ideal=qcore.fidelity(rho, experiment.ideal_output_density(m, v)),
         )
-        lines.append(f"noisy ensemble (size {params.ensemble_size}, seed {seed}) populations:")
-        for i in range(4):
-            lines.append(f"  |{qcore.BASIS_LABELS[i]}>  p={probs[i]:.6f}")
-        lines.append(f"recovered message: {recovered}")
-        lines.append(f"fidelity vs ideal output: {fid:.6f}")
-    return _emit(args, report, lines)
+        lines.append("noisy ensemble (size {ensemble_size}, seed {seed}) populations:".format(**report))
+        lines += [f"  |{label}>  p={p:.6f}" for label, p in report["populations"].items()]
+        lines.append(f"recovered message: {report['recovered_message']}")
+        lines.append(f"fidelity vs ideal output: {report['fidelity_vs_ideal']:.6f}")
+    return Result(report, lines)
 
 
 # ----------------------------------------------------------------- fig4 ----
 
 
-def cmd_fig4(args, inputs: Inputs) -> int:
+def cmd_fig4(args, inputs: Inputs) -> Result:
     params, seed = inputs.params, inputs.seed
     panels = experiment.fig4_panels(inputs.system, inputs.epsilon, params, seed=seed)
 
@@ -427,15 +449,12 @@ def cmd_fig4(args, inputs: Inputs) -> int:
     }
 
     tables = {}
-    for p in panels:
-        tables[experiment.EXPERIMENTAL_PANELS[p.message - 1]] = tomo.ModulusTable(
-            np.abs(p.experimental)
-        )
-        tables[experiment.THEORY_PANELS[p.message - 1]] = tomo.element_modulus_table(p.theory)
+    for p, entry in zip(panels, summary["panels"]):
+        tables[entry["experimental_panel"]] = tomo.ModulusTable(np.abs(p.experimental))
+        tables[entry["theory_panel"]] = tomo.element_modulus_table(p.theory)
     if args.format == "json":
         modulus_tables = {label: table.to_json_dict() for label, table in tables.items()}
-        payload = dict(summary, modulus_tables=modulus_tables)
-        files = {"fig4.json": _json_text(payload)}
+        files = {"fig4.json": dict(summary, modulus_tables=modulus_tables)}
     else:
         # sorted labels: the experimental panels a-d, then the theory panels e-h
         rows = [["panel", "row", "col", "modulus"]] + [
@@ -443,29 +462,20 @@ def cmd_fig4(args, inputs: Inputs) -> int:
             for label, table in sorted(tables.items())
             for j, k, val in table.to_rows()
         ]
-        files = {"fig4.csv": _csv_text(rows), "fig4_errors.json": _json_text(summary)}
-    written = []
-    for name, text in files.items():
-        path = f"{args.out}/{name}" if args.out else name
-        code = _write_output(text, path)
-        if code != EXIT_OK:
-            return code
-        written.append(path)
-
-    for p in panels:
-        print(
-            f"message {p.message}: max element error "
-            f"{p.error.absolute:.4f} absolute, {p.error.relative:.4f} relative"
-        )
-    print(f"max relative error across panels: {summary['max_relative_error']:.4f}")
-    print("wrote " + ", ".join(written))
-    return EXIT_OK
+        files = {"fig4.csv": rows, "fig4_errors.json": summary}
+    notes = [
+        f"message {p['message']}: max element error {p['max_element_error_absolute']:.4f} "
+        f"absolute, {p['max_element_error_relative']:.4f} relative"
+        for p in summary["panels"]
+    ]
+    notes.append(f"max relative error across panels: {summary['max_relative_error']:.4f}")
+    return Result(files=files, notes=tuple(notes))
 
 
 # ----------------------------------------------------------------- tomo ----
 
 
-def cmd_tomo(args, inputs: Inputs) -> int:
+def cmd_tomo(args, inputs: Inputs) -> Result:
     params = inputs.params
     m, v = args.message, args.variant
 
@@ -479,37 +489,36 @@ def cmd_tomo(args, inputs: Inputs) -> int:
 
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_in))
     table = tomo.element_modulus_table(reconstructed)
-    roundtrip = float(np.max(np.abs(reconstructed - rho_in)))
     err = tomo.max_element_error(reconstructed, ideal)
-    fid = qcore.fidelity(reconstructed, ideal)
-
     payload = {
         "message": m,
         "variant": v.value,
         "layer": args.layer,
         "noisy": params is not None,
         "modulus_table": table.to_json_dict(),
-        "reconstruction_roundtrip_error": roundtrip,
+        "reconstruction_roundtrip_error": float(np.max(np.abs(reconstructed - rho_in))),
         "max_element_error_absolute": err.absolute,
         "max_element_error_relative": err.relative,
-        "fidelity_vs_ideal": fid,
+        "fidelity_vs_ideal": qcore.fidelity(reconstructed, ideal),
     }
     rows = [["row", "col", "modulus"]] + [[j, k, f"{val:.12g}"] for j, k, val in table.to_rows()]
-    lines = [f"tomography of message {m}, variant {v.value}, layer {args.layer}"
-             + (" (noisy)" if params is not None else "")]
-    lines.append("reconstructed element moduli (rows/cols |00>..|11>):")
-    for j in range(4):
-        lines.append("  " + "  ".join(f"{table.values[j, k]:.6f}" for k in range(4)))
-    lines.append(f"reconstruction round-trip error: {roundtrip:.3e}")
-    lines.append(f"max element error vs ideal: {err.absolute:.4f} absolute, {err.relative:.4f} relative")
-    lines.append(f"fidelity vs ideal: {fid:.6f}")
-    return _emit(args, payload, lines, rows)
+    lines = [
+        f"tomography of message {m}, variant {v.value}, layer {args.layer}"
+        + (" (noisy)" if payload["noisy"] else ""),
+        "reconstructed element moduli (rows/cols |00>..|11>):",
+        *("  " + "  ".join(f"{x:.6f}" for x in row) for row in payload["modulus_table"]["modulus"]),
+        f"reconstruction round-trip error: {payload['reconstruction_roundtrip_error']:.3e}",
+        f"max element error vs ideal: {payload['max_element_error_absolute']:.4f} absolute, "
+        f"{payload['max_element_error_relative']:.4f} relative",
+        f"fidelity vs ideal: {payload['fidelity_vs_ideal']:.6f}",
+    ]
+    return Result(payload, lines, rows)
 
 
 # ------------------------------------------------------------- validate ----
 
 
-def cmd_validate(args, inputs: Inputs) -> int:
+def cmd_validate(args, inputs: Inputs) -> Result:
     results = validation.run_validation(
         sys=inputs.system, epsilon=inputs.epsilon, params=inputs.params, seed=inputs.seed
     )
@@ -522,16 +531,10 @@ def cmd_validate(args, inputs: Inputs) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    lines = [
-        ("PASS " if r.passed else "FAIL ") + f"{r.name:<26s} {r.detail}"
-        for r in results
-    ]
-    n_ok = sum(r.passed for r in results)
-    lines.append(f"{n_ok}/{len(results)} checks passed")
-    code = _emit(args, payload, lines)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
+    checks = payload["checks"]
+    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']:<26s} {c['detail']}" for c in checks]
+    lines.append(f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+    return Result(payload, lines, code=EXIT_OK if payload["passed"] else EXIT_FAIL)
 
 
 # ---------------------------------------------------------------- parser ----
@@ -551,17 +554,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="verify the grid against a brute-force enumeration")
     p_table.add_argument("--out", metavar="PATH")
 
-    p_run = sub.add_parser("run", help="run the protocol for one message")
-    p_run.add_argument("-m", "--message", type=int, required=True, choices=(1, 2, 3, 4))
-    p_run.add_argument("-v", "--variant", type=_variant, default=BellVariant.MINUS_PHI,
+    def protocol_command(name: str, summary: str, formats: tuple[str, ...]) -> None:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-m", "--message", type=int, required=True, choices=(1, 2, 3, 4))
+        p.add_argument("-v", "--variant", type=_variant, default=BellVariant.MINUS_PHI,
                        help="Bell start state (default minus-phi)")
-    p_run.add_argument("--layer", choices=("ideal", "pulse"), default="ideal")
-    p_run.add_argument("--config", metavar="PATH")
-    p_run.add_argument("--noise", nargs="?", const="", metavar="PATH",
+        p.add_argument("--layer", choices=("ideal", "pulse"), default="ideal")
+        p.add_argument("--config", metavar="PATH")
+        p.add_argument("--noise", nargs="?", const="", metavar="PATH",
                        help="enable the error model (optionally from a JSON file)")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--out", metavar="PATH")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", metavar="PATH")
+
+    protocol_command("run", "run the protocol for one message", ("text", "json"))
 
     p_fig4 = sub.add_parser("fig4", help="emit theory/experiment element-modulus tables")
     p_fig4.add_argument("--config", metavar="PATH")
@@ -569,15 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig4.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fig4.add_argument("--out", metavar="DIR", help="output directory (default .)")
 
-    p_tomo = sub.add_parser("tomo", help="tomograph a protocol output state")
-    p_tomo.add_argument("-m", "--message", type=int, required=True, choices=(1, 2, 3, 4))
-    p_tomo.add_argument("-v", "--variant", type=_variant, default=BellVariant.MINUS_PHI)
-    p_tomo.add_argument("--layer", choices=("ideal", "pulse"), default="ideal")
-    p_tomo.add_argument("--config", metavar="PATH")
-    p_tomo.add_argument("--noise", nargs="?", const="", metavar="PATH")
-    p_tomo.add_argument("--seed", type=int)
-    p_tomo.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_tomo.add_argument("--out", metavar="PATH")
+    protocol_command("tomo", "tomograph a protocol output state", ("text", "json", "csv"))
 
     p_val = sub.add_parser("validate", help="run the full verification suite")
     p_val.add_argument("--config", metavar="PATH")
@@ -603,10 +601,11 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow or NaN is an error, not a warning beside a result
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.command == "table":
-                return cmd_table(args)
-            inputs = resolve(args)
-            commands = {"run": cmd_run, "fig4": cmd_fig4, "tomo": cmd_tomo, "validate": cmd_validate}
-            return commands[args.command](args, inputs)
+                result = cmd_table(args)
+            else:
+                commands = {"run": cmd_run, "fig4": cmd_fig4, "tomo": cmd_tomo, "validate": cmd_validate}
+                result = commands[args.command](args, resolve(args))
+            return _write(args, result)
     except OSError as exc:  # a config path that cannot be read
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IO

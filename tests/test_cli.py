@@ -227,11 +227,12 @@ class TestFig4:
         assert errors["noise"]["t2_a_s"] == 1e300
 
     def test_unwritable_directory_is_io_error(self, capsys, quick_cfg):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, ["fig4", "--config", str(quick_cfg), "--out", "/nonexistent/dir"]
         )
         assert code == 3
         assert "error" in err
+        assert out == ""  # no summary for files that were not written
 
     def test_deterministic_given_seed(self, capsys, tmp_path, quick_cfg):
         for sub in ("one", "two"):
@@ -307,8 +308,7 @@ class TestValidate:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         healthy = strict_json(out)["checks"]
-        wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # unitary, not H
-        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
+        corrupt_hadamard(monkeypatch)
         code, out, _ = run_cli(capsys, argv)
         assert code == 1
         broken = strict_json(out)["checks"]
@@ -333,27 +333,73 @@ class TestValidate:
         assert lines[-1].endswith("checks passed")
 
 
+def corrupt_hadamard(monkeypatch):
+    """Replace the Hadamard on spin b by a unitary that is not H."""
+    wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
+    monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
+
+
 class TestMutationSanity:
     def test_corrupted_gate_fails_table_check(self, monkeypatch):
-        wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)  # unitary, not H
-        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
+        corrupt_hadamard(monkeypatch)
         result = validation.check_table()
         assert not result.passed
 
     def test_corrupted_gate_makes_validate_exit_nonzero(self, monkeypatch, capsys, tmp_path):
-        wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-        monkeypatch.setattr(protocol, "_H_B", np.kron(wrong, np.eye(2)))
+        corrupt_hadamard(monkeypatch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"noise": {"ensemble_size": 50}}))
         code, out, _ = run_cli(capsys, ["validate", "--config", str(cfg)])
         assert code == 1
         assert "FAIL table1-vs-brute-force" in out
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_failed_table_check_writes_only_its_verdict(self, monkeypatch, capsys, tmp_path, fmt, to_file):
+        corrupt_hadamard(monkeypatch)
+        out_option = ["--out", str(tmp_path / f"table.{fmt}")] if to_file else []
+        code, out, err = run_cli(capsys, ["table", "--check", "--format", fmt, *out_option])
+        assert (code, out, err) == (1, f"FAIL {validation.check_table().detail}\n", "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_validate_still_writes_its_report(self, monkeypatch, capsys, tmp_path):
+        corrupt_hadamard(monkeypatch)
+        cfg, target = tmp_path / "cfg.json", tmp_path / "validate.json"
+        cfg.write_text(json.dumps({"noise": {"ensemble_size": 50}}))
+        argv = ["validate", "--config", str(cfg), "--format", "json", "--out", str(target)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", "")
+        report = strict_json(target.read_text())
+        assert report["passed"] is False and len(report["checks"]) == 10
+
     def test_corrupted_encoding_fails_eq2_check(self, monkeypatch):
         monkeypatch.setattr(protocol, "_ENCODINGS",
                             {m: np.eye(4, dtype=complex) for m in protocol.MESSAGES})
         result = validation._check_eq2()
         assert not result.passed
+
+
+def test_commands_return_their_result_and_write_nothing(monkeypatch, capsys, tmp_path):
+    """Every ``cmd_*`` only computes its ``Result``: ``main`` alone prints
+    and writes it."""
+    monkeypatch.chdir(tmp_path)
+    series = [
+        ["table", "--check", "--out", "table.txt"],
+        ["run", "-m", "2", "--layer", "pulse", "--noise", "--out", "run.txt"],
+        ["fig4", "--seed", "3"],
+        ["tomo", "-m", "3", "--format", "csv", "--out", "tomo.csv"],
+        ["validate", "--ensemble-size", "20", "--format", "json", "--out", "validate.json"],
+    ]
+    commands = set()
+    for argv in series:
+        args = cli.build_parser().parse_args(argv)
+        command = getattr(cli, f"cmd_{args.command}")
+        result = command(args) if args.command == "table" else command(args, cli.resolve(args))
+        assert isinstance(result, cli.Result), argv
+        assert capsys.readouterr() == ("", ""), argv
+        assert list(tmp_path.iterdir()) == [], argv
+        commands.add(command.__name__)
+    assert commands == {name for name in vars(cli) if name.startswith("cmd_")}
 
 
 BAD_CONFIG_VALUES = [
@@ -554,6 +600,19 @@ class TestOneParserPerProcess:
             out = capsys.readouterr()
             assert (code, out.out, out.err) == expected[i], argv
             assert files_under(shared) == files_under(fresh[i]), argv
+
+
+def test_run_and_tomo_options_have_the_same_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal
+    sections = []
+    for command in ("run", "tomo"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        sections.append([line for line in options.splitlines() if "--format" not in line])
+    assert sections[0] == sections[1]
+    assert "Bell start state (default minus-phi)" in "\n".join(sections[1])
+    assert "enable the error model (optionally from a JSON file)" in "\n".join(sections[1])
 
 
 CONFIG_COMMANDS = [
