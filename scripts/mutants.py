@@ -361,6 +361,13 @@ MUTANTS = (
         ("tests/test_qcore.py",),
     ),
     Mutant(
+        "psd_factor skips its positivity test",
+        "qcore.py",
+        "_check_min_eigenvalue(float(vals[0]), PSD_FLOOR)",
+        "None",
+        ("tests/test_qcore.py::TestPsdFactor",),
+    ),
+    Mutant(
         "state finiteness read through a float view",
         "qcore.py",
         "np.all(np.isfinite(s))",

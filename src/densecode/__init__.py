@@ -10,7 +10,7 @@ model, glued together by the ``densecode`` command-line tool.
 from .nmrsim import Delay, PulseSequence, Rf, SpinSystem
 from .noise import ErrorParams
 from .protocol import BELL_VARIANT_ORDER, BellVariant, DecodedOutput, NotBasisStateError
-from .tomo import ElementError, ModulusTable
+from .tomo import ElementError
 
 __all__ = [
     "BELL_VARIANT_ORDER",
@@ -19,7 +19,6 @@ __all__ = [
     "Delay",
     "ElementError",
     "ErrorParams",
-    "ModulusTable",
     "NotBasisStateError",
     "PulseSequence",
     "Rf",

@@ -320,6 +320,20 @@ def _density_json(rho: np.ndarray) -> list[list[list[float]]]:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(rho)]
 
 
+def _modulus_json(rho: np.ndarray) -> dict:
+    """The element moduli |rho_jk| on the |00>..|11> axes."""
+    return {"axis": list(qcore.BASIS_LABELS), "modulus": np.abs(rho).tolist()}
+
+
+def _modulus_rows(rho: np.ndarray) -> list[list]:
+    """One (row, col, |rho_jk|) row per element, row-major."""
+    return [[j, k, f"{val:.12g}"] for (j, k), val in np.ndenumerate(np.abs(rho))]
+
+
+def _verdict(check: validation.CheckResult) -> str:
+    return f"{'PASS' if check.passed else 'FAIL'} {check.name:<26s} {check.detail}"
+
+
 # ---------------------------------------------------------------- table ----
 
 
@@ -329,7 +343,7 @@ def cmd_table(args) -> Result:
     notes = ()
     if args.check:
         reference = validation.check_table()
-        notes = (("PASS " if reference.passed else "FAIL ") + reference.detail,)
+        notes = (_verdict(reference),)
         if not reference.passed:
             return Result(notes=notes, code=EXIT_FAIL)
     payload = {
@@ -448,19 +462,17 @@ def cmd_fig4(args, inputs: Inputs) -> Result:
         "max_relative_error": max(p.error.relative for p in panels),
     }
 
-    tables = {}
+    matrices = {}
     for p, entry in zip(panels, summary["panels"]):
-        tables[entry["experimental_panel"]] = tomo.ModulusTable(np.abs(p.experimental))
-        tables[entry["theory_panel"]] = tomo.element_modulus_table(p.theory)
+        matrices[entry["experimental_panel"]] = p.experimental
+        matrices[entry["theory_panel"]] = p.theory
     if args.format == "json":
-        modulus_tables = {label: table.to_json_dict() for label, table in tables.items()}
+        modulus_tables = {label: _modulus_json(rho) for label, rho in matrices.items()}
         files = {"fig4.json": dict(summary, modulus_tables=modulus_tables)}
     else:
         # sorted labels: the experimental panels a-d, then the theory panels e-h
         rows = [["panel", "row", "col", "modulus"]] + [
-            [label, j, k, f"{val:.12g}"]
-            for label, table in sorted(tables.items())
-            for j, k, val in table.to_rows()
+            [label, *row] for label, rho in sorted(matrices.items()) for row in _modulus_rows(rho)
         ]
         files = {"fig4.csv": rows, "fig4_errors.json": summary}
     notes = [
@@ -488,20 +500,19 @@ def cmd_tomo(args, inputs: Inputs) -> Result:
         rho_in = experiment.noisy_output_density(inputs.system, params, m, v, seed=inputs.seed)
 
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_in))
-    table = tomo.element_modulus_table(reconstructed)
     err = tomo.max_element_error(reconstructed, ideal)
     payload = {
         "message": m,
         "variant": v.value,
         "layer": args.layer,
         "noisy": params is not None,
-        "modulus_table": table.to_json_dict(),
+        "modulus_table": _modulus_json(reconstructed),
         "reconstruction_roundtrip_error": float(np.max(np.abs(reconstructed - rho_in))),
         "max_element_error_absolute": err.absolute,
         "max_element_error_relative": err.relative,
         "fidelity_vs_ideal": qcore.fidelity(reconstructed, ideal),
     }
-    rows = [["row", "col", "modulus"]] + [[j, k, f"{val:.12g}"] for j, k, val in table.to_rows()]
+    rows = [["row", "col", "modulus"]] + _modulus_rows(reconstructed)
     lines = [
         f"tomography of message {m}, variant {v.value}, layer {args.layer}"
         + (" (noisy)" if payload["noisy"] else ""),
@@ -531,9 +542,8 @@ def cmd_validate(args, inputs: Inputs) -> Result:
         ],
         "passed": all(r.passed for r in results),
     }
-    checks = payload["checks"]
-    lines = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']:<26s} {c['detail']}" for c in checks]
-    lines.append(f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+    lines = [_verdict(r) for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return Result(payload, lines, code=EXIT_OK if payload["passed"] else EXIT_FAIL)
 
 

@@ -62,14 +62,10 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def check_density_matrix(rho: np.ndarray, psd_floor: float = PSD_FLOOR) -> np.ndarray:
-    """Validate Hermiticity and unit trace (within ``OP_ATOL``) and positivity
-    of a 4x4 density matrix, or of every member of a stack (..., 4, 4); the
-    error reports the worst member.
-
-    ``psd_floor`` is the tolerated eigenvalue dip below zero; reconstructed
-    matrices from the tomography fit are checked with a looser floor.
-    """
+def _check_hermitian_unit_trace(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex 4x4 matrix or stack (..., 4, 4), refused unless
+    finite, Hermitian and of unit trace within ``OP_ATOL``; the error reports
+    the worst member."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
@@ -82,9 +78,25 @@ def check_density_matrix(rho: np.ndarray, psd_floor: float = PSD_FLOOR) -> np.nd
     tr = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(tr - 1.0) > OP_ATOL:
         raise ValueError(f"density matrix trace != 1: {tr!r}")
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+    return rho
+
+
+def _check_min_eigenvalue(min_eig: float, psd_floor: float) -> None:
     if min_eig < -psd_floor:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
+
+
+def check_density_matrix(rho: np.ndarray, psd_floor: float = PSD_FLOOR) -> np.ndarray:
+    """Validate Hermiticity and unit trace (within ``OP_ATOL``) and positivity
+    of a 4x4 density matrix, or of every member of a stack (..., 4, 4); the
+    error reports the worst member.
+
+    ``psd_floor`` is the tolerated eigenvalue dip below zero; reconstructed
+    matrices from the tomography fit are checked with a looser floor.
+    """
+    rho = _check_hermitian_unit_trace(rho)
+    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+    _check_min_eigenvalue(min_eig, psd_floor)
     return rho
 
 
@@ -128,25 +140,29 @@ def probabilities(state: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(rho: np.ndarray) -> np.ndarray:
-    """A factor V, shape (4, k), of a positive semidefinite ``rho`` = V V^H.
+    """A factor V, shape (4, k), of a 4x4 density matrix ``rho`` = V V^H.
 
+    ``rho`` is refused as ``check_density_matrix`` refuses it, positivity
+    read from the eigenvalues of the one ``eigh`` that also gives the factor.
     Eigenvalues at rounding level relative to the largest (the tolerance of
     ``np.linalg.matrix_rank``) are dropped, so a pure state gives k = 1.
     """
-    vals, vecs = np.linalg.eigh(rho)
+    vals, vecs = np.linalg.eigh(_check_hermitian_unit_trace(rho))
+    _check_min_eigenvalue(float(vals[0]), PSD_FLOOR)
     keep = vals > vals[-1] * len(vals) * np.finfo(float).eps
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+    """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2
+    of two density matrices, each refused by ``psd_factor`` if it is not one.
 
     Computed as the squared sum of the singular values of A^H B for factors
     rho = A A^H and sigma = B B^H, which equal those of sqrt(rho) sqrt(sigma).
     For pure sigma = |psi><psi| this reduces to <psi|rho|psi>.
     """
-    a = psd_factor(check_density_matrix(rho))
-    b = psd_factor(check_density_matrix(sigma))
+    a = psd_factor(rho)
+    b = psd_factor(sigma)
     f = float(np.sum(np.linalg.svd(a.conj().T @ b, compute_uv=False))) ** 2
     return min(max(f, 0.0), 1.0)
 

@@ -14,7 +14,10 @@ the (72, 15) design matrix and its pseudo-inverse, the (15, 72) fit map, are
 built once at import.  Simulating the readouts is one batched conjugation
 and a reconstruction one matrix product, both over a stack of states.  A
 fitted state that dips below -``PSD_FLOOR`` is replaced by the nearest
-density matrix (``clip_to_density``, an exact projection).
+density matrix (``clip_to_density``, an exact projection).  So a fit is
+Hermitian, of unit trace and positive down to -``PSD_FLOOR`` by
+construction, and nothing checks it again; ``densecode tomo`` renders its
+element moduli |rho_jk| itself.
 """
 
 from __future__ import annotations
@@ -155,39 +158,6 @@ def clip_to_density(rho: np.ndarray) -> np.ndarray:
     kept = np.flatnonzero(desc > shifts)
     shift = shifts[kept[-1] if kept.size else 0]
     return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T
-
-
-@dataclass(frozen=True)
-class ModulusTable:
-    """Element moduli |rho_jk| on the 0..3 = |00>..|11> axes."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (4, 4):
-            raise ValueError("modulus table must be 4x4")
-        if np.any(vals < 0) or np.max(np.abs(vals - vals.T)) > 1e-9:
-            raise ValueError("modulus table must be symmetric and non-negative")
-        if np.any(np.diag(vals) > 1.0 + 1e-9):
-            raise ValueError("diagonal moduli cannot exceed 1")
-        object.__setattr__(self, "values", vals)
-
-    def to_rows(self) -> list[tuple[int, int, float]]:
-        """Flat (row, col, modulus) triples, row-major."""
-        return [(j, k, float(self.values[j, k])) for j in range(4) for k in range(4)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "axis": list(qcore.BASIS_LABELS),
-            "modulus": [[float(v) for v in row] for row in self.values],
-        }
-
-
-def element_modulus_table(rho: np.ndarray) -> ModulusTable:
-    """Moduli of all matrix elements of ``rho``."""
-    rho = qcore.check_density_matrix(rho, psd_floor=PSD_FLOOR)
-    return ModulusTable(np.abs(rho))
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,10 @@ def check_table() -> CheckResult:
 def _check_capacity() -> CheckResult:
     bad = []
     for v in BELL_VARIANT_ORDER:
-        outputs = {protocol.run_network(m, v).bits for m in protocol.MESSAGES}
-        if outputs != {"00", "01", "10", "11"}:
+        outputs = {m: protocol.run_network(m, v) for m in protocol.MESSAGES}
+        if {out.bits for out in outputs.values()} != {"00", "01", "10", "11"}:
             bad.append(v.value)
-        if any(protocol.transmit(m, v) != m for m in protocol.MESSAGES):
+        if any(protocol.recover_message((out.y, out.x), v) != m for m, out in outputs.items()):
             bad.append(v.value + ":round-trip")
     ok = not bad
     detail = "message -> bits bijective for all variants" if ok else "failed: " + ",".join(bad)

@@ -61,7 +61,13 @@ class TestTable:
     def test_self_check_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--check"])
         assert code == 0
-        assert out.startswith("PASS")
+        assert out.startswith("PASS table1-vs-brute-force ")
+
+    def test_self_check_verdict_is_validates_line(self, capsys):
+        _, table_out, _ = run_cli(capsys, ["table", "--check"])
+        code, validate_out, _ = run_cli(capsys, ["validate", "--ensemble-size", "20"])
+        assert code == 0
+        assert table_out.splitlines()[0] in validate_out.splitlines()
 
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -281,6 +287,26 @@ class TestTomoCommand:
         assert code == 0
         assert "reconstructed element moduli" in out
 
+    def test_noise_free_request_decomposes_each_matrix_once(self, monkeypatch, capsys):
+        """Readouts check their input (one eigvalsh), the fit's projection
+        test takes one more, and fidelity factors both matrices with one
+        eigh each, which also serves as their density check."""
+        counts = {"eigvalsh": 0, "eigh": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        code, _, _ = run_cli(capsys, ["tomo", "-m", "2", "--format", "json"])
+        assert code == 0
+        assert counts == {"eigvalsh": 2, "eigh": 2}
+
 
 class TestValidate:
     def test_full_suite_passes(self, capsys, tmp_path):
@@ -294,6 +320,18 @@ class TestValidate:
         assert "table1-vs-brute-force" in names
         assert "noise-error-band" in names
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_capacity_check_runs_each_network_once(self, monkeypatch):
+        runs = []
+        real = protocol.run_network
+
+        def counted(m, v):
+            runs.append((m, v))
+            return real(m, v)
+
+        monkeypatch.setattr(protocol, "run_network", counted)
+        assert validation._check_capacity().passed
+        assert len(runs) == len(set(runs)) == 16
 
     def test_json_value_and_bound_agree_with_passed(self, monkeypatch, capsys, tmp_path):
         def within(value, bound):
@@ -359,7 +397,8 @@ class TestMutationSanity:
         corrupt_hadamard(monkeypatch)
         out_option = ["--out", str(tmp_path / f"table.{fmt}")] if to_file else []
         code, out, err = run_cli(capsys, ["table", "--check", "--format", fmt, *out_option])
-        assert (code, out, err) == (1, f"FAIL {validation.check_table().detail}\n", "")
+        verdict = f"FAIL table1-vs-brute-force      {validation.check_table().detail}\n"
+        assert (code, out, err) == (1, verdict, "")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_validate_still_writes_its_report(self, monkeypatch, capsys, tmp_path):

@@ -254,6 +254,37 @@ class TestFidelity:
             qcore.fidelity(bad, good)
 
 
+def _non_hermitian():
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho[0, 1] = 0.3
+    return rho
+
+
+#: Matrices that are not density matrices, one per refusal.
+NOT_DENSITY = {
+    "non-hermitian": _non_hermitian(),
+    "trace-2": np.eye(4, dtype=complex) / 2,
+    "eigenvalue-below-floor": np.diag([1.0 + 2e-9, -2e-9, 0.0, 0.0]).astype(complex),
+}
+
+
+class TestPsdFactor:
+    @pytest.mark.parametrize("name", NOT_DENSITY)
+    def test_refuses_as_check_density_matrix_does(self, name):
+        bad = NOT_DENSITY[name]
+        with pytest.raises(ValueError) as expected:
+            qcore.check_density_matrix(bad)
+        for refuse in (qcore.psd_factor, lambda rho: qcore.fidelity(np.eye(4) / 4, rho)):
+            with pytest.raises(ValueError) as refused:
+                refuse(bad)
+            assert str(refused.value) == str(expected.value)
+
+    def test_dip_within_the_floor_is_dropped(self):
+        v = qcore.psd_factor(np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0]).astype(complex))
+        assert v.shape == (4, 1)
+        assert abs(abs(v[0, 0]) ** 2 - (1.0 + 5e-10)) < 1e-15
+
+
 class TestRotationHelpers:
     def test_rotation_axes(self):
         assert np.allclose(oracles.pauli_rotation("X", np.pi), -1j * qcore.SIGMA_X)

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 import oracles
-from densecode import experiment, protocol, qcore, tomo
+from densecode import cli, experiment, protocol, qcore, tomo
 from densecode.protocol import BellVariant
 
 RT2 = np.sqrt(2.0)
@@ -143,54 +145,62 @@ class TestProjectUnphysical:
         assert np.min(np.linalg.eigvalsh(out[0])) >= -1e-15
         assert np.array_equal(out[1], shallow)
 
+def tomo_output(monkeypatch, capsys, rho, fmt):
+    """What ``densecode tomo --format fmt`` writes when the state it
+    tomographs (and compares with) is ``rho``."""
+    monkeypatch.setattr(experiment, "ideal_output_density", lambda m, v: rho)
+    assert cli.main(["tomo", "-m", "1", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def modulus_table(monkeypatch, capsys, rho):
+    """The modulus table of ``densecode tomo --format json`` for ``rho``."""
+    return json.loads(tomo_output(monkeypatch, capsys, rho, "json"))["modulus_table"]
+
+
 class TestModulusTable:
-    def test_basis_state_single_peak(self):
-        table = tomo.element_modulus_table(qcore.pure_density(qcore.basis_state("10")))
+    """The element moduli |rho_jk| that ``densecode tomo`` reports."""
+
+    def test_basis_state_single_peak(self, capsys):
+        # message 1 on the minus-phi Bell state decodes to |10>
+        assert cli.main(["tomo", "-m", "1", "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)["modulus_table"]
         expected = np.zeros((4, 4))
         expected[2, 2] = 1.0
-        assert np.max(np.abs(table.values - expected)) < 1e-12
+        assert np.max(np.abs(np.array(table["modulus"]) - expected)) < 1e-12
 
-    def test_maximally_mixed(self):
-        table = tomo.element_modulus_table(np.eye(4, dtype=complex) / 4)
-        assert np.allclose(table.values, np.eye(4) * 0.25)
+    def test_maximally_mixed(self, monkeypatch, capsys):
+        table = modulus_table(monkeypatch, capsys, np.eye(4, dtype=complex) / 4)
+        assert np.allclose(table["modulus"], np.eye(4) * 0.25, rtol=0, atol=1e-12)
 
-    def test_bell_state_corners(self):
+    def test_bell_state_corners(self, monkeypatch, capsys):
         bell = np.array([1, 0, 0, -1], dtype=complex) / RT2
-        table = tomo.element_modulus_table(qcore.pure_density(bell))
+        table = modulus_table(monkeypatch, capsys, qcore.pure_density(bell))
         expected = np.zeros((4, 4))
         for j, k in ((0, 0), (0, 3), (3, 0), (3, 3)):
             expected[j, k] = 0.5
-        assert np.max(np.abs(table.values - expected)) < 1e-12
+        assert np.max(np.abs(np.array(table["modulus"]) - expected)) < 1e-12
 
-    def test_global_phase_invariance(self):
+    def test_global_phase_invariance(self, monkeypatch, capsys):
         rng = np.random.default_rng(109)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        t1 = tomo.element_modulus_table(qcore.pure_density(v))
-        t2 = tomo.element_modulus_table(qcore.pure_density(np.exp(0.83j) * v))
-        assert np.max(np.abs(t1.values - t2.values)) < 1e-12
+        t1 = modulus_table(monkeypatch, capsys, qcore.pure_density(v))
+        t2 = modulus_table(monkeypatch, capsys, qcore.pure_density(np.exp(0.83j) * v))
+        assert np.max(np.abs(np.array(t1["modulus"]) - np.array(t2["modulus"]))) < 1e-12
 
-    def test_serialization_rows(self):
-        table = tomo.element_modulus_table(np.eye(4, dtype=complex) / 4)
-        rows = table.to_rows()
-        assert len(rows) == 16
-        assert rows[0] == (0, 0, 0.25)
-        assert rows[1] == (0, 1, 0.0)
+    def test_serialization_rows(self, monkeypatch, capsys):
+        out = tomo_output(monkeypatch, capsys, np.eye(4, dtype=complex) / 4, "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["row", "col", "modulus"]
+        assert [(int(j), int(k)) for j, k, _ in rows[1:]] == [(j, k) for j in range(4) for k in range(4)]
+        assert rows[1][2] == "0.25"
+        assert abs(float(rows[2][2])) < 1e-12
 
-    def test_serialization_json(self):
-        table = tomo.element_modulus_table(np.eye(4, dtype=complex) / 4)
-        payload = json.loads(json.dumps(table.to_json_dict()))
-        assert payload["axis"] == ["00", "01", "10", "11"]
-        assert payload["modulus"][0][0] == 0.25
-
-    def test_validation(self):
-        bad = np.zeros((4, 4))
-        bad[0, 1] = 0.3  # asymmetric
-        with pytest.raises(ValueError):
-            tomo.ModulusTable(bad)
-        too_big = np.eye(4) * 1.5
-        with pytest.raises(ValueError):
-            tomo.ModulusTable(too_big)
+    def test_serialization_json(self, monkeypatch, capsys):
+        table = modulus_table(monkeypatch, capsys, np.eye(4, dtype=complex) / 4)
+        assert table["axis"] == ["00", "01", "10", "11"]
+        assert table["modulus"][0][0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestMaxElementError:
