@@ -403,6 +403,13 @@ MUTANTS = (
         ("tests/test_cli.py::TestRun::test_unparsable_file_names_itself",),
     ),
     Mutant(
+        "--noise file without a noise key read as a bare noise object",
+        "cli.py",
+        "if doc.keys() & CONFIG_SECTIONS else",
+        'if "noise" in doc else',
+        ("tests/test_cli.py::TestRun::test_noise_path_document_without_noise_section",),
+    ),
+    Mutant(
         "tiny epsilon reaches the checks",
         "cli.py",
         "if epsilon < experiment.MIN_EPSILON:",
@@ -437,6 +444,29 @@ MUTANTS = (
         "return replace(cmd_table(argparse.Namespace(**dict(vars(args), check=False))),"
         " notes=notes, code=EXIT_FAIL)",
         ("tests/test_cli.py::TestMutationSanity::test_failed_table_check_writes_only_its_verdict",),
+    ),
+    Mutant(
+        "table --check verifies a second grid",
+        "cli.py",
+        "validation.check_table(grid)",
+        "validation.check_table(protocol.table1())",
+        ("tests/test_cli.py::TestValidate::test_each_network_runs_once_per_request",),
+    ),
+    Mutant(
+        "check_table re-runs its own grid",
+        "validation.py",
+        "reference = _reference_table()",
+        "reference, grid = _reference_table(), protocol.table1()",
+        ("tests/test_cli.py::TestValidate::test_table_check_reads_the_grid_it_is_given",),
+    ),
+    # grid[j][i] would be an equivalent mutant: Table 1's matrix of basis
+    # indices is symmetric, so the transposed cell has the same index
+    Mutant(
+        "pulse-protocol check reads the previous variant's cell",
+        "validation.py",
+        "grid[i][j]",
+        "grid[i][j - 1]",
+        ("tests/test_cli.py::TestValidate::test_full_suite_passes",),
     ),
     Mutant(
         "fourth encoding's sign flipped",

@@ -12,7 +12,8 @@ rules (``--seed`` needs ``--noise``, ``--noise`` needs ``--layer pulse``),
 before any file is read; then it reads, in order: the document's keys and
 sections; the spin system and epsilon; the noise parameters (always for fig4
 and validate, only with ``--noise`` for run and tomo, where ``--noise PATH``
-replaces the section by a whole document's or a bare noise object);
+replaces the section by the file's ``noise`` section, empty if absent, if
+the file has a ``spin_system`` or ``noise`` key, else by the whole file);
 ``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
@@ -207,7 +208,7 @@ def resolve(args: argparse.Namespace) -> Inputs:
             return Inputs(system, epsilon, None, None)
         if args.noise:  # a whole document, or a bare noise object
             doc = _read_document(args.noise)
-            doc = _check_keys(doc, "", CONFIG_SECTIONS) if "noise" in doc else {"noise": doc}
+            doc = _check_keys(doc, "", CONFIG_SECTIONS) if doc.keys() & CONFIG_SECTIONS else {"noise": doc}
             nc = _section(doc, "noise", NOISE_KEYS)
     params = _from_section(noise.ErrorParams, nc, "noise", NOISE_KEYS, noise.DEMO_PARAMS)
     seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
@@ -342,7 +343,7 @@ def cmd_table(args) -> Result:
     columns = [v.value for v in BELL_VARIANT_ORDER]
     notes = ()
     if args.check:
-        reference = validation.check_table()
+        reference = validation.check_table(grid)
         notes = (_verdict(reference),)
         if not reference.passed:
             return Result(notes=notes, code=EXIT_FAIL)

@@ -46,25 +46,21 @@ def _reference_table() -> dict[tuple[int, str], tuple[int, int]]:
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     iy = np.array([[0, 1], [-1, 0]], dtype=complex)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    cn = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
+    h_b = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), i2)
+    cn = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     subs = {
         "minus-phi": np.kron(x, i2),
         "plus-phi": np.eye(4, dtype=complex),
         "minus-psi": np.kron(x, x),
         "plus-psi": np.kron(i2, x),
     }
-    encodings = {1: i2, 2: z, 3: x, 4: iy}
+    encodings = {m: np.kron(i2, enc) for m, enc in {1: i2, 2: z, 3: x, 4: iy}.items()}
+    ket00 = np.array([1, 0, 0, 0], dtype=complex)
     grid = {}
     for m, enc in encodings.items():
         for vname, sub in subs.items():
-            s = np.zeros(4, dtype=complex)
-            s[0] = 1.0
-            s = cn @ (np.kron(h, i2) @ (sub @ s))
-            s = np.kron(i2, enc) @ s
-            s = np.kron(h, i2) @ (cn @ s)
+            s = cn @ (h_b @ (sub @ ket00))
+            s = h_b @ (cn @ (enc @ s))
             k = int(np.argmax(np.abs(s)))
             if abs(abs(s[k]) - 1.0) > 1e-12 or abs(s[k].imag) > 1e-12:
                 raise AssertionError("reference enumeration produced a non-basis state")
@@ -95,18 +91,18 @@ def _check_eq2() -> CheckResult:
     return CheckResult("eq2-encodings", dev <= 1e-12, dev, 1e-12, f"max amplitude deviation {dev:.3e}")
 
 
-def check_table() -> CheckResult:
-    """The correspondence table against a brute-force enumeration."""
+def check_table(grid) -> CheckResult:
+    """``grid``, laid out as ``protocol.table1()`` returns it, against a
+    brute-force enumeration: each cell's index and sign, and the paper's
+    minus-phi column.  ``grid`` is checked as given, never recomputed."""
     reference = _reference_table()
-    grid = protocol.table1()
-    mismatches = []
-    for i, m in enumerate(protocol.MESSAGES):
-        for j, v in enumerate(BELL_VARIANT_ORDER):
-            cell = grid[i][j]
-            ref_k, ref_sign = reference[(m, v.value)]
-            if cell.index != ref_k or cell.phase != ref_sign:
-                mismatches.append(f"m={m},v={v.value}")
-    first_column = tuple(grid[i][0].ket for i in range(4))
+    mismatches = [
+        f"m={m},v={v.value}"
+        for m, row in zip(protocol.MESSAGES, grid)
+        for v, cell in zip(BELL_VARIANT_ORDER, row)
+        if (cell.index, cell.phase) != reference[(m, v.value)]
+    ]
+    first_column = tuple(row[0].ket for row in grid)
     expected_column = ("|10>", "|00>", "|11>", "-|01>")
     wrong = len(mismatches) + sum(a != b for a, b in zip(first_column, expected_column))
     detail = "all 16 cells match brute force" if not mismatches else "cells differ: " + ",".join(mismatches)
@@ -114,17 +110,17 @@ def check_table() -> CheckResult:
     return CheckResult("table1-vs-brute-force", wrong == 0, wrong, 0, detail)
 
 
-def _check_capacity() -> CheckResult:
+def _check_capacity(grid) -> CheckResult:
+    """Each column of ``grid`` maps the four messages onto the four bit
+    pairs, and ``protocol.recover_message`` inverts it."""
     bad = []
-    for v in BELL_VARIANT_ORDER:
-        outputs = {m: protocol.run_network(m, v) for m in protocol.MESSAGES}
-        if {out.bits for out in outputs.values()} != {"00", "01", "10", "11"}:
+    for v, column in zip(BELL_VARIANT_ORDER, zip(*grid)):
+        if {out.bits for out in column} != {"00", "01", "10", "11"}:
             bad.append(v.value)
-        if any(protocol.recover_message((out.y, out.x), v) != m for m, out in outputs.items()):
+        if any(protocol.recover_message((o.y, o.x), v) != m for m, o in zip(protocol.MESSAGES, column)):
             bad.append(v.value + ":round-trip")
-    ok = not bad
-    detail = "message -> bits bijective for all variants" if ok else "failed: " + ",".join(bad)
-    return CheckResult("capacity-bijection", ok, len(bad), 0, detail)
+    detail = "message -> bits bijective for all variants" if not bad else "failed: " + ",".join(bad)
+    return CheckResult("capacity-bijection", not bad, len(bad), 0, detail)
 
 
 def _check_pulse_cnot(sys: nmrsim.SpinSystem) -> CheckResult:
@@ -151,13 +147,14 @@ def _pulse_protocol_states(sys: nmrsim.SpinSystem) -> np.ndarray:
     return noise.mean_states(sys, noise.ErrorParams(), 0, circuits, heads, start)
 
 
-def _check_pulse_protocol(sys: nmrsim.SpinSystem) -> CheckResult:
+def _check_pulse_protocol(sys: nmrsim.SpinSystem, grid) -> CheckResult:
+    """The noise-free pulse layer puts each (message, variant) output on
+    the basis state of its ``grid`` cell."""
     states = _pulse_protocol_states(sys)
     worst = 1.0
-    for i, m in enumerate(protocol.MESSAGES):
-        for j, v in enumerate(BELL_VARIANT_ORDER):
-            k = protocol.run_network(m, v).index
-            worst = min(worst, float(states[i, j, k, k].real))
+    for i, j in np.ndindex(states.shape[:2]):
+        k = grid[i][j].index
+        worst = min(worst, float(states[i, j, k, k].real))
     # value: how far the worst population falls short of 1
     return CheckResult(
         "pulse-protocol-populations",
@@ -237,14 +234,16 @@ def _check_determinism(
 def run_validation(
     sys: nmrsim.SpinSystem, epsilon: float, params: noise.ErrorParams, seed: int
 ) -> list[CheckResult]:
-    """Run every check; all must pass on a healthy build."""
+    """Run every check; all must pass on a healthy build.  Each ideal network
+    runs once: the table, capacity and pulse-protocol checks read one grid."""
+    grid = protocol.table1()
     return [
         _check_eq1(),
         _check_eq2(),
-        check_table(),
-        _check_capacity(),
+        check_table(grid),
+        _check_capacity(grid),
         _check_pulse_cnot(sys),
-        _check_pulse_protocol(sys),
+        _check_pulse_protocol(sys, grid),
         _check_temporal_averaging(sys, epsilon),
         _check_tomography(seed),
         _check_error_band(sys, epsilon, params, seed),

@@ -114,6 +114,17 @@ class TestRun:
                 argv = [command, "-m", "3"] + options
                 assert run_cli(capsys, argv) == (2, "", "error: --noise requires --layer pulse\n"), argv
 
+    @pytest.mark.parametrize("command", ["run", "tomo"])
+    def test_noise_path_document_without_noise_section(self, capsys, tmp_path, command):
+        """A file with a spin_system key is a document, not a bare noise
+        object: its absent noise section gives the default noise."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"spin_system": {"j_hz": 215.0}}))
+        argv = [command, "-m", "1", "--layer", "pulse", "--seed", "5", "--format", "json", "--noise"]
+        bare = run_cli(capsys, argv)
+        assert bare[0] == 0 and bare[2] == ""
+        assert run_cli(capsys, argv + [str(path)]) == bare
+
     def test_noisy_run_reports_fidelity(self, capsys, tmp_path):
         cfg = tmp_path / "noise.json"
         cfg.write_text(json.dumps({"rf_spread": 0.05, "ensemble_size": 50}))
@@ -322,16 +333,29 @@ class TestValidate:
         assert all(c["passed"] for c in payload["checks"])
 
     def test_capacity_check_runs_each_network_once(self, monkeypatch):
-        runs = []
-        real = protocol.run_network
-
-        def counted(m, v):
-            runs.append((m, v))
-            return real(m, v)
-
-        monkeypatch.setattr(protocol, "run_network", counted)
-        assert validation._check_capacity().passed
+        runs = count_networks(monkeypatch)
+        grid = protocol.table1()
         assert len(runs) == len(set(runs)) == 16
+        assert validation._check_capacity(grid).passed
+        assert len(runs) == 16  # the check reads the grid's columns
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "--ensemble-size", "20", "--format", "json"], ["table", "--check"]],
+    )
+    def test_each_network_runs_once_per_request(self, monkeypatch, capsys, argv):
+        runs = count_networks(monkeypatch)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(runs) == len(set(runs)) == 16
+
+    def test_table_check_reads_the_grid_it_is_given(self):
+        grid = [list(row) for row in protocol.table1()]
+        grid[0][0], grid[1][0] = grid[1][0], grid[0][0]
+        result = validation.check_table(grid)
+        assert not result.passed
+        assert "m=1,v=minus-phi" in result.detail and "m=2,v=minus-phi" in result.detail
+        assert validation.check_table(protocol.table1()).passed
 
     def test_json_value_and_bound_agree_with_passed(self, monkeypatch, capsys, tmp_path):
         def within(value, bound):
@@ -371,6 +395,19 @@ class TestValidate:
         assert lines[-1].endswith("checks passed")
 
 
+def count_networks(monkeypatch) -> list:
+    """The (message, variant) of every later ``protocol.run_network`` call."""
+    runs = []
+    real = protocol.run_network
+
+    def counted(m, v):
+        runs.append((m, v))
+        return real(m, v)
+
+    monkeypatch.setattr(protocol, "run_network", counted)
+    return runs
+
+
 def corrupt_hadamard(monkeypatch):
     """Replace the Hadamard on spin b by a unitary that is not H."""
     wrong = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
@@ -380,7 +417,7 @@ def corrupt_hadamard(monkeypatch):
 class TestMutationSanity:
     def test_corrupted_gate_fails_table_check(self, monkeypatch):
         corrupt_hadamard(monkeypatch)
-        result = validation.check_table()
+        result = validation.check_table(protocol.table1())
         assert not result.passed
 
     def test_corrupted_gate_makes_validate_exit_nonzero(self, monkeypatch, capsys, tmp_path):
@@ -397,7 +434,7 @@ class TestMutationSanity:
         corrupt_hadamard(monkeypatch)
         out_option = ["--out", str(tmp_path / f"table.{fmt}")] if to_file else []
         code, out, err = run_cli(capsys, ["table", "--check", "--format", fmt, *out_option])
-        verdict = f"FAIL table1-vs-brute-force      {validation.check_table().detail}\n"
+        verdict = f"FAIL table1-vs-brute-force      {validation.check_table(protocol.table1()).detail}\n"
         assert (code, out, err) == (1, verdict, "")
         assert list(tmp_path.iterdir()) == []
 

@@ -512,6 +512,29 @@ class TestRefocusing:
         seq = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=True)
         assert bell_infidelity(system, seq, p, seed=2) < 1e-12
 
+    def test_static_offsets_cancel_for_every_member(self, system):
+        """Offsets alone: with refocusing, each member's propagator of every
+        dense-coding program is the noise-free one up to a global phase;
+        without it, some member's is far from it."""
+        p = noise.ErrorParams(offset_spread_hz=30.0, ensemble_size=500)
+        draws = np.concatenate(list(noise._draw_chunks(p, seed=4)))
+
+        def worst(refocus):
+            distance = 0.0
+            for m in protocol.MESSAGES:
+                for v in BELL_VARIANT_ORDER:
+                    seq = nmrsim.dense_coding_sequence(system, m, v, refocus=refocus)
+                    ideal = nmrsim.compile_sequence(seq, system)
+                    stack = nmrsim._compile_stack(seq, system, draws, p.calib_offset)
+                    distance = max(
+                        distance,
+                        *(qcore.phase_aligned_distance(stack[..., k], ideal) for k in range(len(draws))),
+                    )
+            return distance
+
+        assert worst(True) < 1e-12
+        assert worst(False) > 0.5
+
 
 class TestMonotonicity:
     def test_error_grows_with_rf_spread(self, system):
