@@ -45,6 +45,7 @@ RANGE_TESTS = (
 ) + EPSILON_TESTS
 TOMO_TESTS = ("tests/test_tomo.py",)
 OUTPUT_TESTS = ("tests/test_outputs.py",)
+ORACLE_TEST = "tests/test_noise.py::TestSourcesThatDrawNothing::test_temporal_average_equals_oracle"
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 #: The draw of one chunk in ``noise._draw_chunks``.
 DRAWS = """        z = rng.standard_normal((CHUNK_SIZE, 3))
@@ -248,9 +249,25 @@ MUTANTS = (
     Mutant(
         "prefix delay dropped from T2",
         "noise.py",
-        "[head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]",
-        "[sum(circuit, PulseSequence()).total_delay() for head in heads]",
+        "[total_delay(head) + total_delay(sum(circuit, ())) for head in heads]",
+        "[total_delay(sum(circuit, ())) for head in heads]",
         ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
+    ),
+    Mutant(
+        "each run T2-damped over the mean delay of its circuit's runs",
+        "noise.py",
+        "    f_a = np.exp(-t_totals / p.t2_a)[..., None, None]\n"
+        "    f_b = np.exp(-t_totals / p.t2_b)[..., None, None]\n",
+        "    f_a = np.exp(-t_totals.mean(axis=1, keepdims=True) / p.t2_a)[..., None, None]\n"
+        "    f_b = np.exp(-t_totals.mean(axis=1, keepdims=True) / p.t2_b)[..., None, None]\n",
+        (ORACLE_TEST + "[t2]",),
+    ),
+    Mutant(
+        "calibration offset dropped from the pulse angles",
+        "nmrsim.py",
+        "np.add(1.0 + calib_offset, deltas, out=scale)",
+        "np.add(1.0, deltas, out=scale)",
+        (ORACLE_TEST + "[calib_offset]",),
     ),
     Mutant(
         "single-pulse blocks skipped as if empty",
@@ -408,6 +425,27 @@ MUTANTS = (
         "if doc.keys() & CONFIG_SECTIONS else",
         'if "noise" in doc else',
         ("tests/test_cli.py::TestRun::test_noise_path_document_without_noise_section",),
+    ),
+    Mutant(
+        "--noise document's spin_system section not checked",
+        "cli.py",
+        "            _spin_system(doc)  # checked as --config's, never used\n",
+        "",
+        ("tests/test_cli.py::TestRun::test_noise_path_spin_system_checked_as_config",),
+    ),
+    Mutant(
+        "bare --noise's const an empty path again",
+        "cli.py",
+        'nargs="?", const=True,',
+        'nargs="?", const="",',
+        ("tests/test_cli.py::TestRun::test_empty_path_is_io_error",),
+    ),
+    Mutant(
+        "empty --config path read as no path",
+        "cli.py",
+        "cfg = {} if args.config is None else",
+        "cfg = {} if not args.config else",
+        ("tests/test_cli.py::TestRun::test_empty_path_is_io_error",),
     ),
     Mutant(
         "tiny epsilon reaches the checks",

@@ -2,8 +2,8 @@
 
 Commands: table, run, fig4, tomo, validate.
 Exit codes: 0 success, 1 validation failure, 2 usage error (malformed or
-out-of-range input), 3 I/O failure (an unreadable config path, an
-unwritable output).
+out-of-range input), 3 I/O failure (an unreadable config path, the empty
+path among them, or an unwritable output).
 
 Runs are configured by a single JSON document with optional ``spin_system``
 and ``noise`` objects; every field has a default, so any run is reproducible
@@ -13,7 +13,8 @@ before any file is read; then it reads, in order: the document's keys and
 sections; the spin system and epsilon; the noise parameters (always for fig4
 and validate, only with ``--noise`` for run and tomo, where ``--noise PATH``
 replaces the section by the file's ``noise`` section, empty if absent, if
-the file has a ``spin_system`` or ``noise`` key, else by the whole file);
+the file has a ``spin_system`` or ``noise`` key, else by the whole file;
+the file's ``spin_system`` section is checked as ``--config``'s, not used);
 ``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
@@ -163,6 +164,19 @@ def _check_seed(value, name: str) -> int:
     return value
 
 
+def _spin_system(cfg: dict) -> tuple[nmrsim.SpinSystem, float]:
+    """The spin system and epsilon of the document ``cfg``, from its
+    ``spin_system`` section (defaults where absent), with epsilon > 0."""
+    sc = _section(cfg, "spin_system", SPIN_SYSTEM_KEYS)
+    system = _from_section(
+        nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
+    )
+    epsilon = _config_value(sc, "spin_system", "epsilon", nmrsim.DEFAULT_EPSILON)
+    if not epsilon > 0:
+        raise ValueError("config spin_system.epsilon must be finite and > 0")
+    return system, epsilon
+
+
 @dataclass(frozen=True)
 class Inputs:
     """A command's resolved inputs; ``params`` and ``seed`` are ``None``
@@ -184,14 +198,8 @@ def resolve(args: argparse.Namespace) -> Inputs:
             raise ValueError("--seed requires --noise")
         if args.noise is not None and args.layer != "pulse":
             raise ValueError("--noise requires --layer pulse")
-    cfg = _check_keys(_read_document(args.config), "", CONFIG_SECTIONS) if args.config else {}
-    sc = _section(cfg, "spin_system", SPIN_SYSTEM_KEYS)
-    system = _from_section(
-        nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
-    )
-    epsilon = _config_value(sc, "spin_system", "epsilon", nmrsim.DEFAULT_EPSILON)
-    if not epsilon > 0:
-        raise ValueError("config spin_system.epsilon must be finite and > 0")
+    cfg = {} if args.config is None else _check_keys(_read_document(args.config), "", CONFIG_SECTIONS)
+    system, epsilon = _spin_system(cfg)
     if args.command in ("fig4", "validate"):
         if epsilon < experiment.MIN_EPSILON:
             raise ValueError(
@@ -206,9 +214,10 @@ def resolve(args: argparse.Namespace) -> Inputs:
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked
             return Inputs(system, epsilon, None, None)
-        if args.noise:  # a whole document, or a bare noise object
+        if args.noise is not True:  # a whole document, or a bare noise object
             doc = _read_document(args.noise)
             doc = _check_keys(doc, "", CONFIG_SECTIONS) if doc.keys() & CONFIG_SECTIONS else {"noise": doc}
+            _spin_system(doc)  # checked as --config's, never used
             nc = _section(doc, "noise", NOISE_KEYS)
     params = _from_section(noise.ErrorParams, nc, "noise", NOISE_KEYS, noise.DEMO_PARAMS)
     seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
@@ -572,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Bell start state (default minus-phi)")
         p.add_argument("--layer", choices=("ideal", "pulse"), default="ideal")
         p.add_argument("--config", metavar="PATH")
-        p.add_argument("--noise", nargs="?", const="", metavar="PATH",
+        p.add_argument("--noise", nargs="?", const=True, metavar="PATH",
                        help="enable the error model (optionally from a JSON file)")
         p.add_argument("--seed", type=int)
         p.add_argument("--format", choices=formats, default="text")

@@ -5,6 +5,8 @@ so X(pi) equals sigma_x and Y(pi) equals i*sigma_y up to a global phase.
 Free evolution acts in the doubly-rotating frame: only the weak J coupling
 survives, chemical shifts are zero unless the noise model injects offsets.
 
+A pulse program (``PulseSequence``) is a plain tuple of ``Rf`` and
+``Delay`` events, earliest first, so programs concatenate with ``+``.
 One engine, ``_propagate``, applies every program's events in time order
 to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,27 +113,13 @@ class Delay:
 PulseEvent = Rf | Delay
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    """An ordered list of pulse events, earliest first."""
+#: A pulse program: its events in time order, earliest first.
+PulseSequence = tuple[PulseEvent, ...]
 
-    events: tuple[PulseEvent, ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-
-    def __add__(self, other: "PulseSequence") -> "PulseSequence":
-        return PulseSequence(self.events + other.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def total_delay(self) -> float:
-        """Total free-evolution time (pulses are instantaneous)."""
-        return sum(ev.duration for ev in self.events if isinstance(ev, Delay))
+def total_delay(seq: PulseSequence) -> float:
+    """Total free-evolution time of ``seq`` (pulses are instantaneous)."""
+    return sum(ev.duration for ev in seq if isinstance(ev, Delay))
 
 
 # Diagonal signs of sigma_z on b, sigma_z on a, and sigma_z*sigma_z.
@@ -286,7 +274,7 @@ def compile_sequence(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
 
 def not_pulse(spin: str) -> PulseSequence:
     """NOT as a single X(pi) pulse (equals sigma_x up to global phase)."""
-    return PulseSequence((Rf(spin, "X", math.pi),))
+    return (Rf(spin, "X", math.pi),)
 
 
 def pseudo_hadamard_b() -> PulseSequence:
@@ -296,7 +284,7 @@ def pseudo_hadamard_b() -> PulseSequence:
     Hadamard conjugated by sigma_z and phased; populations through the
     decoding network are unchanged.
     """
-    return PulseSequence((Rf("b", "Y", -math.pi / 2), Rf("b", "X", math.pi)))
+    return (Rf("b", "Y", -math.pi / 2), Rf("b", "X", math.pi))
 
 
 def cnot_pulse_sequence(
@@ -319,7 +307,7 @@ def cnot_pulse_sequence(
     target = "a" if control == "b" else "b"
     tau = 1.0 / (2.0 * sys.j_coupling)
     if refocus:
-        coupling: tuple[PulseEvent, ...] = (
+        coupling: PulseSequence = (
             Delay(tau / 2),
             Rf("b", "X", math.pi),
             Rf("a", "X", math.pi),
@@ -329,16 +317,13 @@ def cnot_pulse_sequence(
         )
     else:
         coupling = (Delay(tau),)
-    events = (
-        (Rf(target, "Y", math.pi / 2),)
-        + coupling
-        + (
-            Rf(target, "Y", -math.pi / 2),
-            Rf(target, "X", math.pi / 2),
-            Rf(control, "Z", math.pi / 2),
-        )
+    return (
+        Rf(target, "Y", math.pi / 2),
+        *coupling,
+        Rf(target, "Y", -math.pi / 2),
+        Rf(target, "X", math.pi / 2),
+        Rf(control, "Z", math.pi / 2),
     )
-    return PulseSequence(events)
 
 
 def encoding_pulse(i: int) -> PulseSequence:
@@ -351,19 +336,17 @@ def encoding_pulse(i: int) -> PulseSequence:
     """
     check_message(i)
     if i == 1:
-        return PulseSequence(())
+        return ()
     axis = {2: "Z", 3: "X", 4: "Y"}[i]
-    return PulseSequence((Rf("a", axis, math.pi),))
+    return (Rf("a", axis, math.pi),)
 
 
 def bell_prep_sequence(
     sys: SpinSystem, variant: BellVariant, refocus: bool = True
 ) -> PulseSequence:
     """Pulse program preparing the Bell start state for ``variant``."""
-    seq = PulseSequence(())
-    for spin in variant.not_spins:
-        seq = seq + not_pulse(spin)
-    return seq + pseudo_hadamard_b() + cnot_pulse_sequence(sys, refocus=refocus)
+    nots = sum((not_pulse(spin) for spin in variant.not_spins), ())
+    return nots + pseudo_hadamard_b() + cnot_pulse_sequence(sys, refocus=refocus)
 
 
 def decode_sequence(sys: SpinSystem, refocus: bool = True) -> PulseSequence:
@@ -412,7 +395,7 @@ def permutation_sequences(sys: SpinSystem, refocus: bool = True) -> tuple[PulseS
     """
     cn_ba = cnot_pulse_sequence(sys, control="b", refocus=refocus)
     cn_ab = cnot_pulse_sequence(sys, control="a", refocus=refocus)
-    return (PulseSequence(()), cn_ab + cn_ba, cn_ba + cn_ab)
+    return ((), cn_ab + cn_ba, cn_ba + cn_ab)
 
 
 def pseudo_pure_decomposition(rho: np.ndarray) -> tuple[float, float, float]:

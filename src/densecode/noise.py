@@ -53,6 +53,7 @@ from .nmrsim import (
     _event_factors,
     _propagate,
     _view,
+    total_delay,
 )
 
 #: Members drawn, propagated and summed together in the ensemble average;
@@ -217,7 +218,7 @@ def mean_states(
     chunk uses the leading part of each buffer.
     """
     t_totals = np.array([
-        [head.total_delay() + sum(circuit, PulseSequence()).total_delay() for head in heads]
+        [total_delay(head) + total_delay(sum(circuit, ())) for head in heads]
         for circuit in circuits
     ])
     circuits = [[block for block in circuit if len(block)] for circuit in circuits]

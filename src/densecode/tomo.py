@@ -62,7 +62,7 @@ def readout_unitary(readout_b: str, readout_a: str) -> np.ndarray:
     """Two-spin unitary of a readout pulse pair, compiled from its RF pulses."""
     pulses = (("b", _READOUT_AXES[readout_b]), ("a", _READOUT_AXES[readout_a]))
     events = tuple(nmrsim.Rf(spin, axis, np.pi / 2) for spin, axis in pulses if axis)
-    return nmrsim.compile_sequence(nmrsim.PulseSequence(events), nmrsim.SpinSystem())
+    return nmrsim.compile_sequence(events, nmrsim.SpinSystem())
 
 
 #: The 9 readout pulse pairs, in readout order, and their unitaries (9, 4, 4).

@@ -125,6 +125,25 @@ class TestRun:
         assert bare[0] == 0 and bare[2] == ""
         assert run_cli(capsys, argv + [str(path)]) == bare
 
+    @pytest.mark.parametrize("command", ["run", "tomo"])
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            ({"spin_system": {"jj": 1, "epsilon": "x"}}, "unknown config key spin_system.jj (known: "),
+            ({"spin_system": {"j_hz": -5}, "noise": {"ensemble_size": 5}},
+             "config spin_system.j_hz must be positive\n"),
+        ],
+        ids=["unknown-key", "negative-j"],
+    )
+    def test_noise_path_spin_system_checked_as_config(self, capsys, tmp_path, command, document, message):
+        """A --noise document's spin_system section is checked as --config's."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = [command, "-m", "1", "--layer", "pulse", "--noise"]
+        as_config = run_cli(capsys, argv + ["--config", str(path)])
+        assert as_config[:2] == (2, "") and as_config[2].startswith(f"error: {message}")
+        assert run_cli(capsys, argv + [str(path)]) == as_config
+
     def test_noisy_run_reports_fidelity(self, capsys, tmp_path):
         cfg = tmp_path / "noise.json"
         cfg.write_text(json.dumps({"rf_spread": 0.05, "ensemble_size": 50}))
@@ -167,6 +186,25 @@ class TestRun:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Is a directory" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "-m", "1", "--layer", "pulse", "--config", ""],
+            ["tomo", "-m", "1", "--config", ""],
+            ["fig4", "--config", ""],
+            ["validate", "--config", ""],
+            ["run", "-m", "1", "--layer", "pulse", "--noise", ""],
+            ["tomo", "-m", "1", "--layer", "pulse", "--noise", ""],
+        ],
+    )
+    def test_empty_path_is_io_error(self, capsys, monkeypatch, tmp_path, argv):
+        """An empty path (say, an unset variable in a script) is a path that
+        cannot be read, not an absent option; bare --noise still runs."""
+        monkeypatch.chdir(tmp_path)  # where fig4 would write, were "" no path
+        assert run_cli(capsys, argv) == (3, "", "error: [Errno 2] No such file or directory: ''\n")
+        if argv[-2] == "--noise":
+            assert run_cli(capsys, argv[:-1])[0] == 0
 
     def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

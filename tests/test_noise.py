@@ -204,7 +204,13 @@ def member_oracle(seq, system, p, rho0, seed):
                 )
                 u = np.diag(np.exp(-1j * phase)) @ u
         total += u @ rho0 @ u.conj().T
-    t = seq.total_delay()
+    return total / p.ensemble_size * t2_damping(nmrsim.total_delay(seq), p)
+
+
+def t2_damping(t, p):
+    """The T2 factor of each density-matrix element after ``t`` seconds of
+    free evolution: exp(-t/T2) for each spin whose state differs between
+    the element's row and column."""
     damp = np.ones((4, 4))
     for i in range(4):
         for j in range(4):
@@ -212,7 +218,7 @@ def member_oracle(seq, system, p, rho0, seed):
                 damp[i, j] *= math.exp(-t / p.t2_a)
             if i >> 1 != j >> 1:
                 damp[i, j] *= math.exp(-t / p.t2_b)
-    return total / p.ensemble_size * damp
+    return damp
 
 
 class TestRowPermutationEngine:
@@ -534,6 +540,65 @@ class TestRefocusing:
 
         assert worst(True) < 1e-12
         assert worst(False) > 0.5
+
+
+class TestSourcesThatDrawNothing:
+    """With no spread every member is one deterministic run, so the temporal
+    average has an exact oracle: a calibration offset scales every pulse
+    angle by 1 + calib_offset, and T2 damps the coherences of each run's
+    noise-free state over that run's own total delay."""
+
+    SOURCES = pytest.mark.parametrize(
+        "p",
+        [
+            noise.ErrorParams(calib_offset=0.01, ensemble_size=7),
+            noise.ErrorParams(t2_a=0.3, t2_b=0.2, ensemble_size=7),
+        ],
+        ids=["calib_offset", "t2"],
+    )
+
+    @staticmethod
+    def circuits(system):
+        """The four fig4 circuits, then the Bell preparation alone, whose
+        output has coherences for T2 to damp (the fig4 outputs have none)."""
+        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+        decode = nmrsim.decode_sequence(system)
+        return [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES] + [(prep,)]
+
+    @staticmethod
+    def oracle(system, epsilon, p, circuits):
+        """Each circuit's mean over the three prefix runs, each run compiled
+        by ``oracles.kron_compile`` with its pulse angles scaled, evolving the
+        thermal state and T2-damped over its own total delay."""
+        rho_th = nmrsim.thermal_state(system, epsilon)
+        averages = np.zeros((len(circuits), 4, 4), dtype=complex)
+        for i, circuit in enumerate(circuits):
+            for prefix in nmrsim.permutation_sequences(system):
+                run = sum(circuit, prefix)
+                scaled = tuple(
+                    replace(ev, angle=ev.angle * (1.0 + p.calib_offset)) if isinstance(ev, Rf) else ev
+                    for ev in run
+                )
+                u = oracles.kron_compile(scaled, system)
+                averages[i] += u @ rho_th @ u.conj().T * t2_damping(nmrsim.total_delay(run), p)
+        return averages / 3.0
+
+    @SOURCES
+    def test_temporal_average_equals_oracle(self, system, p):
+        circuits = self.circuits(system)
+        averages = experiment.temporal_average(system, 1e-5, circuits, p, seed=3)
+        assert np.max(np.abs(averages - self.oracle(system, 1e-5, p, circuits))) < 1e-12
+
+    @SOURCES
+    def test_fig4_panels_equal_oracle(self, system, p):
+        """The panels are the oracle's rescaled deviations, projected where
+        they dip (every panel, with the calibration offset)."""
+        epsilon = 1e-3
+        beta = nmrsim.pseudo_pure_beta(system, epsilon)
+        averages = self.oracle(system, epsilon, p, self.circuits(system)[:4])
+        expected = tomo.project_unphysical((averages - (1.0 - beta) * np.eye(4) / 4.0) / beta)
+        panels = experiment.fig4_panels(system, epsilon, p, seed=3)
+        assert np.max(np.abs([panel.experimental for panel in panels] - expected)) < 1e-12
 
 
 class TestMonotonicity:
