@@ -345,9 +345,23 @@ MUTANTS = (
     Mutant(
         "readouts conjugated by the unitary instead of its adjoint",
         "tomo.py",
-        "rho[..., None, :, :] @ _READOUT_ADJOINTS",
-        "rho[..., None, :, :] @ _READOUT_UNITARIES",
+        "(_READOUT_ADJOINTS[:, None] @ _PRODUCT_STACK",
+        "(_READOUT_UNITARIES[:, None] @ _PRODUCT_STACK",
         TOMO_TESTS,
+    ),
+    Mutant(
+        "readout map applied to the stack as one product",
+        "tomo.py",
+        "rho.reshape(rho.shape[:-2] + (1, 16)) @ _READOUT_MAP",
+        "rho.reshape(-1, 16) @ _READOUT_MAP",
+        TOMO_TESTS,
+    ),
+    Mutant(
+        "random states' real and imaginary draws swapped",
+        "validation.py",
+        "a = z[:, 0] + 1j * z[:, 1]",
+        "a = z[:, 1] + 1j * z[:, 0]",
+        ("tests/test_tomo.py::test_random_densities_equal_per_state_loop",),
     ),
     Mutant(
         "fit reads the detectable slots in the wrong order",

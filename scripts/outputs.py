@@ -12,11 +12,18 @@ again, so the manifest does not depend on where the directory was made.
 The manifest also names the numpy version that made it: noisy outputs are
 bit-reproducible for one numpy version, not across versions.
 
+A change that moves outputs can show how far: dump the raw outputs of the
+parent and of the change, then compare the two dumps.  Every case that
+differs is reported either as differing in text or, where only numbers
+moved, with the largest |difference| between corresponding numbers.
+
 Run from anywhere, against this checkout's ``src``:
 
     python scripts/outputs.py           # print the manifest
     python scripts/outputs.py --write   # regenerate scripts/outputs_manifest.json
     python scripts/outputs.py --check   # compare with it; exit 1 on a difference
+    python scripts/outputs.py --dump DIR       # write every case's raw outputs under DIR
+    python scripts/outputs.py --compare A B    # compare two dumps; exit 1 if text differs
 """
 
 from __future__ import annotations
@@ -27,11 +34,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "scripts" / "outputs_manifest.json"
@@ -101,12 +107,14 @@ def corpus() -> list[list[str]]:
     return cases
 
 
-def _digest(data: bytes, directory: str) -> str:
-    return hashlib.sha256(data.replace(directory.encode(), b"{dir}")).hexdigest()
+def _relocated(data: bytes, directory: str) -> bytes:
+    return data.replace(directory.encode(), b"{dir}")
 
 
-def run_case(argv: list[str]) -> dict:
-    """The manifest entry of ``argv``, run in a new temporary directory."""
+def run_raw(argv: list[str]) -> dict:
+    """What ``argv`` writes, run in a new temporary directory: its exit code,
+    stdout, stderr and every file it wrote (path -> bytes), with the
+    directory's path replaced by ``{dir}``."""
     from densecode import cli  # here, so that ``main`` can put this checkout's src first
 
     with tempfile.TemporaryDirectory(prefix="outputs-") as directory:
@@ -124,20 +132,38 @@ def run_case(argv: list[str]) -> dict:
         finally:
             os.chdir(cwd)
         files = {
-            path.relative_to(directory).as_posix(): _digest(path.read_bytes(), directory)
+            path.relative_to(directory).as_posix(): _relocated(path.read_bytes(), directory)
             for path in sorted(Path(directory).rglob("*"))
             if path.is_file() and path.name not in INPUTS
         }
     return {
         "argv": argv,
         "exit": code,
-        "stdout": _digest(stdout.getvalue().encode(), directory),
-        "stderr": _digest(stderr.getvalue().encode(), directory),
+        "stdout": _relocated(stdout.getvalue().encode(), directory),
+        "stderr": _relocated(stderr.getvalue().encode(), directory),
         "files": files,
     }
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str]) -> dict:
+    """The manifest entry of ``argv``, run in a new temporary directory."""
+    raw = run_raw(argv)
+    return {
+        "argv": argv,
+        "exit": raw["exit"],
+        "stdout": _digest(raw["stdout"]),
+        "stderr": _digest(raw["stderr"]),
+        "files": {name: _digest(data) for name, data in raw["files"].items()},
+    }
+
+
 def manifest() -> dict:
+    import numpy as np
+
     return {"numpy": np.__version__, "cases": [run_case(argv) for argv in corpus()]}
 
 
@@ -156,6 +182,68 @@ def differences(expected: dict, actual: dict) -> list[str]:
     return lines
 
 
+def dump(target: Path) -> None:
+    """Write every case's raw outputs under ``target``, one directory a case:
+    ``case.json`` (argv and exit code), ``stdout``, ``stderr`` and ``files/``."""
+    for k, argv in enumerate(corpus()):
+        raw = run_raw(argv)
+        case = target / f"{k:03d}"
+        case.mkdir(parents=True)
+        (case / "case.json").write_text(json.dumps({"argv": argv, "exit": raw["exit"]}) + "\n")
+        outputs = {"stdout": raw["stdout"], "stderr": raw["stderr"]}
+        outputs.update({f"files/{name}": data for name, data in raw["files"].items()})
+        for name, data in outputs.items():
+            (case / name).parent.mkdir(parents=True, exist_ok=True)
+            (case / name).write_bytes(data)
+
+
+def _load_dump(source: Path) -> dict[str, dict]:
+    """The cases of a dump, keyed by argv: exit code and outputs by name."""
+    cases = {}
+    for case in sorted(path for path in source.iterdir() if path.is_dir()):
+        meta = json.loads((case / "case.json").read_text(encoding="utf-8"))
+        outputs = {
+            path.relative_to(case).as_posix(): path.read_bytes()
+            for path in sorted(case.rglob("*"))
+            if path.is_file() and path.name != "case.json"
+        }
+        cases[" ".join(meta["argv"])] = {"exit": meta["exit"], "outputs": outputs}
+    return cases
+
+
+#: A decimal number as the command line writes it.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(a: bytes, b: bytes) -> float | None:
+    """The largest |difference| between corresponding numbers of ``a`` and
+    ``b``, or None when they also differ outside their numbers."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return None
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    return max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+
+
+def compare(a: Path, b: Path) -> list[tuple[str, float | None]]:
+    """Each case that differs between dumps ``a`` and ``b``, with its largest
+    numeric difference, or None where the text differs (a case on one side
+    only, another exit code, another set of outputs, or words that moved)."""
+    old, new = _load_dump(a), _load_dump(b)
+    moved = []
+    for key in dict.fromkeys([*old, *new]):
+        before, after = old.get(key), new.get(key)
+        if before == after:
+            continue
+        if None in (before, after) or before["exit"] != after["exit"] \
+                or before["outputs"].keys() != after["outputs"].keys():
+            moved.append((key, None))
+            continue
+        deltas = [numeric_difference(before["outputs"][name], data)
+                  for name, data in after["outputs"].items() if before["outputs"][name] != data]
+        moved.append((key, None if None in deltas else max(deltas)))
+    return moved
+
+
 def _text(doc: dict) -> str:
     """``doc`` as JSON, one case a line."""
     cases = ",\n".join(json.dumps(case, sort_keys=True) for case in doc["cases"])
@@ -167,8 +255,20 @@ def main() -> int:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--write", action="store_true", help=f"write {MANIFEST.name}")
     group.add_argument("--check", action="store_true", help=f"compare with {MANIFEST.name}")
+    group.add_argument("--dump", type=Path, metavar="DIR", help="write every case's raw outputs under DIR")
+    group.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two dumps")
     args = parser.parse_args()
+    if args.compare:
+        moved = compare(*args.compare)
+        for key, delta in moved:
+            print(f"{key}: " + ("text differs" if delta is None else f"largest |delta| {delta:.1e}"))
+        in_text = sum(delta is None for _, delta in moved)
+        print(f"{len(moved)} cases differing, {in_text} in text")
+        return 1 if in_text else 0
     sys.path.insert(0, str(ROOT / "src"))
+    if args.dump:
+        dump(args.dump)
+        return 0
     actual = manifest()
     if args.write:
         MANIFEST.write_text(_text(actual), encoding="utf-8")

@@ -9,10 +9,10 @@ coefficients of the product-operator expansion, so the reconstruction is an
 overdetermined linear least squares (linear-inversion tomography, James et
 al., PRA 64, 052312 (2001)).
 
-The map is constant: the 9 readout unitaries (compiled from their pulses),
-the (72, 15) design matrix and its pseudo-inverse, the (15, 72) fit map, are
-built once at import.  Simulating the readouts is one batched conjugation
-and a reconstruction one matrix product, both over a stack of states.  A
+The maps are constant and built once at import: the (16, 144) readout map
+from a flattened state to its 9 x 16 readouts, the design blocks (the
+detectable readouts of the fitted product operators) and their pseudo-inverse,
+the (15, 72) fit map.  Readouts and fit are one product per state each.  A
 fitted state that dips below -``PSD_FLOOR`` is replaced by the nearest
 density matrix (``clip_to_density``, an exact projection).  So a fit is
 Hermitian, of unit trace and positive down to -``PSD_FLOOR`` by
@@ -71,17 +71,20 @@ _READOUT_UNITARIES = np.array([readout_unitary(rb, ra) for rb, ra in READOUT_PAI
 _READOUT_ADJOINTS = _READOUT_UNITARIES.conj().transpose(0, 2, 1)
 
 _PRODUCT_STACK = np.array(PRODUCT_OPS)
-_DETECTABLE_OPS = _PRODUCT_STACK[list(DETECTABLE_INDICES)]
 _FIT_OPS = _PRODUCT_STACK[list(_FIT_INDICES)]
+
+#: The readout map, (16, 144): entry [4a + b, 16r + p] is (U_r^H P_p U_r)[b, a],
+#: so a flattened state times it gives tr(P_p U_r rho U_r^H), the expectation
+#: of product operator P_p after readout r.
+_READOUT_MAP = (_READOUT_ADJOINTS[:, None] @ _PRODUCT_STACK @ _READOUT_UNITARIES[:, None]
+                ).transpose(3, 2, 0, 1).reshape(16, -1)
 
 #: Design block of each readout, (9, 8, 15): entry [r, i, j] is
 #: tr(U_r^H Q_i U_r P_j)/4, the response of detectable observable Q_i after
-#: readout r to coefficient c_j of the fitted product operator P_j.
-_DESIGN_BLOCKS = np.einsum(
-    "riad,jda->rij",
-    _READOUT_ADJOINTS[:, None] @ _DETECTABLE_OPS @ _READOUT_UNITARIES[:, None],
-    _FIT_OPS,
-).real / 4.0
+#: readout r to coefficient c_j of the fitted product operator P_j; that is,
+#: the detectable slots of the readouts of P_j / 4.
+_FIT_READOUTS = (_FIT_OPS.reshape(-1, 16) / 4.0 @ _READOUT_MAP).real.reshape(-1, 9, 16)
+_DESIGN_BLOCKS = _FIT_READOUTS[..., list(DETECTABLE_INDICES)].transpose(1, 2, 0)
 
 #: The fit map, (15, 72): the least-squares inverse of the stacked design
 #: blocks, from the 8 detectable values of every readout, in readout order,
@@ -102,9 +105,10 @@ def simulate_readouts(rho: np.ndarray) -> np.ndarray:
     mirroring what a spectrometer extracts from line fits.
     """
     rho = qcore.check_density_matrix(rho, psd_floor=PSD_FLOOR)
-    rotated = _READOUT_UNITARIES @ rho[..., None, :, :] @ _READOUT_ADJOINTS
-    # tr(P rotated_r) for every readout r and product operator P
-    return np.einsum("pab,...rba->...rp", _PRODUCT_STACK, rotated).real
+    # one product per member, so a state read out in a stack is bit-identical
+    # to the same state read out alone
+    observed = (rho.reshape(rho.shape[:-2] + (1, 16)) @ _READOUT_MAP).real
+    return observed.reshape(rho.shape[:-2] + (len(READOUT_PAIRS), len(PRODUCT_LABELS)))
 
 
 def reconstruct(observed: np.ndarray) -> np.ndarray:

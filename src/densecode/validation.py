@@ -178,18 +178,18 @@ def _check_temporal_averaging(sys: nmrsim.SpinSystem, epsilon: float) -> CheckRe
     )
 
 
-def _random_density(rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
+def _random_densities(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` random states a a^H / tr(a a^H), (n, 4, 4), in one draw: bit for bit
+    the states drawn one at a time, real part of each ``a`` first, then imaginary."""
+    z = rng.standard_normal((n, 2, 4, 4))
+    a = z[:, 0] + 1j * z[:, 1]
+    rho = a @ a.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
 def _check_tomography(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    states = np.array(
-        [_random_density(rng) for _ in range(N_RANDOM_STATES)]
-        + [experiment.ideal_output_density(m) for m in protocol.MESSAGES]
-    )
+    drawn = _random_densities(np.random.default_rng(seed), N_RANDOM_STATES)
+    states = np.concatenate([drawn, [experiment.ideal_output_density(m) for m in protocol.MESSAGES]])
     worst = float(np.max(np.abs(tomo.reconstruct(tomo.simulate_readouts(states)) - states)))
     return CheckResult(
         "tomography-round-trip",

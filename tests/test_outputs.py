@@ -22,3 +22,27 @@ def test_outputs_match_manifest():
             "whose noisy outputs may differ in the last bits"
         )
     assert outputs.differences(expected, outputs.manifest()) == []
+
+
+def test_numeric_difference_separates_numbers_from_text():
+    assert outputs.numeric_difference(b"x=1.25e-3, |10>\n", b"x=1.5e-3, |10>\n") == pytest.approx(2.5e-4)
+    assert outputs.numeric_difference(b"-0.5 0.25", b"-0.5 0.25") == 0.0
+    assert outputs.numeric_difference(b"PASS 0.1", b"FAIL 0.1") is None
+    assert outputs.numeric_difference(b"0.1 0.2", b"0.1") is None
+
+
+def write_dump(directory, cases):
+    for k, (argv, code, stdout) in enumerate(cases):
+        case = directory / f"{k:03d}"
+        case.mkdir(parents=True)
+        (case / "case.json").write_text(json.dumps({"argv": argv, "exit": code}))
+        (case / "stdout").write_bytes(stdout)
+
+
+def test_compare_reports_each_moved_case(tmp_path):
+    write_dump(tmp_path / "a", [(["run"], 0, b"1.0\n"), (["tomo"], 0, b"ok 2\n"),
+                                (["fig4"], 0, b"3\n"), (["table"], 0, b"x\n")])
+    write_dump(tmp_path / "b", [(["run"], 0, b"1.5\n"), (["tomo"], 0, b"no 2\n"),
+                                (["fig4"], 1, b"3\n"), (["table"], 0, b"x\n"), (["validate"], 0, b"")])
+    assert outputs.compare(tmp_path / "a", tmp_path / "b") == [
+        ("run", 0.5), ("tomo", None), ("fig4", None), ("validate", None)]

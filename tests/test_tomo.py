@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from densecode import cli, experiment, protocol, qcore, tomo
+from densecode import cli, experiment, protocol, qcore, tomo, validation
 from densecode.protocol import BellVariant
 
 RT2 = np.sqrt(2.0)
@@ -63,6 +63,21 @@ class TestSimulateReadouts:
         # an X90 on spin a turns z order into detectable transverse signal
         observed = tomo.simulate_readouts(qcore.pure_density(qcore.basis_state("00")))
         assert abs(observed[READOUT["I", "X90"], IDX["IY"]]) == pytest.approx(1.0)
+
+    def test_stacked_readouts_equal_per_state_readouts(self):
+        rng = np.random.default_rng(111)
+        states = np.array([[random_density(rng) for _ in range(5)] for _ in range(2)])
+        stacked = tomo.simulate_readouts(states)
+        assert stacked.shape == (2, 5, 9, 16)
+        for i, j in np.ndindex(2, 5):
+            assert np.array_equal(stacked[i, j], tomo.simulate_readouts(states[i, j]))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 20260808])
+def test_random_densities_equal_per_state_loop(seed):
+    rng = np.random.default_rng(seed)
+    expected = np.array([random_density(rng) for _ in range(100)])
+    assert np.array_equal(validation._random_densities(np.random.default_rng(seed), 100), expected)
 
 
 class TestReconstruct:
@@ -255,6 +270,14 @@ class TestConstantMap:
         assert tomo._DESIGN_BLOCKS.shape == (9, 8, 15)
         for r, (rb, ra) in enumerate(tomo.READOUT_PAIRS):
             assert np.max(np.abs(tomo._DESIGN_BLOCKS[r] - old_design_rows(rb, ra))) < 1e-14
+
+    def test_design_blocks_are_readouts_of_fit_operators(self):
+        # the detectable slots of what the readout map makes of P_j / 4
+        fit = [p for p in range(16) if tomo.PRODUCT_LABELS[p] != "II"]
+        for j, p in enumerate(fit):
+            readouts = (tomo.PRODUCT_OPS[p].reshape(16) / 4.0 @ tomo._READOUT_MAP).real
+            detected = readouts.reshape(9, 16)[:, list(tomo.DETECTABLE_INDICES)]
+            assert np.array_equal(tomo._DESIGN_BLOCKS[:, :, j], detected)
 
     def test_fit_map_is_left_inverse_of_design(self):
         design = np.concatenate([old_design_rows(rb, ra) for rb, ra in tomo.READOUT_PAIRS])
