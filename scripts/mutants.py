@@ -46,6 +46,7 @@ RANGE_TESTS = (
 TOMO_TESTS = ("tests/test_tomo.py",)
 OUTPUT_TESTS = ("tests/test_outputs.py",)
 ORACLE_TEST = "tests/test_noise.py::TestSourcesThatDrawNothing::test_temporal_average_equals_oracle"
+NESTED_TEST = "tests/test_noise.py::TestNestedBlocks::test_nested_equal_flat_across_chunks"
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 #: The draw of one chunk in ``noise._draw_chunks``.
 DRAWS = """        z = rng.standard_normal((CHUNK_SIZE, 3))
@@ -127,8 +128,8 @@ MUTANTS = (
     Mutant(
         "partial products composed into their own operand",
         "noise.py",
-        "zip(stacks[1:], itertools.cycle(partials))",
-        "zip(stacks[1:], itertools.cycle(partials[:1]))",
+        "out = 0 if out else own",
+        "out = out",
         ("tests/test_noise.py",),
     ),
     Mutant(
@@ -249,8 +250,8 @@ MUTANTS = (
     Mutant(
         "prefix delay dropped from T2",
         "noise.py",
-        "[total_delay(head) + total_delay(sum(circuit, ())) for head in heads]",
-        "[total_delay(sum(circuit, ())) for head in heads]",
+        "for circuit in circuits])[:, None] + t_heads",
+        "for circuit in circuits])[:, None] + 0.0 * t_heads",
         ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
     ),
     Mutant(
@@ -272,16 +273,47 @@ MUTANTS = (
     Mutant(
         "single-pulse blocks skipped as if empty",
         "noise.py",
-        "circuits = [[block for block in circuit if len(block)] for circuit in circuits]",
-        "circuits = [[block for block in circuit if len(block) > 1] for circuit in circuits]",
+        "parts = tuple(part for part in map(canonical, block) if part)",
+        "parts = tuple(part for part in map(canonical, block) if len(part) > 1)",
         ("tests/test_noise.py::test_shared_block_composition_matches_per_program_averages",),
     ),
     Mutant(
         "blocks composed in reverse order",
         "noise.py",
-        "stacks = [u_blocks[block] for block in reversed(circuit)]",
-        "stacks = [u_blocks[block] for block in circuit]",
+        "_compose(stacks[part], stacks[src], stacks[out], tmp_4)",
+        "_compose(stacks[src], stacks[part], stacks[out], tmp_4)",
         ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
+    ),
+    Mutant(
+        "in-place program applied to a shared stack without copying it",
+        "noise.py",
+        "                _propagate(seq, factors, base, stacks[out], tmp_4)\n",
+        "                _propagate(seq, factors, base, stacks[out] if src is None else base, tmp_4)\n"
+        "                if src is not None:\n"
+        "                    np.copyto(stacks[out], base)\n",
+        (NESTED_TEST,),
+    ),
+    Mutant(
+        "start applied untransposed in the constant product",
+        "noise.py",
+        "np.matmul(start.T, u, out=out)",
+        "np.matmul(start, u, out=out)",
+        (NESTED_TEST,),
+    ),
+    Mutant(
+        # still the same states: only the count of event updates shows it
+        "programs used in more than one place applied in place, once per use",
+        "noise.py",
+        "_is_program(part) and uses[id(part)] == 1",
+        "_is_program(part) and uses[id(part)] >= 1",
+        ("tests/test_noise.py::TestNestedBlocks::test_one_fig4_chunk_shares_each_cnot",),
+    ),
+    Mutant(
+        "per-member start not copied into the output stack",
+        "nmrsim.py",
+        "    elif start is not u:\n        np.copyto(u, start)\n",
+        "",
+        ("tests/test_noise.py::TestNestedBlocks::test_mean_states_equal_reference_engine_on_nested_blocks",),
     ),
     Mutant(
         "composition contracts over the wrong index",

@@ -20,7 +20,8 @@ reversed pulse reuses its twin's and subtracts the permuted term, and each
 distinct |angle| has one cos and one sin.  Each event updates U in place,
 in buffers the caller gives, with the operands in the order of the
 expressions above.
-``experiment.temporal_average`` runs the thermal state and prefixes built here.
+``experiment.temporal_average`` runs the thermal state and, nested with each
+CNOT one block, the prefixes built here.
 """
 
 from __future__ import annotations
@@ -185,10 +186,13 @@ def _event_factors(
     Each |angle| has one cos and one sin for every pulse of that magnitude.
     A reversed pulse needs no factors of its own: its angles are exactly
     the negated ones, numpy's ``cos(-x)`` and ``sin(-x)`` equal ``cos(x)``
-    and ``-sin(x)`` bit for bit, and ``u + (-v)`` is ``u - v``.  The
-    arithmetic, operand order included, is that of the fresh arrays
-    ``tests/oracles.reference_propagate`` builds, so every factor is the
-    same to the bit.
+    and ``-sin(x)`` bit for bit, and ``u + (-v)`` is ``u - v``.  A delay's
+    phase exp(-i x) is written as ``cos(x)`` into its real part and
+    ``-sin(x)`` into its imaginary part; numpy's complex ``exp`` of ``-i
+    x`` (real part 0) gives the same bits on a numpy whose float64 sin
+    and cos are libm's.  The arithmetic, operand order included, is
+    otherwise that of the fresh arrays ``tests/oracles.reference_propagate``
+    builds, so every factor is the same to the bit.
     """
     n = len(draws)
     deltas, offs_a, offs_b = draws.T
@@ -217,8 +221,9 @@ def _event_factors(
             np.multiply(offs_a[None, :], _ZA_DIAG[:, None], out=y)
             np.multiply(math.pi * t, y, out=y)
             np.add(x, y, out=x)
-            np.multiply(-1j, x, out=f[:, 0])
-            np.exp(f, out=f)
+            np.cos(x, out=f.real[:, 0])  # f = exp(-i x)
+            np.sin(x, out=f.imag[:, 0])
+            np.negative(f.imag, out=f.imag)
             factors[key] = f
     return factors
 
@@ -227,16 +232,21 @@ def _propagate(
     seq: PulseSequence, factors: dict, start: np.ndarray, u: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
     """Per-member U_m @ start for the propagators U_m of ``seq``, written
-    into ``u`` of shape (4, k, n) for a (4, k) ``start``, member m at
-    ``[..., m]``, and returned; the identity gives the propagators.
-    ``factors`` holds each event's ``_event_factors`` on the members'
-    draws, and ``tmp`` is scratch of ``u``'s shape.
+    into ``u`` of shape (4, k, n), member m at ``[..., m]``, and returned,
+    for a (4, k) ``start`` (the identity gives the propagators) or a (4, k,
+    n) stack of per-member starts, which may be ``u`` itself: the events
+    then continue on it in place.  ``factors`` holds each event's
+    ``_event_factors`` on the members' draws, and ``tmp`` is scratch of
+    ``u``'s shape.
 
     Each event updates U in place, keeping the operand order of ``c * U +
     s * U[perm]`` and ``f * U``: numpy's complex multiply is not bitwise
     commutative, and ``U * f`` moves the last bits of a delay.
     """
-    np.copyto(u, start[:, :, None])
+    if start.ndim == 2:
+        np.copyto(u, start[:, :, None])
+    elif start is not u:
+        np.copyto(u, start)
     for ev in seq:
         f = factors[_factor_key(ev)]
         if isinstance(ev, Rf):

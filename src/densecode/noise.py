@@ -7,19 +7,24 @@ the member, so refocusing pairs cancel them exactly the way a spin echo
 does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time.
 
-The package's one ensemble average, ``mean_states``, runs circuits
-(tuples of pulse blocks) after heads on one sample, propagating a factor V
-of the input (rho0 = V V^H) through the pulse engine of ``nmrsim``
+The package's one ensemble average, ``mean_states``, runs circuits after
+heads on one sample, from a factor V of the input (rho0 = V V^H).  A block
+is a pulse program or a tuple of blocks, so a gate used in many places,
+such as the J-coupled CNOT, can be one program of its own.  Per chunk, each
+program is propagated once through the pulse engine of ``nmrsim``
 (``nmrsim._propagate``, the one that also compiles noise-free programs),
-one row of draws per member, into stacks of shape (4, k, n) with the member
-axis last.  Blocks compose by four broadcast multiply-adds over contiguous
-member rows (``_compose``), and the sum of W W^H over a chunk is one matrix
-product.  Members are drawn, propagated and summed in chunks of
-``CHUNK_SIZE``, in a fixed order, so memory stays bounded however large the
-ensemble is.  Every chunk-sized array lives in one workspace per call,
-sized for ``min(CHUNK_SIZE, ensemble_size)`` members and refilled in place
-by each chunk: arrays freed and allocated again for every chunk are handed
-back to the OS by the heap and faulted in again, page by page.
+one row of draws per member, into a stack of shape (4, k, n) with the
+member axis last; a program that occurs only once, after the first part of
+its tuple, continues that tuple's running product in place instead.
+Blocks compose by four broadcast multiply-adds over contiguous member rows
+(``_compose``), a stack meets the constant V in one matrix product, and the
+sum of W W^H over a chunk is one matrix product.  Members are drawn,
+propagated and summed in chunks of ``CHUNK_SIZE``, in a fixed order, so
+memory stays bounded however large the ensemble is.  Every chunk-sized
+array lives in one workspace per call, sized for ``min(CHUNK_SIZE,
+ensemble_size)`` members and refilled in place by each chunk: arrays freed
+and allocated again for every chunk are handed back to the OS by the heap
+and faulted in again, page by page.
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -30,12 +35,12 @@ stream ``default_rng(SeedSequence(seed).spawn(n)[k])``: the contract is
 reproducibility, not bit identity to per-child streams.  The draws do not
 depend on the pulse program, so programs run on one sample share them:
 each chunk is drawn once, and every run is composed from per-member block
-propagators compiled once each.
+propagators compiled once each.  The plan of a call orders blocks by first
+appearance and iterates no set, so results do not depend on the hash seed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -188,75 +193,183 @@ def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -
             )
 
 
+def _is_program(block) -> bool:
+    """Whether ``block`` is a pulse program (a tuple of events, or empty)
+    rather than a tuple of blocks."""
+    return not block or not isinstance(block[0], tuple)
+
+
+def _events(block) -> PulseSequence:
+    """The events of a block, a pulse program or a tuple of blocks, in time
+    order."""
+    return block if _is_program(block) else sum(map(_events, block), ())
+
+
+def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
+    """Plan one call: ``(circuits, heads, ops, slots)``.
+
+    The circuits and heads come back canonical: without their empty parts
+    at every depth (a tuple left with one part is that part, one left with
+    none is ``()``), and with equal blocks one object, so that the plan
+    keys blocks by ``id`` and hashes each given program once, not every
+    nested tuple at each look-up.  ``ops`` fill the block stacks of one
+    chunk, in order, and ``slots`` maps the ``id`` of each block that has a
+    stack to its index.  Stack 0 is scratch; the blocks' stacks are 1, 2,
+    ... in order of first appearance.
+
+    An operation ``(seq, src, part, out)`` writes stack ``out``: with a
+    program ``seq``, its events applied to the identity (``src`` None) or to
+    stack ``src`` (``_propagate``); with ``seq`` None, stack ``part``
+    composed onto stack ``src`` (``_compose``).  A program that occurs in
+    more than one place (a circuit, or a part of a distinct tuple), or that
+    opens its tuple, is propagated from the identity.  A tuple's running
+    product starts at its first part's stack; each later part is composed
+    onto it, or, a program that occurs only there, applied to it event by
+    event: onto a copy of a shared stack, in place on the tuple's own.
+    """
+    programs: dict = {}  # each distinct program by value
+    tuples: dict = {}  # each distinct tuple by its parts' ids
+    given: dict = {}  # id of each given block -> its canonical block
+
+    def canonical(block):
+        if id(block) not in given:
+            if _is_program(block):
+                node = programs.setdefault(block, block)
+            else:
+                parts = tuple(part for part in map(canonical, block) if part)
+                node = parts[0] if len(parts) == 1 else tuples.setdefault(tuple(map(id, parts)), parts)
+            given[id(block)] = node
+        return given[id(block)]
+
+    circuits, heads = [canonical(c) for c in circuits], [canonical(h) for h in heads]
+    uses = dict.fromkeys(map(id, programs.values()), 0)  # places each program occurs
+    for node in (*circuits, *(part for parts in tuples.values() for part in parts)):
+        if _is_program(node):
+            uses[id(node)] += 1
+    slots: dict = {}
+    ops: list = []
+
+    def stack(node) -> int:
+        if id(node) in slots:
+            return slots[id(node)]
+        if _is_program(node):
+            src, steps = None, [(node, None)]
+        else:
+            src = stack(node[0])
+            steps = [
+                (part, None) if _is_program(part) and uses[id(part)] == 1 else (None, stack(part))
+                for part in node[1:]
+            ]
+        own = slots[id(node)] = len(slots) + 1
+        # A composition cannot write its own operand, so the running product
+        # moves between ``own`` and the scratch at each one; planned back from
+        # the last step, which writes ``own``.
+        outs, out = [], own
+        for seq, _ in reversed(steps):
+            outs.append(out)
+            if seq is None:
+                out = 0 if out else own
+        for (seq, part), out in zip(steps, reversed(outs)):
+            ops.append((seq, src, part, out))
+            src = out
+        return own
+
+    for node in (*circuits, *(h for h in heads if not _is_program(h))):
+        if node:
+            stack(node)
+    return circuits, heads, ops, slots
+
+
+def _times_start(u: np.ndarray, start: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-member ``u[..., m] @ start`` of a (4, 4, n) stack and a constant
+    (4, k) ``start``, written into ``out`` of shape (4, k, n) and returned:
+    one matrix product of ``start``'s transpose with each row of ``u``."""
+    return np.matmul(start.T, u, out=out)
+
+
 def mean_states(
     sys: SpinSystem,
     p: ErrorParams,
     seed,
-    circuits: Sequence[tuple[PulseSequence, ...]],
-    heads: Sequence[PulseSequence],
+    circuits: Sequence[tuple],
+    heads: Sequence[tuple],
     start: np.ndarray,
 ) -> np.ndarray:
     """Bulk-sample states of every (circuit, head) run on one sample, shape
     (len(circuits), len(heads), 4, 4).
 
-    Each head is propagated from ``start``, a (4, k) factor of the input
-    (``basis_state(0)[:, None]`` for |00>); each circuit is a tuple of
-    blocks run after it (``()`` runs the head alone).  Per chunk, each
-    distinct non-empty block is compiled once, all from one table of event
-    factors, and composed onto the head as ``(U_last @ ...) @ U_first`` by
-    ``_compose``.  A run's stack W of shape (4, k, n) adds the sum of W_m
-    W_m^H over its members as one product of its (4, k*n) reshape with that
-    reshape's adjoint.  Each mean is T2-damped over its run's
-    free-evolution time and checked.  Parameters under which a phase or a
-    T2 exponent of these runs would overflow raise ``ValueError`` before
-    any draw (``_check_ranges``).
+    A block is a pulse program or a tuple of blocks, run in order; empty
+    parts are dropped.  Each circuit is a tuple of blocks run after its
+    head (``()`` runs the head alone), and each head a block run on
+    ``start``, a (4, k) factor of the input (``basis_state(0)[:, None]``
+    for |00>).  A head that is a program is propagated from ``start``; a
+    tuple head, and the runs on the empty head, are stacks times ``start``
+    (``_times_start``).  The call plans once (``_plan``): per chunk, each
+    distinct block gets one stack of per-member propagators, each program
+    in it propagated once, all from one table of event factors, and
+    composed right to left by ``_compose``.  A run's stack W of shape (4,
+    k, n) adds the sum of W_m W_m^H over its members as one product of its
+    (4, k*n) reshape with that reshape's adjoint.  Each mean is T2-damped
+    over its run's free-evolution time and checked.  Parameters under
+    which a phase or a T2 exponent of these runs would overflow raise
+    ``ValueError`` before any draw (``_check_ranges``).
 
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
-    factor table, a stack per head and per block, and the composition and
-    conjugate scratch.  Each chunk refills it in place; the shorter last
-    chunk uses the leading part of each buffer.
+    factor table, a stack per head and per planned block, and the scratch
+    of the compositions, of the runs and of their conjugates.  Each chunk
+    refills it in place; the shorter last chunk uses the leading part of
+    each buffer.
     """
-    t_totals = np.array([
-        [total_delay(head) + total_delay(sum(circuit, ())) for head in heads]
-        for circuit in circuits
-    ])
-    circuits = [[block for block in circuit if len(block)] for circuit in circuits]
-    blocks = list(dict.fromkeys(block for circuit in circuits for block in circuit))
-    events = [ev for seq in (*heads, *blocks) for ev in seq]
+    t_heads = np.array([total_delay(_events(head)) for head in heads])
+    t_totals = np.array([total_delay(_events(circuit)) for circuit in circuits])[:, None] + t_heads
+    circuits, heads, ops, slots = _plan(circuits, heads)
+    events = [ev for block in (*heads, *circuits) for ev in _events(block)]
     _check_ranges(sys, p, events, float(t_totals.max()))
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
     table = _FactorTable(events, size)
     # The stacks and scratch, in (4, width, size) slices of one allocation
-    # that the heap keeps whole for the next call: a stack per head and per
-    # block, then tmp, two partial products, a composed run and its conjugate.
-    widths = [k] * len(heads) + [4] * len(blocks) + [max(k, 4), 4, 4, k, k]
+    # that the heap keeps whole for the next call: a stack per head, the
+    # scratch and a stack per planned block, then tmp, a run and its conjugate.
+    widths = [k] * len(heads) + [4] * (1 + len(slots)) + [max(k, 4), k, k]
     arena = np.empty(4 * size * sum(widths), dtype=complex)
     bufs = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
-    w_bufs, u_bufs = bufs[: len(heads)], bufs[len(heads) : -5]
-    tmp_buf, *partial_bufs, run_buf, conj_buf = bufs[-5:]
+    w_bufs, u_bufs = bufs[: len(heads)], bufs[len(heads) : -3]
+    tmp_buf, run_buf, conj_buf = bufs[-3:]
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
         tmp_k, tmp_4 = _view(tmp_buf, 4, k, n), _view(tmp_buf, 4, 4, n)
-        w_heads = [
-            _propagate(head, factors, start, _view(buf, 4, k, n), tmp_k)
-            for head, buf in zip(heads, w_bufs)
-        ]
-        u_blocks = {
-            block: _propagate(block, factors, qcore.ID4, _view(buf, 4, 4, n), tmp_4)
-            for block, buf in zip(blocks, u_bufs)
-        }
-        partials = [_view(buf, 4, 4, n) for buf in partial_bufs]
+        stacks = [_view(buf, 4, 4, n) for buf in u_bufs]
+        for seq, src, part, out in ops:
+            if seq is None:
+                _compose(stacks[part], stacks[src], stacks[out], tmp_4)
+            else:
+                base = qcore.ID4 if src is None else stacks[src]
+                _propagate(seq, factors, base, stacks[out], tmp_4)
+        w_heads = []  # each head's stack from ``start``; None for the empty head
+        for head, buf in zip(heads, w_bufs):
+            w = _view(buf, 4, k, n)
+            if not head:
+                w = None
+            elif _is_program(head):
+                _propagate(head, factors, start, w, tmp_k)
+            else:
+                _times_start(stacks[slots[id(head)]], start, w)
+            w_heads.append(w)
         run, conj = _view(run_buf, 4, k, n), _view(conj_buf, 4, k * n)
         for i, circuit in enumerate(circuits):
-            stacks = [u_blocks[block] for block in reversed(circuit)]
-            u = stacks[0] if stacks else None
-            for stack, out in zip(stacks[1:], itertools.cycle(partials)):
-                u = _compose(u, stack, out, tmp_4)
+            u = stacks[slots[id(circuit)]] if circuit else None
             for j, w in enumerate(w_heads):
-                m = (w if u is None else _compose(u, w, run, tmp_k)).reshape(4, -1)
+                if u is not None:
+                    m = _times_start(u, start, run) if w is None else _compose(u, w, run, tmp_k)
+                elif w is not None:
+                    m = w
+                else:  # the empty circuit on the empty head: ``start`` itself
+                    m = run
+                    np.copyto(run, start[:, :, None])
+                m = m.reshape(4, -1)
                 np.conjugate(m, out=conj)
                 total[i, j] += m @ conj.T  # sum of W_m W_m^H
     f_a = np.exp(-t_totals / p.t2_a)[..., None, None]

@@ -101,9 +101,13 @@ def reference_propagate(
 ) -> np.ndarray:
     """Per-member U_k @ start, applying each event's factors as they are
     computed, on a members-first stack: the reference for
-    ``nmrsim._propagate``, returned as its (4, k, n) stack, members last."""
+    ``nmrsim._propagate``, returned as its (4, k, n) stack, members last.
+    ``start`` is a (4, k) factor or a (4, k, n) stack of per-member starts."""
     deltas, offs_a, offs_b = draws.T
-    u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
+    if start.ndim == 3:
+        u = np.moveaxis(start, -1, 0).copy()
+    else:
+        u = np.broadcast_to(start, (len(draws),) + start.shape).copy()
     for ev in seq:
         if isinstance(ev, Rf):
             angles = ev.angle * (1.0 + calib_offset + deltas)

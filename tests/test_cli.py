@@ -240,6 +240,26 @@ class TestFig4:
         cfg.write_text(json.dumps({"noise": {"ensemble_size": 150}}))
         return cfg
 
+    def test_files_byte_identical_across_hash_seeds(self, tmp_path):
+        """``python -m densecode fig4`` at the demo config writes the same
+        bytes under hash seeds 1 and 2: the ensemble average plans its
+        blocks in order of first appearance and iterates no set."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        written = []
+        for hashseed in ("1", "2"):
+            out = tmp_path / hashseed
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hashseed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "densecode", "fig4", "--out", str(out)],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(files_under(out))
+        assert sorted(written[0]) == ["fig4.csv", "fig4_errors.json"]
+        assert written[0] == written[1]
+
     def test_csv_output(self, capsys, tmp_path, quick_cfg):
         code, out, _ = run_cli(
             capsys, ["fig4", "--config", str(quick_cfg), "--out", str(tmp_path)]

@@ -708,3 +708,87 @@ def test_fig4_panels_bit_identical_reruns(system):
     second = experiment.fig4_panels(system, 1e-5, params, seed=5)
     for a, b in zip(first, second):
         assert np.array_equal(a.experimental, b.experimental)
+
+
+def fig4_inputs(system, refocus, nested):
+    """fig4's four circuits and three prefixes: nested, as ``experiment``
+    passes them, or as ``nmrsim``'s flat programs."""
+    if nested:
+        prep, decode, prefixes = experiment._nested_blocks(system, refocus)
+    else:
+        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=refocus)
+        decode = nmrsim.decode_sequence(system, refocus=refocus)
+        prefixes = nmrsim.permutation_sequences(system, refocus=refocus)
+    return [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES], prefixes
+
+
+class TestNestedBlocks:
+    """A block may be a tuple of blocks; the plan shares each program's
+    propagation and applies programs used once in place."""
+
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_nested_blocks_join_to_the_flat_programs(self, system, refocus):
+        prep, decode, prefixes = experiment._nested_blocks(system, refocus)
+        assert sum(prep, ()) == nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus)
+        assert sum(decode, ()) == nmrsim.decode_sequence(system, refocus)
+        flat = nmrsim.permutation_sequences(system, refocus)
+        assert tuple(sum(prefix, ()) for prefix in prefixes) == flat
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_nested_equal_flat_across_chunks(self, system, monkeypatch, seed, refocus):
+        """From a random factor that is not a permutation (so its transpose
+        is another matrix), over two full chunks and a shorter third."""
+        monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        start /= np.linalg.norm(start)  # unit trace of start @ start^H
+        nested = noise.mean_states(system, p, seed, *fig4_inputs(system, refocus, True), start)
+        flat = noise.mean_states(system, p, seed, *fig4_inputs(system, refocus, False), start)
+        assert nested.shape == (4, 3, 4, 4)
+        assert np.max(np.abs(nested - flat)) < 1e-12
+
+    def test_mean_states_equal_reference_engine_on_nested_blocks(self, system, monkeypatch):
+        """As ``TestFactorTable``'s flat case: every propagation, from the
+        identity, from ``start`` or onward from a stack, replaced by the
+        reference engine moves no bit."""
+        monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
+        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        circuits, heads = fig4_inputs(system, True, True)
+        got = noise.mean_states(system, p, 11, circuits, heads, v_th)
+
+        def draws_only(table, sys, draws, calib_offset):
+            return draws
+
+        def reference(seq, draws, start, u, tmp):
+            u[...] = oracles.reference_propagate(seq, system, draws, p.calib_offset, start)
+            return u
+
+        monkeypatch.setattr(noise, "_event_factors", draws_only)
+        monkeypatch.setattr(noise, "_propagate", reference)
+        assert np.array_equal(got, noise.mean_states(system, p, 11, circuits, heads, v_th))
+
+    @pytest.mark.parametrize("refocus, events", [(True, 28), (False, 18)])
+    def test_one_fig4_chunk_shares_each_cnot(self, system, monkeypatch, refocus, events):
+        """One chunk propagates each CNOT once: the NOT and pseudo-Hadamard
+        opening the preparation, the two CNOTs, and the decoding's
+        pseudo-Hadamard and the encodings applied in place (3 + 2 * cnot + 2
+        + 3 event updates); 7 compositions build the blocks and 8 the runs
+        on the two CNOT prefixes, and six products meet ``start``."""
+        counts = {"events": 0, "compositions": 0, "products": 0}
+        propagate, compose, times_start = noise._propagate, noise._compose, noise._times_start
+
+        def counted(name, f, weight=lambda *args: 1):
+            def wrapper(*args):
+                counts[name] += weight(*args)
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(noise, "_propagate", counted("events", propagate, lambda seq, *_: len(seq)))
+        monkeypatch.setattr(noise, "_compose", counted("compositions", compose))
+        monkeypatch.setattr(noise, "_times_start", counted("products", times_start))
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE)
+        experiment.fig4_panels(system, 1e-5, p, seed=1, refocus=refocus)
+        assert counts == {"events": events, "compositions": 15, "products": 6}
