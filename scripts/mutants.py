@@ -309,6 +309,21 @@ MUTANTS = (
         ("tests/test_noise.py::TestNestedBlocks::test_one_fig4_chunk_shares_each_cnot",),
     ),
     Mutant(
+        # still the same states to rounding: only the count of updates shows it
+        "noisy run passes its nested program as a tuple head",
+        "experiment.py",
+        "seq = nmrsim.events(nmrsim.dense_coding_sequence(sys, m, variant))",
+        "seq = nmrsim.dense_coding_sequence(sys, m, variant)",
+        ("tests/test_noise.py::TestNestedBlocks::test_noisy_run_propagates_one_flat_head",),
+    ),
+    Mutant(
+        "events keeps only the first part of a tuple",
+        "nmrsim.py",
+        "sum(map(events, block), ())",
+        "events(block[0])",
+        ("tests/test_noise.py::TestNestedBlocks::test_compile_block_equals_compile_of_its_events",),
+    ),
+    Mutant(
         "per-member start not copied into the output stack",
         "nmrsim.py",
         "    elif start is not u:\n        np.copyto(u, start)\n",

@@ -7,10 +7,9 @@ as heads on the thermal state.  ``fig4_panels`` is the pipeline behind the
 element-modulus bar-chart data: for each of the four encodings, run the
 temporal-averaged protocol with the error model, reconstruct the averaged
 state by tomography, extract the pseudo-pure deviation and compare against
-the ideal output.  Both pass the preparation, decoding and prefixes as
-nested blocks (``_nested_blocks``) with each CNOT a program of its own, so
-the ensemble average propagates each CNOT once per chunk: a fig4 chunk
-makes 28 event updates, not the 68 of the flat programs.
+the ideal output.  Both pass ``nmrsim``'s blocks, each CNOT a program of its
+own, so the ensemble average propagates each CNOT once per chunk: a fig4
+chunk makes 28 event updates, not the 68 of the flat programs.
 """
 
 from __future__ import annotations
@@ -61,29 +60,18 @@ def noisy_output_density(
     seed: int,
 ) -> np.ndarray:
     """Ensemble-averaged pulse-layer output for a pure |00> input."""
-    seq = nmrsim.dense_coding_sequence(sys, m, variant)
+    # one flat head: a program run once from a one-column start propagates
+    # the column event by event; passed nested, each part would be built
+    # from the identity and composed (twice as slow at 20,000 members)
+    seq = nmrsim.events(nmrsim.dense_coding_sequence(sys, m, variant))
     start = qcore.basis_state(0)[:, None]
     return noise.mean_states(sys, params, seed, [()], [seq], start)[0, 0]
-
-
-def _nested_blocks(sys: nmrsim.SpinSystem, refocus: bool = True) -> tuple:
-    """fig4's Bell preparation (of ``BellVariant.MINUS_PHI``), its decoding
-    and the three permutation prefixes as nested blocks, each CNOT a
-    program of its own: (NOTs + pseudo-Hadamard, CNOT_ba), (CNOT_ba,
-    pseudo-Hadamard) and ((), (CNOT_ab, CNOT_ba), (CNOT_ba, CNOT_ab)).  The
-    ensemble average then propagates each CNOT once per chunk.  Each block
-    joined by ``sum(block, ())`` is ``nmrsim``'s flat program."""
-    cn_ba = nmrsim.cnot_pulse_sequence(sys, control="b", refocus=refocus)
-    cn_ab = nmrsim.cnot_pulse_sequence(sys, control="a", refocus=refocus)
-    hadamard = nmrsim.pseudo_hadamard_b()
-    nots = sum(map(nmrsim.not_pulse, BellVariant.MINUS_PHI.not_spins), ())
-    return (nots + hadamard, cn_ba), (cn_ba, hadamard), ((), (cn_ab, cn_ba), (cn_ba, cn_ab))
 
 
 def temporal_average(
     sys: nmrsim.SpinSystem,
     epsilon: float,
-    circuits: list[tuple[nmrsim.PulseSequence, ...]],
+    circuits: list[tuple],
     params: noise.ErrorParams = noise.ErrorParams(),
     seed: int = 0,
     refocus: bool = True,
@@ -96,7 +84,7 @@ def temporal_average(
     is noise-free.
     """
     v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
-    prefixes = _nested_blocks(sys, refocus)[2]
+    prefixes = nmrsim.permutation_sequences(sys, refocus)
     return noise.mean_states(sys, params, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
 
 
@@ -123,7 +111,8 @@ def fig4_panels(
             f"epsilon >= {MIN_EPSILON:g}"
         )
     beta = nmrsim.pseudo_pure_beta(sys, epsilon)
-    prep, decode, _ = _nested_blocks(sys, refocus)
+    prep = nmrsim.bell_prep_sequence(sys, BellVariant.MINUS_PHI, refocus)
+    decode = nmrsim.decode_sequence(sys, refocus)
     circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
     averages = temporal_average(sys, epsilon, circuits, params, seed, refocus)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(averages))

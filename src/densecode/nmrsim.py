@@ -6,7 +6,11 @@ Free evolution acts in the doubly-rotating frame: only the weak J coupling
 survives, chemical shifts are zero unless the noise model injects offsets.
 
 A pulse program (``PulseSequence``) is a plain tuple of ``Rf`` and
-``Delay`` events, earliest first, so programs concatenate with ``+``.
+``Delay`` events, earliest first.  A block is a program or a tuple of
+blocks, run in order, and ``events`` flattens it.  The builders below are
+the one definition of each composite program and return blocks that nest,
+each CNOT a program of its own, so the ensemble average propagates a CNOT
+used in many places once.
 One engine, ``_propagate``, applies every program's events in time order
 to a stack U of per-member propagators (``compile([e1, e2]) == U(e2) @
 U(e1)``): a pulse is cos*U + sin*(a signed row permutation of U), a delay a
@@ -20,8 +24,8 @@ reversed pulse reuses its twin's and subtracts the permuted term, and each
 distinct |angle| has one cos and one sin.  Each event updates U in place,
 in buffers the caller gives, with the operands in the order of the
 expressions above.
-``experiment.temporal_average`` runs the thermal state and, nested with each
-CNOT one block, the prefixes built here.
+``experiment.temporal_average`` runs the thermal state and the prefixes
+built here.
 """
 
 from __future__ import annotations
@@ -118,9 +122,21 @@ PulseEvent = Rf | Delay
 PulseSequence = tuple[PulseEvent, ...]
 
 
-def total_delay(seq: PulseSequence) -> float:
-    """Total free-evolution time of ``seq`` (pulses are instantaneous)."""
-    return sum(ev.duration for ev in seq if isinstance(ev, Delay))
+def _is_program(block) -> bool:
+    """Whether ``block`` is a pulse program (a tuple of events, or empty)
+    rather than a tuple of blocks."""
+    return not block or not isinstance(block[0], tuple)
+
+
+def events(block) -> PulseSequence:
+    """The events of a block, a pulse program or a tuple of blocks, in time
+    order."""
+    return block if _is_program(block) else sum(map(events, block), ())
+
+
+def total_delay(block) -> float:
+    """Total free-evolution time of ``block`` (pulses are instantaneous)."""
+    return sum(ev.duration for ev in events(block) if isinstance(ev, Delay))
 
 
 # Diagonal signs of sigma_z on b, sigma_z on a, and sigma_z*sigma_z.
@@ -261,25 +277,26 @@ def _propagate(
 
 
 def _compile_stack(
-    seq: PulseSequence,
+    block,
     sys: SpinSystem,
     draws: np.ndarray,
     calib_offset: float,
     start: np.ndarray = qcore.ID4,
 ) -> np.ndarray:
-    """``_propagate`` of ``seq`` alone on the (n, 3) ``draws``, in buffers
-    of its own.  Row m of ``draws`` is member m's RF deviation and
-    offsets (Hz) of spins a and b; pulse angles scale by 1 +
+    """``_propagate`` of the events of ``block`` alone on the (n, 3)
+    ``draws``, in buffers of its own.  Row m of ``draws`` is member m's RF
+    deviation and offsets (Hz) of spins a and b; pulse angles scale by 1 +
     ``calib_offset`` + deviation."""
+    seq = events(block)
     factors = _event_factors(_FactorTable(seq, len(draws)), sys, draws, calib_offset)
     u = np.empty((4, start.shape[1], len(draws)), dtype=complex)
     return _propagate(seq, factors, start, u, np.empty_like(u))
 
 
-def compile_sequence(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
-    """Compile a sequence to its two-spin propagator (later events applied
+def compile_sequence(block, sys: SpinSystem) -> np.ndarray:
+    """Compile a block to its two-spin propagator (later events applied
     later): the engine for one member with zero draws."""
-    return _compile_stack(seq, sys, np.zeros((1, 3)), 0.0)[..., 0]
+    return _compile_stack(block, sys, np.zeros((1, 3)), 0.0)[..., 0]
 
 
 def not_pulse(spin: str) -> PulseSequence:
@@ -353,25 +370,26 @@ def encoding_pulse(i: int) -> PulseSequence:
 
 def bell_prep_sequence(
     sys: SpinSystem, variant: BellVariant, refocus: bool = True
-) -> PulseSequence:
-    """Pulse program preparing the Bell start state for ``variant``."""
+) -> tuple:
+    """Block preparing the Bell start state for ``variant``: (NOTs +
+    pseudo-Hadamard, CNOT)."""
     nots = sum((not_pulse(spin) for spin in variant.not_spins), ())
-    return nots + pseudo_hadamard_b() + cnot_pulse_sequence(sys, refocus=refocus)
+    return nots + pseudo_hadamard_b(), cnot_pulse_sequence(sys, refocus=refocus)
 
 
-def decode_sequence(sys: SpinSystem, refocus: bool = True) -> PulseSequence:
-    """Pulse program of the decoding step: CNOT then pseudo-Hadamard on b."""
-    return cnot_pulse_sequence(sys, refocus=refocus) + pseudo_hadamard_b()
+def decode_sequence(sys: SpinSystem, refocus: bool = True) -> tuple:
+    """Block of the decoding step: (CNOT, pseudo-Hadamard on b)."""
+    return cnot_pulse_sequence(sys, refocus=refocus), pseudo_hadamard_b()
 
 
 def dense_coding_sequence(
     sys: SpinSystem, m: int, variant: BellVariant, refocus: bool = True
-) -> PulseSequence:
-    """Full pulse program: preparation, encoding of message ``m``, decoding."""
+) -> tuple:
+    """Full block: (preparation, encoding of message ``m``, decoding)."""
     return (
-        bell_prep_sequence(sys, variant, refocus=refocus)
-        + encoding_pulse(m)
-        + decode_sequence(sys, refocus=refocus)
+        bell_prep_sequence(sys, variant, refocus=refocus),
+        encoding_pulse(m),
+        decode_sequence(sys, refocus=refocus),
     )
 
 
@@ -396,8 +414,9 @@ def thermal_state(sys: SpinSystem, epsilon: float) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def permutation_sequences(sys: SpinSystem, refocus: bool = True) -> tuple[PulseSequence, ...]:
-    """The three temporal-averaging prefixes P0, P1, P2.
+def permutation_sequences(sys: SpinSystem, refocus: bool = True) -> tuple:
+    """The three temporal-averaging prefixes P0, P1, P2 as blocks: ((),
+    (CNOT_ab, CNOT_ba), (CNOT_ba, CNOT_ab)).
 
     P0 does nothing; P1 and P2 are two-CNOT circuits that cyclically permute
     the populations of |01>, |10>, |11> (in opposite directions) while fixing
@@ -405,7 +424,7 @@ def permutation_sequences(sys: SpinSystem, refocus: bool = True) -> tuple[PulseS
     """
     cn_ba = cnot_pulse_sequence(sys, control="b", refocus=refocus)
     cn_ab = cnot_pulse_sequence(sys, control="a", refocus=refocus)
-    return ((), cn_ab + cn_ba, cn_ba + cn_ab)
+    return ((), (cn_ab, cn_ba), (cn_ba, cn_ab))
 
 
 def pseudo_pure_decomposition(rho: np.ndarray) -> tuple[float, float, float]:

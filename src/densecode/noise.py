@@ -9,13 +9,14 @@ damping of off-diagonal elements over the total free-evolution time.
 
 The package's one ensemble average, ``mean_states``, runs circuits after
 heads on one sample, from a factor V of the input (rho0 = V V^H).  A block
-is a pulse program or a tuple of blocks, so a gate used in many places,
-such as the J-coupled CNOT, can be one program of its own.  Per chunk, each
-program is propagated once through the pulse engine of ``nmrsim``
-(``nmrsim._propagate``, the one that also compiles noise-free programs),
-one row of draws per member, into a stack of shape (4, k, n) with the
-member axis last; a program that occurs only once, after the first part of
-its tuple, continues that tuple's running product in place instead.
+is a pulse program or a tuple of blocks (``nmrsim.events`` flattens one),
+and ``nmrsim``'s builders make the J-coupled CNOT a program of its own in
+every block that uses it.  Per chunk, each program is propagated once
+through the pulse engine of ``nmrsim`` (``nmrsim._propagate``, the one
+that also compiles noise-free programs), one row of draws per member,
+into a stack of shape (4, k, n) with the member axis last; a program that
+occurs only once, after the first part of its tuple, continues that
+tuple's running product in place instead.
 Blocks compose by four broadcast multiply-adds over contiguous member rows
 (``_compose``), a stack meets the constant V in one matrix product, and the
 sum of W W^H over a chunk is one matrix product.  Members are drawn,
@@ -49,15 +50,16 @@ import numpy as np
 
 from . import qcore
 from .nmrsim import (
-    PulseSequence,
     Rf,
     SpinSystem,
     _FactorTable,
     _ZA_DIAG,
     _ZB_DIAG,
     _event_factors,
+    _is_program,
     _propagate,
     _view,
+    events,
     total_delay,
 )
 
@@ -193,18 +195,6 @@ def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -
             )
 
 
-def _is_program(block) -> bool:
-    """Whether ``block`` is a pulse program (a tuple of events, or empty)
-    rather than a tuple of blocks."""
-    return not block or not isinstance(block[0], tuple)
-
-
-def _events(block) -> PulseSequence:
-    """The events of a block, a pulse program or a tuple of blocks, in time
-    order."""
-    return block if _is_program(block) else sum(map(_events, block), ())
-
-
 def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
     """Plan one call: ``(circuits, heads, ops, slots)``.
 
@@ -321,13 +311,13 @@ def mean_states(
     refills it in place; the shorter last chunk uses the leading part of
     each buffer.
     """
-    t_heads = np.array([total_delay(_events(head)) for head in heads])
-    t_totals = np.array([total_delay(_events(circuit)) for circuit in circuits])[:, None] + t_heads
+    t_heads = np.array([total_delay(head) for head in heads])
+    t_totals = np.array([total_delay(circuit) for circuit in circuits])[:, None] + t_heads
     circuits, heads, ops, slots = _plan(circuits, heads)
-    events = [ev for block in (*heads, *circuits) for ev in _events(block)]
-    _check_ranges(sys, p, events, float(t_totals.max()))
+    all_events = [ev for block in (*heads, *circuits) for ev in events(block)]
+    _check_ranges(sys, p, all_events, float(t_totals.max()))
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
-    table = _FactorTable(events, size)
+    table = _FactorTable(all_events, size)
     # The stacks and scratch, in (4, width, size) slices of one allocation
     # that the heap keeps whole for the next call: a stack per head, the
     # scratch and a stack per planned block, then tmp, a run and its conjugate.

@@ -80,9 +80,17 @@ def j_evolution(sys: SpinSystem, t: float) -> np.ndarray:
     return np.diag(phases)
 
 
+def flatten(block: tuple) -> PulseSequence:
+    """The events of ``block``, a pulse program or a tuple of blocks, in
+    time order: the oracles' own flattening, apart from ``nmrsim.events``."""
+    parts = (flatten(part) if isinstance(part, tuple) else (part,) for part in block)
+    return sum(parts, ())
+
+
 def kron_compile(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Noise-free propagator of ``seq``: event matrices left-multiplied in
     time order."""
+    seq = flatten(seq)
     u = qcore.ID4.copy()
     for ev in seq:
         if isinstance(ev, Rf):
@@ -103,6 +111,7 @@ def reference_propagate(
     computed, on a members-first stack: the reference for
     ``nmrsim._propagate``, returned as its (4, k, n) stack, members last.
     ``start`` is a (4, k) factor or a (4, k, n) stack of per-member starts."""
+    seq = flatten(seq)
     deltas, offs_a, offs_b = draws.T
     if start.ndim == 3:
         u = np.moveaxis(start, -1, 0).copy()
@@ -175,9 +184,10 @@ def temporal_average(
 ) -> np.ndarray:
     """Mean of U rho_th U^H over the three runs, U compiled from each
     permutation prefix followed by ``circuit``."""
+    circuit = flatten(circuit)
     rho_th = nmrsim.thermal_state(sys, epsilon)
     total = np.zeros((4, 4), dtype=complex)
     for prefix in nmrsim.permutation_sequences(sys, refocus=refocus):
-        u = nmrsim.compile_sequence(prefix + circuit, sys)
+        u = nmrsim.compile_sequence(flatten(prefix) + circuit, sys)
         total += u @ rho_th @ u.conj().T
     return total / 3.0

@@ -244,16 +244,13 @@ class TestFig4:
         """``python -m densecode fig4`` at the demo config writes the same
         bytes under hash seeds 1 and 2: the ensemble average plans its
         blocks in order of first appearance and iterates no set."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         written = []
         for hashseed in ("1", "2"):
             out = tmp_path / hashseed
             out.mkdir()
-            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hashseed)
             proc = subprocess.run(
                 [sys.executable, "-m", "densecode", "fig4", "--out", str(out)],
-                capture_output=True, env=env, timeout=60,
+                capture_output=True, env=interpreter_env(PYTHONHASHSEED=hashseed), timeout=60,
             )
             assert proc.returncode == 0, proc.stderr
             written.append(files_under(out))
@@ -389,6 +386,20 @@ class TestValidate:
         assert "table1-vs-brute-force" in names
         assert "noise-error-band" in names
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_output_byte_identical_across_hash_seeds(self):
+        """``python -m densecode validate --format json`` prints the same
+        bytes under hash seeds 1 and 2: its pulse-protocol check and fig4
+        pass tuple heads, which the ensemble average's plan keys by ``id``."""
+        printed = []
+        for hashseed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "densecode", "validate", "--format", "json"],
+                capture_output=True, env=interpreter_env(PYTHONHASHSEED=hashseed), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert printed[0] == printed[1]
 
     def test_capacity_check_runs_each_network_once(self, monkeypatch):
         runs = count_networks(monkeypatch)
@@ -650,12 +661,19 @@ def fresh_interpreter(argv, cwd) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``python -m densecode.cli`` on
     ``argv`` alone in a new interpreter, run in ``cwd``; the output is
     decoded without translating newlines."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "densecode.cli", *argv], cwd=cwd, capture_output=True, env=env, timeout=60
+        [sys.executable, "-m", "densecode.cli", *argv],
+        cwd=cwd, capture_output=True, env=interpreter_env(), timeout=60,
     )
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def interpreter_env(**extra: str) -> dict[str, str]:
+    """The environment of a new interpreter that imports this checkout's
+    package, with ``extra`` variables set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def files_under(root: Path) -> dict[str, bytes]:

@@ -384,6 +384,5 @@ class TestTemporalAveraging:
         ]
         averaged = experiment.temporal_average(system, epsilon, circuits, refocus=refocus)
         for circuit, rho in zip(circuits, averaged):
-            program = sum(circuit, PulseSequence(()))
-            expected = oracles.temporal_average(system, epsilon, program, refocus)
+            expected = oracles.temporal_average(system, epsilon, circuit, refocus)
             assert np.max(np.abs(rho - expected)) <= 1e-15

@@ -16,9 +16,10 @@ RHO00 = qcore.pure_density(qcore.basis_state(0))
 
 def mean_state(seq, system, p, rho0, seed):
     """``seq`` run alone on ``rho0`` (a density matrix) through the one
-    ensemble average: one head, the empty circuit, a factor of ``rho0``."""
+    ensemble average: one flat head, the empty circuit, a factor of
+    ``rho0``."""
     v = qcore.psd_factor(qcore.check_density_matrix(rho0))
-    return noise.mean_states(system, p, seed, [()], [seq], v)[0, 0]
+    return noise.mean_states(system, p, seed, [()], [nmrsim.events(seq)], v)[0, 0]
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def system():
 
 @pytest.fixture
 def bell_seq(system):
-    return nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
+    return nmrsim.events(nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI))
 
 
 def bell_infidelity(system, seq, params, seed):
@@ -247,7 +248,7 @@ class TestRowPermutationEngine:
     def test_chunked_average_matches_member_oracle(self, system, monkeypatch, rho0):
         chunk = 5
         monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
-        seq = nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI)
+        seq = nmrsim.events(nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI))
         base = replace(noise.DEMO_PARAMS, t2_a=0.05, t2_b=0.08)
         for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             p = replace(base, ensemble_size=size)
@@ -275,7 +276,7 @@ class TestRowPermutationEngine:
 
 
 def fig4_programs(system, refocus):
-    """The distinct heads and blocks of fig4, each with the start it is
+    """fig4's heads and blocks as flat programs, each with the start it is
     propagated from, and the full dense-coding program."""
     v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
     heads = nmrsim.permutation_sequences(system, refocus=refocus)
@@ -284,7 +285,9 @@ def fig4_programs(system, refocus):
         nmrsim.decode_sequence(system, refocus=refocus),
     ] + [nmrsim.encoding_pulse(m) for m in protocol.MESSAGES]
     full = nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI, refocus=refocus)
-    return [(head, v_th) for head in heads] + [(seq, qcore.ID4) for seq in blocks + [full]]
+    return [(nmrsim.events(head), v_th) for head in heads] + [
+        (nmrsim.events(block), qcore.ID4) for block in blocks + [full]
+    ]
 
 
 class TestFactorTable:
@@ -312,10 +315,7 @@ class TestFactorTable:
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
         p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
         v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
-        heads = nmrsim.permutation_sequences(system)
-        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
-        decode = nmrsim.decode_sequence(system)
-        circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
+        circuits, heads = fig4_inputs(system, True, False)
         got = noise.mean_states(system, p, 11, circuits, heads, v_th)
 
         def draws_only(table, sys, draws, calib_offset):
@@ -391,8 +391,8 @@ class TestComposition:
         p = replace(noise.DEMO_PARAMS, t2_a=math.inf, t2_b=math.inf, ensemble_size=7)
         rho0 = np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex)
         v = qcore.psd_factor(qcore.check_density_matrix(rho0))
-        head = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PSI)
-        blocks = (nmrsim.encoding_pulse(4), nmrsim.decode_sequence(system))
+        head = nmrsim.events(nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PSI))
+        blocks = (nmrsim.encoding_pulse(4), nmrsim.events(nmrsim.decode_sequence(system)))
         draws = np.concatenate(list(noise._draw_chunks(p, 3)))
         w_head = nmrsim._compile_stack(head, system, draws, p.calib_offset, v)
         w_run = w_head
@@ -488,7 +488,7 @@ class TestUnbiasedAverage:
         )
         start = qcore.basis_state(0)[:, None]
         programs = [
-            nmrsim.dense_coding_sequence(system, m, variant)
+            nmrsim.events(nmrsim.dense_coding_sequence(system, m, variant))
             for m, variant in ((4, BellVariant.MINUS_PSI), (2, BellVariant.PLUS_PHI),
                                (3, BellVariant.MINUS_PHI))
         ]
@@ -574,7 +574,7 @@ class TestSourcesThatDrawNothing:
         averages = np.zeros((len(circuits), 4, 4), dtype=complex)
         for i, circuit in enumerate(circuits):
             for prefix in nmrsim.permutation_sequences(system):
-                run = sum(circuit, prefix)
+                run = nmrsim.events((prefix, circuit))
                 scaled = tuple(
                     replace(ev, angle=ev.angle * (1.0 + p.calib_offset)) if isinstance(ev, Rf) else ev
                     for ev in run
@@ -643,7 +643,7 @@ def reference_simulated_experiment(system, epsilon, params, m, seed, refocus):
     circuit = nmrsim.dense_coding_sequence(system, m, BellVariant.MINUS_PHI, refocus)
     total = np.zeros((4, 4), dtype=complex)
     for prefix in nmrsim.permutation_sequences(system, refocus=refocus):
-        total += mean_state(prefix + circuit, system, params, rho_th, seed=seed)
+        total += mean_state((prefix, circuit), system, params, rho_th, seed=seed)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(total / 3.0))
     beta = nmrsim.pseudo_pure_beta(system, epsilon)
     rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
@@ -684,7 +684,7 @@ def test_noisy_output_density_from_the_pure_column(system, monkeypatch):
     monkeypatch.setattr(noise, "CHUNK_SIZE", 16)
     p = replace(noise.DEMO_PARAMS, ensemble_size=25)
     variant = BellVariant.MINUS_PSI
-    seq = nmrsim.dense_coding_sequence(system, 3, variant)
+    seq = nmrsim.events(nmrsim.dense_coding_sequence(system, 3, variant))
     got = experiment.noisy_output_density(system, p, 3, variant, seed=8)
     expected = noise.mean_states(system, p, 8, [()], [seq], qcore.psd_factor(RHO00))[0, 0]
     assert np.array_equal(got, expected)
@@ -711,28 +711,39 @@ def test_fig4_panels_bit_identical_reruns(system):
 
 
 def fig4_inputs(system, refocus, nested):
-    """fig4's four circuits and three prefixes: nested, as ``experiment``
-    passes them, or as ``nmrsim``'s flat programs."""
-    if nested:
-        prep, decode, prefixes = experiment._nested_blocks(system, refocus)
-    else:
-        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=refocus)
-        decode = nmrsim.decode_sequence(system, refocus=refocus)
-        prefixes = nmrsim.permutation_sequences(system, refocus=refocus)
+    """fig4's four circuits and three prefixes: ``nmrsim``'s blocks, as
+    ``experiment`` passes them, or each flattened by ``nmrsim.events``."""
+    prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=refocus)
+    decode = nmrsim.decode_sequence(system, refocus=refocus)
+    prefixes = nmrsim.permutation_sequences(system, refocus=refocus)
+    if not nested:
+        prep, decode = nmrsim.events(prep), nmrsim.events(decode)
+        prefixes = tuple(map(nmrsim.events, prefixes))
     return [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES], prefixes
+
+
+def engine_work(monkeypatch, run) -> dict:
+    """The event updates, compositions and products with ``start`` that
+    ``run()`` makes in the ensemble average."""
+    counts = {"events": 0, "compositions": 0, "products": 0}
+    propagate, compose, times_start = noise._propagate, noise._compose, noise._times_start
+
+    def counted(name, f, weight=lambda *args: 1):
+        def wrapper(*args):
+            counts[name] += weight(*args)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(noise, "_propagate", counted("events", propagate, lambda seq, *_: len(seq)))
+    monkeypatch.setattr(noise, "_compose", counted("compositions", compose))
+    monkeypatch.setattr(noise, "_times_start", counted("products", times_start))
+    run()
+    return counts
 
 
 class TestNestedBlocks:
     """A block may be a tuple of blocks; the plan shares each program's
     propagation and applies programs used once in place."""
-
-    @pytest.mark.parametrize("refocus", [True, False])
-    def test_nested_blocks_join_to_the_flat_programs(self, system, refocus):
-        prep, decode, prefixes = experiment._nested_blocks(system, refocus)
-        assert sum(prep, ()) == nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus)
-        assert sum(decode, ()) == nmrsim.decode_sequence(system, refocus)
-        flat = nmrsim.permutation_sequences(system, refocus)
-        assert tuple(sum(prefix, ()) for prefix in prefixes) == flat
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     @pytest.mark.parametrize("refocus", [True, False])
@@ -748,6 +759,23 @@ class TestNestedBlocks:
         flat = noise.mean_states(system, p, seed, *fig4_inputs(system, refocus, False), start)
         assert nested.shape == (4, 3, 4, 4)
         assert np.max(np.abs(nested - flat)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tuple_head_on_a_column_equals_flat_head(self, system, monkeypatch, seed):
+        """A nested program run alone from the |00> column, composed from
+        the identity and then applied to the column, equals its events
+        propagated from the column, over two full chunks and a shorter
+        third."""
+        monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
+        start = qcore.basis_state(0)[:, None]
+        for block in (
+            nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI),
+            nmrsim.dense_coding_sequence(system, 3, BellVariant.PLUS_PSI),
+        ):
+            nested = noise.mean_states(system, p, seed, [()], [block], start)
+            flat = noise.mean_states(system, p, seed, [()], [nmrsim.events(block)], start)
+            assert np.max(np.abs(nested - flat)) < 1e-12
 
     def test_mean_states_equal_reference_engine_on_nested_blocks(self, system, monkeypatch):
         """As ``TestFactorTable``'s flat case: every propagation, from the
@@ -777,18 +805,49 @@ class TestNestedBlocks:
         pseudo-Hadamard and the encodings applied in place (3 + 2 * cnot + 2
         + 3 event updates); 7 compositions build the blocks and 8 the runs
         on the two CNOT prefixes, and six products meet ``start``."""
-        counts = {"events": 0, "compositions": 0, "products": 0}
-        propagate, compose, times_start = noise._propagate, noise._compose, noise._times_start
-
-        def counted(name, f, weight=lambda *args: 1):
-            def wrapper(*args):
-                counts[name] += weight(*args)
-                return f(*args)
-            return wrapper
-
-        monkeypatch.setattr(noise, "_propagate", counted("events", propagate, lambda seq, *_: len(seq)))
-        monkeypatch.setattr(noise, "_compose", counted("compositions", compose))
-        monkeypatch.setattr(noise, "_times_start", counted("products", times_start))
         p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE)
-        experiment.fig4_panels(system, 1e-5, p, seed=1, refocus=refocus)
+        counts = engine_work(
+            monkeypatch, lambda: experiment.fig4_panels(system, 1e-5, p, seed=1, refocus=refocus)
+        )
         assert counts == {"events": events, "compositions": 15, "products": 6}
+
+    def test_pulse_protocol_check_shares_cnot_ba(self, system, monkeypatch):
+        """The decoding's CNOT_ba is the preparations' one, and its
+        pseudo-Hadamard plus-phi's whole opening.  Each program is
+        propagated once from the identity: CNOT_ba, the four openings (1,
+        0, 2 and 1 NOTs, then the pseudo-Hadamard) and the three one-pulse
+        encodings (10 + 12 + 3 event updates).  4 compositions build the
+        preparations, 1 the decoding, 3 the circuits after an encoding and
+        16 the runs; each preparation meets ``start`` in one product."""
+        counts = engine_work(monkeypatch, lambda: validation._pulse_protocol_states(system))
+        assert counts == {"events": 25, "compositions": 24, "products": 4}
+
+    def test_noisy_run_propagates_one_flat_head(self, system, monkeypatch):
+        """A noisy run is one program propagated event by event from the
+        |00> column: no composition, no product with ``start``."""
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE)
+        counts = engine_work(
+            monkeypatch,
+            lambda: experiment.noisy_output_density(system, p, 3, BellVariant.PLUS_PSI, seed=1),
+        )
+        assert counts == {"events": 26, "compositions": 0, "products": 0}
+
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_compile_block_equals_compile_of_its_events(self, system, refocus):
+        """Every builder's block compiles bit for bit as its flattened
+        events do, and to the product of its parts' propagators."""
+        blocks = [
+            nmrsim.bell_prep_sequence(system, v, refocus) for v in BELL_VARIANT_ORDER
+        ] + [
+            nmrsim.decode_sequence(system, refocus),
+            *nmrsim.permutation_sequences(system, refocus),
+            *(nmrsim.dense_coding_sequence(system, m, v, refocus)
+              for m in protocol.MESSAGES for v in BELL_VARIANT_ORDER),
+        ]
+        for block in blocks:
+            compiled = nmrsim.compile_sequence(block, system)
+            assert np.array_equal(compiled, nmrsim.compile_sequence(nmrsim.events(block), system))
+            product = qcore.ID4
+            for part in block:
+                product = nmrsim.compile_sequence(part, system) @ product
+            assert np.max(np.abs(compiled - product)) < 1e-14
