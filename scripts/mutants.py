@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 FACTOR_TESTS = ("tests/test_noise.py::TestFactorTable",)
 ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
+LAYOUT_TESTS = ("tests/test_noise.py::TestColumnLayout",)
 QUADRATURE_TESTS = ("tests/test_noise.py::TestUnbiasedAverage",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
@@ -47,12 +48,17 @@ TOMO_TESTS = ("tests/test_tomo.py",)
 OUTPUT_TESTS = ("tests/test_outputs.py",)
 ORACLE_TEST = "tests/test_noise.py::TestSourcesThatDrawNothing::test_temporal_average_equals_oracle"
 NESTED_TEST = "tests/test_noise.py::TestNestedBlocks::test_nested_equal_flat_across_chunks"
+#: The cast of every |angle|'s cos and sin into the factor table.
+TRIG_COPY = "    np.copyto(trig, half_sin.reshape(2, a, 1, 1, n))  # cast to complex, into all four rows\n"
 FACTOR_KEY = "return (ev.spin, ev.axis, abs(ev.angle)) if isinstance(ev, Rf) else ev"
 #: The draw of one chunk in ``noise._draw_chunks``.
 DRAWS = """        z = rng.standard_normal((CHUNK_SIZE, 3))
         while (beyond := np.abs(z) > 3.0).any():
             z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
-        yield z[: p.ensemble_size - start] * sigmas
+        n = min(CHUNK_SIZE, p.ensemble_size - start)
+        rows = np.empty((3, n))  # one contiguous row per error source
+        np.multiply(z[:n].T, sigmas[:, None], out=rows)
+        yield rows.T
 """
 
 
@@ -84,17 +90,63 @@ MUTANTS = (
     Mutant(
         "factor table hoisted out of the chunk loop: trig pairs kept from the first chunk",
         "nmrsim.py",
-        "    for angle, trig in table.trig.items():\n",
+        TRIG_COPY,
         "    seen, table.seen = hasattr(table, 'seen'), True\n"
-        "    for angle, trig in ({} if seen else table.trig).items():\n",
+        "    if not seen:\n"
+        "        np.copyto(trig, half_sin.reshape(2, a, 1, 1, n))\n",
         FACTOR_TESTS,
     ),
     Mutant(
         "one trig pair for every angle magnitude",
         "nmrsim.py",
-        "c, sin = table.trig[abs(ev.angle)][:, :n]",
-        "c, sin = next(iter(table.trig.values()))[:, :n]",
+        "c, sin = trig[abs(ev.angle)]",
+        "c, sin = next(iter(trig.values()))",
         FACTOR_TESTS,
+    ),
+    Mutant(
+        "a phase block written to the wrong rows",
+        "nmrsim.py",
+        "np.multiply(sin[rows], phase, out=f[rows])",
+        "np.multiply(sin[rows], phase, out=f[::-1][rows])",
+        FACTOR_TESTS + ENGINE_TESTS,
+    ),
+    Mutant(
+        "cosine rows 1-3 not refilled for a new chunk",
+        "nmrsim.py",
+        TRIG_COPY,
+        "    seen, table.seen = hasattr(table, 'seen'), True\n"
+        "    np.copyto(trig[1], half_sin.reshape(2, a, 1, 1, n)[1])\n"
+        "    np.copyto(trig[0, :, :1] if seen else trig[0], half_sin.reshape(2, a, 1, 1, n)[0])\n",
+        FACTOR_TESTS + ENGINE_TESTS,
+    ),
+    Mutant(
+        "delay rows 2 and 3 negated from each other's row",
+        "nmrsim.py",
+        "np.negative(x[:2], out=x[2:])",
+        "np.negative(x[1::-1], out=x[2:])",
+        FACTOR_TESTS,
+    ),
+    Mutant(
+        # the same bits: numpy casts a real operand of a complex multiply
+        "cosine handed to the engine as a real row",
+        "nmrsim.py",
+        "factors[key] = c, f, perm",
+        "factors[key] = c.real[0, 0], f, perm",
+        LAYOUT_TESTS,
+    ),
+    Mutant(
+        # the same bits, as stride-3 columns
+        "draws yielded as the scaled (n, 3) block",
+        "noise.py",
+        DRAWS,
+        DRAWS.replace(
+            "        n = min(CHUNK_SIZE, p.ensemble_size - start)\n"
+            "        rows = np.empty((3, n))  # one contiguous row per error source\n"
+            "        np.multiply(z[:n].T, sigmas[:, None], out=rows)\n"
+            "        yield rows.T\n",
+            "        yield z[: p.ensemble_size - start] * sigmas\n",
+        ),
+        LAYOUT_TESTS,
     ),
     Mutant(
         "factor key drops the spin",
@@ -355,8 +407,7 @@ MUTANTS = (
         "chunk sliced before its rejection",
         "noise.py",
         DRAWS,
-        DRAWS.replace("(CHUNK_SIZE, 3))\n", "(CHUNK_SIZE, 3))[: p.ensemble_size - start]\n")
-        .replace("z[: p.ensemble_size - start] * sigmas", "z * sigmas"),
+        DRAWS.replace("(CHUNK_SIZE, 3))\n", "(CHUNK_SIZE, 3))[: p.ensemble_size - start]\n"),
         DRAW_TESTS,
     ),
     Mutant(
@@ -364,7 +415,7 @@ MUTANTS = (
         "noise.py",
         DRAWS,
         DRAWS.replace("(CHUNK_SIZE, 3))\n", "(CHUNK_SIZE, 3)) * sigmas\n")
-        .replace("z[: p.ensemble_size - start] * sigmas", "z[: p.ensemble_size - start]"),
+        .replace("np.multiply(z[:n].T, sigmas[:, None], out=rows)", "np.copyto(rows, z[:n].T)"),
         DRAW_TESTS,
     ),
     Mutant(

@@ -21,9 +21,12 @@ into a ``_FactorTable``, whose buffers the ensemble average allocates once
 per call, refills for each chunk and shares across every program of the
 chunk.  A pulse's factors are keyed by (spin, axis, |angle|), so a
 reversed pulse reuses its twin's and subtracts the permuted term, and each
-distinct |angle| has one cos and one sin.  Each event updates U in place,
-in buffers the caller gives, with the operands in the order of the
-expressions above.
+distinct |angle| has one cos and one sin.  Every factor is a contiguous
+complex array of a one-column stack's shape (4, 1, n), the cos repeated in
+its four rows, so that each update of a one-column stack multiplies arrays
+of one shape and dtype: numpy's broadcasting and casting loops cost about
+twice as much per element.  Each event updates U in place, in buffers the
+caller gives, with the operands in the order of the expressions above.
 ``experiment.temporal_average`` runs the thermal state and the prefixes
 built here.
 """
@@ -139,10 +142,9 @@ def total_delay(block) -> float:
     return sum(ev.duration for ev in events(block) if isinstance(ev, Delay))
 
 
-# Diagonal signs of sigma_z on b, sigma_z on a, and sigma_z*sigma_z.
+# Diagonal signs of sigma_z on b and on a.
 _ZB_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 _ZA_DIAG = np.array([1.0, -1.0, 1.0, -1.0])
-_ZZ_DIAG = _ZB_DIAG * _ZA_DIAG
 
 
 def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +159,23 @@ def _signed_permutation(spin: str, axis: str) -> tuple[np.ndarray, np.ndarray]:
 #: (perm, phase) of each (spin, axis) pair; an RF pulse exp(-i*theta*S/2)
 #: acts as U -> cos(theta/2)*U + sin(theta/2)*phase[:, None]*U[perm].
 _RF_ROWS = {(spin, axis): _signed_permutation(spin, axis) for spin in SPINS for axis in AXES}
+
+
+def _phase_blocks(phase: np.ndarray) -> tuple[tuple[slice, complex], ...]:
+    """``(rows, value)`` for each distinct value of a Pauli phase column,
+    ``rows`` the slice of the rows holding it: all four for X, rows 0-1
+    and 2-3 for Y and Z on spin b, rows 0, 2 and 1, 3 on spin a."""
+    blocks = []
+    for value in dict.fromkeys(phase.tolist()):
+        first, *rest = np.flatnonzero(phase == value).tolist()
+        step = rest[0] - first if rest else 1
+        blocks.append((slice(first, first + step * (1 + len(rest)), step), value))
+    return tuple(blocks)
+
+
+#: The phase blocks of each (spin, axis) pair: a pulse's s is built with
+#: one multiply per block.
+_PHASE_BLOCKS = {key: _phase_blocks(phase) for key, (_, phase) in _RF_ROWS.items()}
 
 
 def _factor_key(ev: PulseEvent):
@@ -175,19 +194,21 @@ class _FactorTable:
     """Buffers for the per-member factors of a set of events, for up to
     ``size`` members, refilled in place by ``_event_factors`` for each set
     of draws: per key of ``_factor_key`` one (4, 1, size) complex array,
-    per distinct pulse |angle| a cos and a sin row, and real scratch for
-    the delay phases.  Each dtype is one allocation, so that the heap keeps
-    it whole for the next table of its size."""
+    per distinct pulse |angle| a cos and a sin array of that shape (the
+    cos arrays of all angles, then the sin arrays), and real scratch rows
+    for the angles and the delay phases.  Each dtype is one allocation, so
+    that the heap keeps it whole for the next table of its size."""
 
     def __init__(self, events: Iterable[PulseEvent], size: int) -> None:
         self.events = {}  # the first event of each key stands for all of them
         for ev in events:
             self.events.setdefault(_factor_key(ev), ev)
-        angles = dict.fromkeys(abs(ev.angle) for ev in self.events.values() if isinstance(ev, Rf))
-        self.phases = dict(zip(self.events, np.empty((len(self.events), 4 * size), dtype=complex)))
-        real = np.empty((2 * len(angles) + 8, size))
-        self.trig = dict(zip(angles, real[:-8].reshape(len(angles), 2, size)))
-        self.scratch = real[-8:].reshape(2, 4 * size)
+        pulses = (ev for ev in self.events.values() if isinstance(ev, Rf))
+        self.angles = list(dict.fromkeys(abs(ev.angle) for ev in pulses))
+        rows = np.empty((len(self.events) + 2 * len(self.angles), 4 * size), dtype=complex)
+        self.phases = dict(zip(self.events, rows[: len(self.events)]))
+        self.trig = rows[len(self.events) :]
+        self.scratch = np.empty((max(1 + 2 * len(self.angles), 6), size))
 
 
 def _event_factors(
@@ -196,47 +217,66 @@ def _event_factors(
     """Refill ``table`` in place with the factors of its events on the (n,
     3) ``draws``, members last, and return them by ``_factor_key``:
     ``(c, s, perm)`` of a pulse (U -> c*U + s*U[perm], or c*U - s*U[perm]
-    for a negative angle), c of shape (n,) and s (4, 1, n); the diagonal
-    phase f (4, 1, n) of a ``Delay`` (U -> f*U).
+    for a negative angle) and the diagonal phase f of a ``Delay`` (U ->
+    f*U).  Every factor is a contiguous complex array of shape (4, 1, n),
+    the shape of a one-column stack, so that each update of such a stack
+    takes numpy's same-shape loop, with no broadcast and no cast.
 
-    Each |angle| has one cos and one sin for every pulse of that magnitude.
-    A reversed pulse needs no factors of its own: its angles are exactly
-    the negated ones, numpy's ``cos(-x)`` and ``sin(-x)`` equal ``cos(x)``
-    and ``-sin(x)`` bit for bit, and ``u + (-v)`` is ``u - v``.  A delay's
-    phase exp(-i x) is written as ``cos(x)`` into its real part and
-    ``-sin(x)`` into its imaginary part; numpy's complex ``exp`` of ``-i
-    x`` (real part 0) gives the same bits on a numpy whose float64 sin
-    and cos are libm's.  The arithmetic, operand order included, is
-    otherwise that of the fresh arrays ``tests/oracles.reference_propagate``
-    builds, so every factor is the same to the bit.
+    Each |angle| has one cos and one sin for every pulse of that magnitude,
+    computed in float64 for all angles at once and cast to complex in all
+    four rows, imaginary part 0: numpy casts a float64 operand of a complex multiply the same
+    way, so ``c * U`` is the same operation on the same operands as with
+    the real cosine.  A pulse's s is the sin times the phase of
+    ``_RF_ROWS``, one multiply per block of rows that share a phase value
+    (``_PHASE_BLOCKS``).  A reversed pulse needs no factors of its own: its
+    angles are exactly the negated ones, numpy's ``cos(-x)`` and
+    ``sin(-x)`` equal ``cos(x)`` and ``-sin(x)`` bit for bit, and ``u +
+    (-v)`` is ``u - v``.  A delay's argument x, row r ``(zz_r*K +
+    zb_r*pb) + za_r*pa`` for the sigma_z signs of the row, K = pi*J*t/2,
+    pb = pi*t*offset_b and pa = pi*t*offset_a, is built from the rows pb
+    and pa by signed row operations on K, each sum rounded as in that
+    expression (IEEE negation is exact).  Its phase exp(-i x) is written
+    as ``cos(x)`` into its real part and ``-sin(x)`` into its imaginary
+    part; numpy's complex ``exp`` of ``-i x`` (real part 0) gives the same
+    bits on a numpy whose float64 sin and cos are libm's.  The arithmetic,
+    operand order included, is otherwise that of the fresh arrays
+    ``tests/oracles.reference_propagate`` builds, so every factor is the
+    same to the bit.
     """
-    n = len(draws)
+    n, a = len(draws), len(table.angles)
     deltas, offs_a, offs_b = draws.T
     scale = table.scratch[0, :n]  # 1 + calib_offset + deviation, for every |angle|
+    half_sin = table.scratch[1 : 1 + 2 * a, :n]  # each angle / 2 (then its cos), each sin
+    half = half_sin[:a]
     np.add(1.0 + calib_offset, deltas, out=scale)
-    for angle, trig in table.trig.items():
-        c, sin = trig[:, :n]
-        np.multiply(angle, scale, out=c)
-        np.divide(c, 2.0, out=c)
-        np.sin(c, out=sin)
-        np.cos(c, out=c)
-    x, y = (_view(row, 4, n) for row in table.scratch)  # the delay phases' scratch
+    np.multiply(np.array(table.angles)[:, None], scale, out=half)
+    np.divide(half, 2.0, out=half)
+    np.sin(half, out=half_sin[a:])
+    np.cos(half, out=half)
+    trig = table.trig[:, : 4 * n].reshape(2, a, 4, 1, n)
+    np.copyto(trig, half_sin.reshape(2, a, 1, 1, n))  # cast to complex, into all four rows
+    trig = dict(zip(table.angles, zip(*trig)))  # |angle| -> (cos, sin)
+    pb, pa = table.scratch[:2, :n]  # the delays' scratch rows
+    x = table.scratch[2:6, :n]
     factors = {}
     for key, ev in table.events.items():
         f = _view(table.phases[key], 4, 1, n)
         if isinstance(ev, Rf):
-            c, sin = table.trig[abs(ev.angle)][:, :n]
-            perm, phase = _RF_ROWS[ev.spin, ev.axis]
-            np.multiply(sin, phase[:, None, None], out=f)
+            c, sin = trig[abs(ev.angle)]
+            perm, _ = _RF_ROWS[ev.spin, ev.axis]
+            for rows, phase in _PHASE_BLOCKS[ev.spin, ev.axis]:
+                np.multiply(sin[rows], phase, out=f[rows])
             factors[key] = c, f, perm
         else:
             t = ev.duration
-            np.multiply(offs_b[None, :], _ZB_DIAG[:, None], out=x)
-            np.multiply(math.pi * t, x, out=x)
-            np.add((math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[:, None], x, out=x)
-            np.multiply(offs_a[None, :], _ZA_DIAG[:, None], out=y)
-            np.multiply(math.pi * t, y, out=y)
-            np.add(x, y, out=x)
+            k = math.pi * sys.j_coupling * t / 2.0
+            np.multiply(math.pi * t, offs_b, out=pb)
+            np.multiply(math.pi * t, offs_a, out=pa)
+            np.add(k, pb, out=x[0])  # rows of ZZ*K + ZB*pb: K + pb, pb - K, -(K + pb), K - pb
+            np.subtract(pb, k, out=x[1])
+            np.negative(x[:2], out=x[2:])
+            np.add(x[0::2], pa, out=x[0::2])  # + ZA*pa
+            np.subtract(x[1::2], pa, out=x[1::2])
             np.cos(x, out=f.real[:, 0])  # f = exp(-i x)
             np.sin(x, out=f.imag[:, 0])
             np.negative(f.imag, out=f.imag)

@@ -139,7 +139,10 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
     chunk's members and scaled by the sigmas.  A full block for every chunk
     keeps the sample prefix-stable: the first n members of any ensemble are
     the n-member ensemble.  Rejecting the unit draw before scaling makes the
-    draws scale exactly with sigma.
+    draws scale exactly with sigma.  The scaled draws are written as one
+    contiguous row per error source, and the chunk is the transpose of
+    that (3, n) array, so that ``draws.T`` hands the factor table
+    contiguous rows rather than stride-3 columns.
     """
     sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
     for c, start in enumerate(range(0, p.ensemble_size, CHUNK_SIZE)):
@@ -147,7 +150,10 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
         z = rng.standard_normal((CHUNK_SIZE, 3))
         while (beyond := np.abs(z) > 3.0).any():
             z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
-        yield z[: p.ensemble_size - start] * sigmas
+        n = min(CHUNK_SIZE, p.ensemble_size - start)
+        rows = np.empty((3, n))  # one contiguous row per error source
+        np.multiply(z[:n].T, sigmas[:, None], out=rows)
+        yield rows.T
 
 
 # Coherences damped by T2 of spin a / spin b: elements whose row and column
@@ -320,8 +326,13 @@ def mean_states(
     table = _FactorTable(all_events, size)
     # The stacks and scratch, in (4, width, size) slices of one allocation
     # that the heap keeps whole for the next call: a stack per head, the
-    # scratch and a stack per planned block, then tmp, a run and its conjugate.
-    widths = [k] * len(heads) + [4] * (1 + len(slots)) + [max(k, 4), k, k]
+    # scratch and a stack per planned block, then tmp, a run and its
+    # conjugate.  Without planned blocks (a noisy run) there is no scratch
+    # stack and tmp is k wide: what a noisy run frees then stays below
+    # glibc's trim threshold (twice its largest freed allocation), so the
+    # next run does not fault the workspace and the factor table in again.
+    blocks = [4] * (1 + len(slots)) if slots else []
+    widths = [k] * len(heads) + blocks + [4 if slots else k, k, k]
     arena = np.empty(4 * size * sum(widths), dtype=complex)
     bufs = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
     w_bufs, u_bufs = bufs[: len(heads)], bufs[len(heads) : -3]
@@ -330,7 +341,8 @@ def mean_states(
     for draws in _draw_chunks(p, seed):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
-        tmp_k, tmp_4 = _view(tmp_buf, 4, k, n), _view(tmp_buf, 4, 4, n)
+        tmp_k = _view(tmp_buf, 4, k, n)
+        tmp_4 = _view(tmp_buf, 4, 4, n) if slots else None
         stacks = [_view(buf, 4, 4, n) for buf in u_bufs]
         for seq, src, part, out in ops:
             if seq is None:

@@ -127,7 +127,7 @@ def reference_propagate(
         else:
             t = ev.duration
             angle = (
-                (math.pi * sys.j_coupling * t / 2.0) * nmrsim._ZZ_DIAG[None, :]
+                (math.pi * sys.j_coupling * t / 2.0) * _ZZ_DIAG[None, :]
                 + (math.pi * t) * (offs_b[:, None] * nmrsim._ZB_DIAG[None, :])
                 + (math.pi * t) * (offs_a[:, None] * nmrsim._ZA_DIAG[None, :])
             )

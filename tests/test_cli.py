@@ -166,6 +166,25 @@ class TestRun:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
+    def test_large_noisy_run_byte_identical_across_hash_seeds(self, tmp_path):
+        """CI's large-ensemble step: a 20,000-member noisy ``python -m
+        densecode run`` crosses several chunks and writes the same bytes
+        under hash seeds 1 and 2."""
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({"noise": {"ensemble_size": 20000}}))
+        written = []
+        for hashseed in ("1", "2"):
+            out = tmp_path / f"large-{hashseed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "densecode", "run", "-m", "4", "-v", "minus-psi",
+                 "--layer", "pulse", "--noise", str(cfg), "--format", "json", "--out", str(out)],
+                capture_output=True, env=interpreter_env(PYTHONHASHSEED=hashseed), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert json.loads(written[0])["ensemble_size"] == 20000
+        assert written[0] == written[1]
+
     def test_config_spin_system(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spin_system": {"j_hz": 100.0}}))

@@ -363,6 +363,64 @@ class TestFactorTable:
         assert peak(8) <= peak(2) + 64 * 1024
 
 
+class TestColumnLayout:
+    """A one-column run multiplies only same-shape complex arrays, and its
+    draws reach the factor table as contiguous rows: numpy's broadcasting
+    and casting loops cost about twice as much per element."""
+
+    def test_column_updates_take_same_shape_complex_operands(self, system, monkeypatch):
+        """Every array operand of every multiply, add and subtract of a
+        noisy run's event updates, over a full chunk and a shorter second,
+        is a contiguous complex128 array of the stack's (4, 1, n) shape."""
+        operands = []
+
+        class Recording:
+            def __getattr__(self, name):
+                f = getattr(np, name)
+                if name not in ("multiply", "add", "subtract"):
+                    return f
+
+                def recorded(*args, **kwargs):
+                    operands.extend((arr, kwargs["out"].shape) for arr in args if np.ndim(arr))
+                    return f(*args, **kwargs)
+                return recorded
+
+        propagate = noise._propagate
+
+        def recording_propagate(*args):
+            with monkeypatch.context() as m:
+                m.setattr(nmrsim, "np", Recording())
+                return propagate(*args)
+
+        monkeypatch.setattr(noise, "_propagate", recording_propagate)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 5)
+        experiment.noisy_output_density(system, p, 4, BellVariant.MINUS_PSI, seed=3)
+        assert {shape for _, shape in operands} == {(4, 1, noise.CHUNK_SIZE), (4, 1, 5)}
+        for arr, shape in operands:
+            assert arr.dtype == np.complex128
+            assert arr.shape == shape
+            assert arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("chunk", [300, None])
+    def test_draw_chunks_are_contiguous_rows_of_the_scaled_draws(self, monkeypatch, chunk):
+        """Each chunk holds the bits of the contract's ``z[:n] * sigmas``,
+        with each error source's column one contiguous row."""
+        if chunk is not None:
+            monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
+        c = noise.CHUNK_SIZE
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * c + 1)
+        sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
+        chunks = list(noise._draw_chunks(p, CONTRACT_SEED))
+        assert [len(x) for x in chunks] == [c, c, 1]
+        for i, got in enumerate(chunks):
+            rng = np.random.default_rng(np.random.SeedSequence(CONTRACT_SEED, spawn_key=(i,)))
+            z = rng.standard_normal((c, 3))
+            while (beyond := np.abs(z) > 3.0).any():
+                z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
+            assert np.array_equal(got, z[: len(got)] * sigmas)
+            assert got.T.flags.c_contiguous
+
+
 def random_unitaries(rng, n):
     """A (4, 4, n) stack of random unitaries, members last."""
     z = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
