@@ -332,15 +332,16 @@ MUTANTS = (
     Mutant(
         "blocks composed in reverse order",
         "noise.py",
-        "_compose(stacks[part], stacks[src], stacks[out], tmp_4)",
-        "_compose(stacks[src], stacks[part], stacks[out], tmp_4)",
+        "_compose(stacks[part], stacks[src], stacks[out], tmps[widths[out]])",
+        "_compose(stacks[src], stacks[part], stacks[out], tmps[widths[out]])",
         ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
     ),
     Mutant(
         "in-place program applied to a shared stack without copying it",
         "noise.py",
-        "                _propagate(seq, factors, base, stacks[out], tmp_4)\n",
-        "                _propagate(seq, factors, base, stacks[out] if src is None else base, tmp_4)\n"
+        "                _propagate(seq, factors, base, stacks[out], tmps[widths[out]])\n",
+        "                _propagate(seq, factors, base, stacks[out] if src is None else base,"
+        " tmps[widths[out]])\n"
         "                if src is not None:\n"
         "                    np.copyto(stacks[out], base)\n",
         (NESTED_TEST,),
@@ -348,8 +349,8 @@ MUTANTS = (
     Mutant(
         "start applied untransposed in the constant product",
         "noise.py",
-        "np.matmul(start.T, u, out=out)",
-        "np.matmul(start, u, out=out)",
+        "np.matmul(b.T, a, out=out)",
+        "np.matmul(b, a, out=out)",
         (NESTED_TEST,),
     ),
     Mutant(
@@ -359,6 +360,22 @@ MUTANTS = (
         "_is_program(part) and uses[id(part)] == 1",
         "_is_program(part) and uses[id(part)] >= 1",
         ("tests/test_noise.py::TestNestedBlocks::test_one_fig4_chunk_shares_each_cnot",),
+    ),
+    Mutant(
+        # still the same states to rounding: only the count of products shows it
+        "a program head propagated from the identity, then composed onto start",
+        "noise.py",
+        "_is_program(part) and uses[id(part)] == 1",
+        "_is_program(part) and uses[id(part)] == 1 and node[0] is not _START",
+        ("tests/test_noise.py::TestNestedBlocks::test_noisy_run_propagates_one_flat_head",),
+    ),
+    Mutant(
+        # the same states: only the page faults of each call show it
+        "noisy run given a 4-wide scratch stack and tmp",
+        "noise.py",
+        "widths[0] = 4 if 4 in widths else 0",
+        "widths[0] = 4",
+        ("tests/test_cli.py::test_workspace_not_faulted_in_again",),
     ),
     Mutant(
         # still the same states to rounding: only the count of updates shows it
@@ -579,6 +596,13 @@ MUTANTS = (
         "before, after = result.notes, ()",
         "before, after = (), result.notes",
         OUTPUT_TESTS + ("tests/test_cli.py::TestTable::test_self_check_passes",),
+    ),
+    Mutant(
+        "each output file replaced as soon as it is written",
+        "cli.py",
+        "staged[path] = name",
+        "os.replace(name, path)",
+        ("tests/test_cli.py::TestFig4::test_failed_write_changes_no_output_file",),
     ),
     Mutant(
         "fig4 summary printed before its files are written",

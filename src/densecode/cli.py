@@ -25,12 +25,16 @@ the first call and shared by every later one.  Each command returns a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import re
+import secrets
+import stat
 import sys as _sys
 from dataclasses import dataclass, replace
 
@@ -242,12 +246,26 @@ def _variant(value: str) -> BellVariant:
         ) from None
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:  # CSV ends rows in \r\n
-            fh.write(text)
-    else:
+def _write_output(text: str, out_path: str | None) -> str | None:
+    """Write ``text`` to stdout without ``out_path``; in place to an
+    ``out_path`` that exists as anything but a regular file (``/dev/stdout``,
+    a FIFO, a link); else to a new temporary file beside ``out_path``, and
+    return its name for ``_write`` to move into place.  A failed write
+    leaves no temporary file, and its ``OSError`` names ``out_path``."""
+    if not out_path:
         _sys.stdout.write(text)
+        return None
+    in_place = os.path.lexists(out_path) and not stat.S_ISREG(os.lstat(out_path).st_mode)
+    name = out_path if in_place else f"{out_path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(name, "w" if in_place else "x", newline="", encoding="utf-8") as fh:
+            fh.write(text)  # CSV ends rows in \r\n: newline="" keeps them
+    except OSError as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    return None if in_place else name
 
 
 def _render(fmt: str, data) -> str:
@@ -295,10 +313,17 @@ def _write(args, result: Result) -> int:
         before, after = (), (*result.notes, "wrote " + ", ".join(outputs))
     for line in before:
         print(line)
+    staged = {}  # target path -> its temporary file, moved into place once all are written
     try:
         for path, text in outputs.items():
-            _write_output(text, path)
+            if (name := _write_output(text, path)) is not None:
+                staged[path] = name
+        for path, name in staged.items():
+            os.replace(name, path)
     except OSError as exc:
+        for name in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(name)
         print(f"error: cannot write output: {exc}", file=_sys.stderr)
         return EXIT_IO
     for line in after:

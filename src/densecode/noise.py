@@ -16,16 +16,17 @@ through the pulse engine of ``nmrsim`` (``nmrsim._propagate``, the one
 that also compiles noise-free programs), one row of draws per member,
 into a stack of shape (4, k, n) with the member axis last; a program that
 occurs only once, after the first part of its tuple, continues that
-tuple's running product in place instead.
-Blocks compose by four broadcast multiply-adds over contiguous member rows
-(``_compose``), a stack meets the constant V in one matrix product, and the
-sum of W W^H over a chunk is one matrix product.  Members are drawn,
-propagated and summed in chunks of ``CHUNK_SIZE``, in a fixed order, so
-memory stays bounded however large the ensemble is.  Every chunk-sized
-array lives in one workspace per call, sized for ``min(CHUNK_SIZE,
-ensemble_size)`` members and refilled in place by each chunk: arrays freed
-and allocated again for every chunk are handed back to the OS by the heap
-and faulted in again, page by page.
+tuple's running product in place instead.  Each head is a block that
+starts at V, a leaf whose stack is V itself.  Blocks compose by four
+broadcast multiply-adds over contiguous member rows (``_compose``), a
+stack composed onto the constant V is one matrix product, and so is the
+sum of W W^H over a chunk.  Members are drawn, propagated and summed in
+chunks of ``CHUNK_SIZE``, in a fixed order, so memory stays bounded
+however large the ensemble is.  Every chunk-sized array lives in one
+workspace per call, sized for ``min(CHUNK_SIZE, ensemble_size)`` members
+and refilled in place by each chunk: arrays freed and allocated again for
+every chunk are handed back to the OS by the heap and faulted in again,
+page by page.
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -164,9 +165,13 @@ _COHERENT_B = _ZB_DIAG[:, None] != _ZB_DIAG[None, :]
 
 def _compose(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-member ``a[..., m] @ b[..., m]`` of a (4, 4, n) and a (4, k, n)
-    stack, written into ``out`` of shape (4, k, n) and returned, ``tmp``
-    scratch of that shape: a sum of four broadcast products ``a[:, j] *
-    b[j]`` in order of j, each over contiguous rows of n members."""
+    stack, or ``a[..., m] @ b`` of a constant (4, k) ``b``, written into
+    ``out`` of shape (4, k, n) and returned, ``tmp`` scratch of that shape.
+    A stack ``b`` takes a sum of four broadcast products ``a[:, j] * b[j]``
+    in order of j, each over contiguous rows of n members; a constant one
+    matrix product of its transpose with each row of ``a``."""
+    if b.ndim == 2:
+        return np.matmul(b.T, a, out=out)
     np.multiply(a[:, 0, None], b[0, None], out=out)
     for j in range(1, 4):
         np.multiply(a[:, j, None], b[j, None], out=tmp)
@@ -201,17 +206,29 @@ def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -
             )
 
 
-def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
-    """Plan one call: ``(circuits, heads, ops, slots)``.
+#: The leaf that ``_plan`` puts before every head: its stack is the call's
+#: constant (4, k) factor ``start``.  A tuple of blocks that runs nothing,
+#: so that a head after it is a tuple of blocks too.
+_START = ((),)
 
-    The circuits and heads come back canonical: without their empty parts
-    at every depth (a tuple left with one part is that part, one left with
-    none is ``()``), and with equal blocks one object, so that the plan
-    keys blocks by ``id`` and hashes each given program once, not every
-    nested tuple at each look-up.  ``ops`` fill the block stacks of one
-    chunk, in order, and ``slots`` maps the ``id`` of each block that has a
-    stack to its index.  Stack 0 is scratch; the blocks' stacks are 1, 2,
-    ... in order of first appearance.
+
+def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list, list]:
+    """Plan one call from a (4, k) ``start``: ``(circuits, heads, ops,
+    widths)``, each circuit and head as its stack's index (None for the
+    empty circuit).
+
+    Each head is planned as the block ``(_START, head)``: a program head is
+    applied to ``start`` event by event, a tuple head's stack is composed
+    onto it, and the empty head is ``_START``, whose stack is ``start``
+    itself.  Blocks are made canonical: without their empty parts at every
+    depth (a tuple left with one part is that part, one left with none is
+    ``()``), and with equal blocks one object, so that the plan keys
+    blocks by ``id`` and hashes each given program once, not every nested
+    tuple at each look-up.  ``ops`` fill the stacks of one chunk, in
+    order: the blocks, then the heads.  ``widths`` holds each stack's
+    width: stack 0 is scratch, 4 wide if any other stack is, else none
+    (0); stack 1 is ``start`` (0: no buffer); the blocks' stacks are 2, 3,
+    ... in order of first appearance, k wide for a head, else 4.
 
     An operation ``(seq, src, part, out)`` writes stack ``out``: with a
     program ``seq``, its events applied to the identity (``src`` None) or to
@@ -225,7 +242,7 @@ def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
     """
     programs: dict = {}  # each distinct program by value
     tuples: dict = {}  # each distinct tuple by its parts' ids
-    given: dict = {}  # id of each given block -> its canonical block
+    given: dict = {id(_START): _START}  # id of each given block -> its canonical block
 
     def canonical(block):
         if id(block) not in given:
@@ -237,13 +254,15 @@ def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
             given[id(block)] = node
         return given[id(block)]
 
-    circuits, heads = [canonical(c) for c in circuits], [canonical(h) for h in heads]
+    circuits = [canonical(c) for c in circuits]
+    placed = [(_START, h) for h in heads]  # alive while ``given`` keys them by id
+    heads = [canonical(h) for h in placed]
     uses = dict.fromkeys(map(id, programs.values()), 0)  # places each program occurs
     for node in (*circuits, *(part for parts in tuples.values() for part in parts)):
-        if _is_program(node):
+        if id(node) in uses:
             uses[id(node)] += 1
-    slots: dict = {}
-    ops: list = []
+    slots: dict = {id(_START): 1}
+    widths, ops = [0, 0], []
 
     def stack(node) -> int:
         if id(node) in slots:
@@ -256,7 +275,8 @@ def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
                 (part, None) if _is_program(part) and uses[id(part)] == 1 else (None, stack(part))
                 for part in node[1:]
             ]
-        own = slots[id(node)] = len(slots) + 1
+        own = slots[id(node)] = len(widths)
+        widths.append(k if node[0] is _START else 4)
         # A composition cannot write its own operand, so the running product
         # moves between ``own`` and the scratch at each one; planned back from
         # the last step, which writes ``own``.
@@ -270,17 +290,12 @@ def _plan(circuits: Sequence, heads: Sequence) -> tuple[list, list, list, dict]:
             src = out
         return own
 
-    for node in (*circuits, *(h for h in heads if not _is_program(h))):
+    inner = [h[1] for h in heads if h is not _START and not _is_program(h[1])]
+    for node in (*circuits, *inner, *heads):
         if node:
             stack(node)
-    return circuits, heads, ops, slots
-
-
-def _times_start(u: np.ndarray, start: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per-member ``u[..., m] @ start`` of a (4, 4, n) stack and a constant
-    (4, k) ``start``, written into ``out`` of shape (4, k, n) and returned:
-    one matrix product of ``start``'s transpose with each row of ``u``."""
-    return np.matmul(start.T, u, out=out)
+    widths[0] = 4 if 4 in widths else 0
+    return [slots.get(id(c)) for c in circuits], [slots[id(h)] for h in heads], ops, widths
 
 
 def mean_states(
@@ -298,77 +313,61 @@ def mean_states(
     parts are dropped.  Each circuit is a tuple of blocks run after its
     head (``()`` runs the head alone), and each head a block run on
     ``start``, a (4, k) factor of the input (``basis_state(0)[:, None]``
-    for |00>).  A head that is a program is propagated from ``start``; a
-    tuple head, and the runs on the empty head, are stacks times ``start``
-    (``_times_start``).  The call plans once (``_plan``): per chunk, each
-    distinct block gets one stack of per-member propagators, each program
-    in it propagated once, all from one table of event factors, and
-    composed right to left by ``_compose``.  A run's stack W of shape (4,
-    k, n) adds the sum of W_m W_m^H over its members as one product of its
-    (4, k*n) reshape with that reshape's adjoint.  Each mean is T2-damped
-    over its run's free-evolution time and checked.  Parameters under
-    which a phase or a T2 exponent of these runs would overflow raise
-    ``ValueError`` before any draw (``_check_ranges``).
+    for |00>).  The call plans once (``_plan``), each head as a block that
+    starts at ``start``: per chunk, each distinct block gets one stack of
+    per-member propagators, each program in it propagated once, all from
+    one table of event factors, and composed right to left by
+    ``_compose``.  A run composes its circuit's stack onto its head's; its
+    stack W of shape (4, k, n) adds the sum of W_m W_m^H over its members
+    as one product of its (4, k*n) reshape with that reshape's adjoint.
+    Each mean is T2-damped over its run's free-evolution time and checked.
+    Parameters under which a phase or a T2 exponent of these runs would
+    overflow raise ``ValueError`` before any draw (``_check_ranges``).
 
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
-    factor table, a stack per head and per planned block, and the scratch
-    of the compositions, of the runs and of their conjugates.  Each chunk
-    refills it in place; the shorter last chunk uses the leading part of
-    each buffer.
+    factor table, a stack per planned block and the scratch of the
+    compositions, of the runs and of their conjugates.  Each chunk refills
+    it in place; the shorter last chunk uses the leading part of each
+    buffer.
     """
     t_heads = np.array([total_delay(head) for head in heads])
     t_totals = np.array([total_delay(circuit) for circuit in circuits])[:, None] + t_heads
-    circuits, heads, ops, slots = _plan(circuits, heads)
     all_events = [ev for block in (*heads, *circuits) for ev in events(block)]
-    _check_ranges(sys, p, all_events, float(t_totals.max()))
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
+    circuits, heads, ops, widths = _plan(circuits, heads, k)
+    _check_ranges(sys, p, all_events, float(t_totals.max()))
     table = _FactorTable(all_events, size)
     # The stacks and scratch, in (4, width, size) slices of one allocation
-    # that the heap keeps whole for the next call: a stack per head, the
-    # scratch and a stack per planned block, then tmp, a run and its
-    # conjugate.  Without planned blocks (a noisy run) there is no scratch
-    # stack and tmp is k wide: what a noisy run frees then stays below
-    # glibc's trim threshold (twice its largest freed allocation), so the
-    # next run does not fault the workspace and the factor table in again.
-    blocks = [4] * (1 + len(slots)) if slots else []
-    widths = [k] * len(heads) + blocks + [4 if slots else k, k, k]
+    # that the heap keeps whole for the next call: a stack per width of
+    # ``_plan``, then tmp, a run and its conjugate.  Without a 4-wide stack
+    # (a noisy run) there is no scratch stack and tmp is k wide: what a
+    # noisy run frees then stays below glibc's trim threshold (twice its
+    # largest freed allocation), so the next run does not fault the
+    # workspace and the factor table in again.
+    widths = [*widths, widths[0] or k, k, k]
     arena = np.empty(4 * size * sum(widths), dtype=complex)
-    bufs = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
-    w_bufs, u_bufs = bufs[: len(heads)], bufs[len(heads) : -3]
-    tmp_buf, run_buf, conj_buf = bufs[-3:]
+    *bufs, tmp_buf, run_buf, conj_buf = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
-        tmp_k = _view(tmp_buf, 4, k, n)
-        tmp_4 = _view(tmp_buf, 4, 4, n) if slots else None
-        stacks = [_view(buf, 4, 4, n) for buf in u_bufs]
+        tmps = {width: _view(tmp_buf, 4, width, n) for width in (k, widths[0] or k)}
+        stacks = [_view(buf, 4, width, n) for buf, width in zip(bufs, widths)]
+        stacks[1] = start
         for seq, src, part, out in ops:
             if seq is None:
-                _compose(stacks[part], stacks[src], stacks[out], tmp_4)
+                _compose(stacks[part], stacks[src], stacks[out], tmps[widths[out]])
             else:
                 base = qcore.ID4 if src is None else stacks[src]
-                _propagate(seq, factors, base, stacks[out], tmp_4)
-        w_heads = []  # each head's stack from ``start``; None for the empty head
-        for head, buf in zip(heads, w_bufs):
-            w = _view(buf, 4, k, n)
-            if not head:
-                w = None
-            elif _is_program(head):
-                _propagate(head, factors, start, w, tmp_k)
-            else:
-                _times_start(stacks[slots[id(head)]], start, w)
-            w_heads.append(w)
+                _propagate(seq, factors, base, stacks[out], tmps[widths[out]])
         run, conj = _view(run_buf, 4, k, n), _view(conj_buf, 4, k * n)
-        for i, circuit in enumerate(circuits):
-            u = stacks[slots[id(circuit)]] if circuit else None
-            for j, w in enumerate(w_heads):
-                if u is not None:
-                    m = _times_start(u, start, run) if w is None else _compose(u, w, run, tmp_k)
-                elif w is not None:
-                    m = w
-                else:  # the empty circuit on the empty head: ``start`` itself
+        for i, c in enumerate(circuits):
+            for j, h in enumerate(heads):
+                m = stacks[h]
+                if c is not None:
+                    m = _compose(stacks[c], m, run, tmps[k])
+                elif m is start:  # the empty circuit on the empty head
                     m = run
                     np.copyto(run, start[:, :, None])
                 m = m.reshape(4, -1)

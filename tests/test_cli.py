@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -325,6 +326,61 @@ class TestFig4:
         assert "error" in err
         assert out == ""  # no summary for files that were not written
 
+    @pytest.mark.parametrize("failure", ["a directory", "a full disk"])
+    def test_failed_write_changes_no_output_file(
+        self, capsys, monkeypatch, tmp_path, quick_cfg, failure
+    ):
+        """When writing ``fig4_errors.json`` fails after ``fig4.csv`` was
+        written, every file of the ``--out`` directory keeps its bytes, and
+        no temporary file is left."""
+        out = tmp_path / "out"
+        errors = out / "fig4_errors.json"
+        if failure == "a directory":
+            errors.mkdir(parents=True)
+            seeded = {"fig4.csv": b"an earlier run\r\n", "fig4_errors.json/kept": b"{}\n"}
+            reason = "[Errno 21] Is a directory"
+        else:
+            out.mkdir()
+            seeded = {"fig4.csv": b"an earlier run\r\n", "fig4_errors.json": b"{}\n"}
+            reason = "[Errno 28] No space left on device"
+
+            def full_disk(name, *args, **kwargs):
+                fh = open(name, *args, **kwargs)
+                if name.startswith(str(errors)):
+                    with fh:
+                        fh.write("{")
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return fh
+
+            monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        for name, data in seeded.items():
+            (out / name).write_bytes(data)
+        code, printed, err = run_cli(
+            capsys, ["fig4", "--config", str(quick_cfg), "--out", str(out)]
+        )
+        assert (code, printed) == (3, "")
+        assert err == f"error: cannot write output: {reason}: '{errors}'\n"
+        assert files_under(out) == seeded
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_output_to_dev_stdout_written_in_place(self, tmp_path):
+        """``--out /dev/stdout`` writes to the process's stdout, a pipe or a
+        regular file, as ``--out`` absent does."""
+        argv = [sys.executable, "-m", "densecode", "run", "-m", "2", "--format", "json"]
+        expected = subprocess.run(argv, capture_output=True, env=interpreter_env(), timeout=60)
+        assert expected.returncode == 0, expected.stderr
+        piped = subprocess.run(
+            [*argv, "--out", "/dev/stdout"], capture_output=True, env=interpreter_env(), timeout=60
+        )
+        assert (piped.returncode, piped.stdout) == (0, expected.stdout)
+        target = tmp_path / "stdout.json"
+        with target.open("wb") as fh:
+            code = subprocess.run(
+                [*argv, "--out", "/dev/stdout"], stdout=fh, env=interpreter_env(), timeout=60
+            ).returncode
+        assert (code, target.read_bytes()) == (0, expected.stdout)
+        assert [path.name for path in tmp_path.iterdir()] == ["stdout.json"]
+
     def test_deterministic_given_seed(self, capsys, tmp_path, quick_cfg):
         for sub in ("one", "two"):
             (tmp_path / sub).mkdir()
@@ -481,6 +537,56 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+#: Run in a new interpreter with a scratch directory as its argument: three
+#: warm-up ``cli.main`` calls of each path, in this order, then ten counted
+#: ones; prints each path's minor page faults over its ten calls as JSON.
+#: The order matters: the noisy paths run before fig4 and validate, whose
+#: larger frees raise glibc's trim threshold and would hide a workspace
+#: that is handed back to the OS and faulted in again.
+FAULT_SCRIPT = """
+import contextlib, json, os, resource, sys
+from densecode import cli
+large = os.path.join(sys.argv[1], "large.json")
+with open(large, "w") as fh:
+    json.dump({"noise": {"ensemble_size": 20000}}, fh)
+noisy = ["-m", "4", "-v", "minus-psi", "--layer", "pulse", "--noise"]
+paths = {
+    "ideal tomo": ["tomo", "-m", "3", "-v", "plus-phi"],
+    "table --check": ["table", "--check"],
+    "noisy run": ["run", *noisy],
+    "noisy tomo": ["tomo", *noisy],
+    "noisy run, 20,000 members": ["run", *noisy, large],
+    "fig4": ["fig4", "--out", sys.argv[1]],
+    "validate": ["validate"],
+}
+faults = {}
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for name, argv in paths.items():
+        for _ in range(3):
+            assert cli.main(argv) == 0, name
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            cli.main(argv)
+        faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+def test_workspace_not_faulted_in_again(tmp_path):
+    """After warm-up, no path hands its workspace back to the OS and faults
+    it in again: at most 100 minor faults over ten calls, where a noisy
+    ``run`` with a 4-wide scratch stack took about 2,000."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT, str(tmp_path)],
+        capture_output=True, env=interpreter_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert len(faults) == 7
+    assert all(count <= 100 for count in faults.values()), faults
 
 
 def count_networks(monkeypatch) -> list:

@@ -442,6 +442,18 @@ class TestComposition:
         expected = np.stack([a[..., m] @ b[..., m] for m in range(n)], axis=-1)
         assert np.max(np.abs(got - expected)) < 1e-15
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_compose_onto_a_constant_equals_per_member_matmul(self, k):
+        """A constant (4, k) operand, as ``start`` is, takes one product."""
+        rng = np.random.default_rng(k)
+        a = random_unitaries(rng, 5)
+        b = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+        out = np.empty((4, k, 5), dtype=complex)
+        got = noise._compose(a, b, out, np.empty_like(out))
+        assert got is out
+        expected = np.stack([a[..., m] @ b for m in range(5)], axis=-1)
+        assert np.max(np.abs(got - expected)) < 1e-15
+
     def test_mean_states_sum_member_outer_products(self, system):
         """With T2 off, each run's mean is the sum over members of W_m W_m^H
         over n, W_m the head's member m composed through the circuit's blocks
@@ -522,6 +534,20 @@ class TestVectorisedDraws:
             p = noise.ErrorParams(rf_spread=rf, offset_spread_hz=offset, ensemble_size=len(unit))
             got = oracles.member_draws(p, CONTRACT_SEED)
             assert np.array_equal(got, unit * [rf, offset, offset])
+
+    def test_large_ensemble_contract(self):
+        """The contract at 20,000 members over the real chunks, at a seed
+        and one beyond 64 bits: reproducible, within 3 sigma, and the first
+        5,000 members those of a 5,000-member ensemble."""
+        p = replace(noise.DEMO_PARAMS, ensemble_size=20000)
+        sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
+        for seed in (7, 2**100 + 3):
+            draws = np.concatenate(list(noise._draw_chunks(p, seed)))
+            again = np.concatenate(list(noise._draw_chunks(p, seed)))
+            assert draws.tobytes() == again.tobytes(), f"seed {seed}: not reproducible"
+            assert draws.shape == (20000, 3) and np.all(np.abs(draws) <= 3.0 * sigmas), f"seed {seed}"
+            prefix = np.concatenate(list(noise._draw_chunks(replace(p, ensemble_size=5000), seed)))
+            assert prefix.tobytes() == draws[:5000].tobytes(), f"seed {seed}: not prefix-stable"
 
     def test_no_warnings(self, monkeypatch):
         real = noise.CHUNK_SIZE
@@ -781,20 +807,22 @@ def fig4_inputs(system, refocus, nested):
 
 
 def engine_work(monkeypatch, run) -> dict:
-    """The event updates, compositions and products with ``start`` that
-    ``run()`` makes in the ensemble average."""
+    """The event updates, compositions and products with ``start`` (a
+    ``_compose`` onto the constant (4, k) ``start``) that ``run()`` makes
+    in the ensemble average."""
     counts = {"events": 0, "compositions": 0, "products": 0}
-    propagate, compose, times_start = noise._propagate, noise._compose, noise._times_start
+    propagate, compose = noise._propagate, noise._compose
 
-    def counted(name, f, weight=lambda *args: 1):
-        def wrapper(*args):
-            counts[name] += weight(*args)
-            return f(*args)
-        return wrapper
+    def counted_propagate(seq, *args):
+        counts["events"] += len(seq)
+        return propagate(seq, *args)
 
-    monkeypatch.setattr(noise, "_propagate", counted("events", propagate, lambda seq, *_: len(seq)))
-    monkeypatch.setattr(noise, "_compose", counted("compositions", compose))
-    monkeypatch.setattr(noise, "_times_start", counted("products", times_start))
+    def counted_compose(a, b, *args):
+        counts["products" if b.ndim == 2 else "compositions"] += 1
+        return compose(a, b, *args)
+
+    monkeypatch.setattr(noise, "_propagate", counted_propagate)
+    monkeypatch.setattr(noise, "_compose", counted_compose)
     run()
     return counts
 
