@@ -224,11 +224,12 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list
     depth (a tuple left with one part is that part, one left with none is
     ``()``), and with equal blocks one object, so that the plan keys
     blocks by ``id`` and hashes each given program once, not every nested
-    tuple at each look-up.  ``ops`` fill the stacks of one chunk, in
-    order: the blocks, then the heads.  ``widths`` holds each stack's
-    width: stack 0 is scratch, 4 wide if any other stack is, else none
-    (0); stack 1 is ``start`` (0: no buffer); the blocks' stacks are 2, 3,
-    ... in order of first appearance, k wide for a head, else 4.
+    tuple at each look-up.  ``ops`` fill the stacks of one chunk: the
+    circuits' blocks, then each head, just after any of its blocks that no
+    circuit has made.  ``widths`` holds each stack's width: stack 0 is
+    scratch, 4 wide if any other stack is, else none (0); stack 1 is
+    ``start`` (0: no buffer); the blocks' stacks are 2, 3, ... in order of
+    first appearance, k wide for a head, else 4.
 
     An operation ``(seq, src, part, out)`` writes stack ``out``: with a
     program ``seq``, its events applied to the identity (``src`` None) or to
@@ -290,8 +291,7 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list
             src = out
         return own
 
-    inner = [h[1] for h in heads if h is not _START and not _is_program(h[1])]
-    for node in (*circuits, *inner, *heads):
+    for node in (*circuits, *heads):
         if node:
             stack(node)
     widths[0] = 4 if 4 in widths else 0

@@ -3,6 +3,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,22 @@ def test_outputs_match_manifest():
             "whose noisy outputs may differ in the last bits"
         )
     assert outputs.differences(expected, outputs.manifest()) == []
+
+
+def test_manifest_byte_identical_across_hash_seeds():
+    """Under a numpy other than the manifest's, the manifest made here
+    equals the one the script prints in a new interpreter under another
+    hash seed.  Under the manifest's numpy, the comparison with the
+    manifest already makes this check: the session's hash seed is random."""
+    if json.loads(outputs.MANIFEST.read_text(encoding="utf-8"))["numpy"] == np.__version__:
+        pytest.skip("test_outputs_match_manifest compares across hash seeds under this numpy")
+    hashseed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT)],
+        capture_output=True, env=dict(os.environ, PYTHONHASHSEED=hashseed), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == outputs._text(outputs.manifest()), f"differs under PYTHONHASHSEED={hashseed}"
 
 
 def test_numeric_difference_separates_numbers_from_text():
