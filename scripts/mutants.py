@@ -38,6 +38,7 @@ FACTOR_TESTS = ("tests/test_noise.py::TestFactorTable",)
 ENGINE_TESTS = ("tests/test_noise.py::TestRowPermutationEngine",)
 DRAW_TESTS = ("tests/test_noise.py::TestVectorisedDraws",)
 LAYOUT_TESTS = ("tests/test_noise.py::TestColumnLayout",)
+SHARING_TESTS = ("tests/test_noise.py::TestSharedWorkspace",)
 QUADRATURE_TESTS = ("tests/test_noise.py::TestUnbiasedAverage",)
 GATE_TESTS = ("tests/test_gates.py",)
 EPSILON_TESTS = ("tests/test_cli.py::TestRangeErrorsNameConfigKeys",)
@@ -183,6 +184,20 @@ MUTANTS = (
         "out = 0 if out else own",
         "out = out",
         ("tests/test_noise.py",),
+    ),
+    Mutant(
+        "a buffer handed on in the op that last reads its tenant",
+        "noise.py",
+        "if heap and heap[0][0] < first[s]:",
+        "if heap and heap[0][0] <= first[s]:",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "circuit and head stacks not held until the runs",
+        "noise.py",
+        "last.update(dict.fromkeys(held, len(ops)))",
+        "last.update((s, last.get(s, first[s])) for s in held)",
+        SHARING_TESTS,
     ),
     Mutant(
         "refocusing pair without its minus sign",
@@ -370,12 +385,17 @@ MUTANTS = (
         ("tests/test_noise.py::TestNestedBlocks::test_noisy_run_propagates_one_flat_head",),
     ),
     Mutant(
-        # the same states: only the page faults of each call show it
+        # the same states: the plan's widths show it, and the page faults of
+        # each call where what it frees crosses glibc's trim threshold (with
+        # a 640 KB workspace that depends on the heap's history)
         "noisy run given a 4-wide scratch stack and tmp",
         "noise.py",
         "widths[0] = 4 if 4 in widths else 0",
         "widths[0] = 4",
-        ("tests/test_cli.py::test_workspace_not_faulted_in_again",),
+        (
+            "tests/test_cli.py::test_workspace_not_faulted_in_again",
+            "tests/test_noise.py::TestSharedWorkspace::test_noisy_run_has_one_column_buffer",
+        ),
     ),
     Mutant(
         # still the same states to rounding: only the count of updates shows it

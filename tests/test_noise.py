@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from densecode import experiment, nmrsim, noise, protocol, qcore, tomo, validation
@@ -937,3 +939,155 @@ class TestNestedBlocks:
             for part in block:
                 product = nmrsim.compile_sequence(part, system) @ product
             assert np.max(np.abs(compiled - product)) < 1e-14
+
+
+#: What ``replay`` puts first in the product of a stack on ``start``.
+START = "start"
+
+
+def replay(plan, circuits, heads) -> None:
+    """Replay the ops of ``plan``, ``noise._plan``'s plan of ``circuits``
+    after ``heads``, on the products its buffers hold, each an event tuple
+    (``START`` first for a product on ``start``), and assert that every op
+    reads what it was planned to read: no op writes ``start`` or, in a
+    composition, one of its operands' buffers; each composition's operand
+    is a whole block's product; and each circuit's and head's buffer ends
+    holding its own events.  An op that wrote a buffer whose stack a later
+    op reads would leave that later op another product."""
+    c_bufs, h_bufs, ops, widths = plan
+
+    def blocks(block):
+        yield nmrsim.events(block)
+        if not nmrsim._is_program(block):
+            for part in block:
+                yield from blocks(part)
+
+    whole = {events for block in (*circuits, *heads) for events in blocks(block)}
+    held = {1: (START,)}
+    for seq, src, part, out in ops:
+        assert out != 1
+        if seq is None:
+            assert out not in (src, part)
+            assert held[part] in whole
+            held[out] = held[src] + held[part]
+        else:
+            assert part is None
+            held[out] = (() if src is None else held[src]) + seq
+    for circuit, c in zip(circuits, c_bufs):
+        assert (c is None) == (nmrsim.events(circuit) == ())
+        assert c is None or (held[c], widths[c]) == (nmrsim.events(circuit), 4)
+    for head, h in zip(heads, h_bufs):
+        assert held[h] == (START, *nmrsim.events(head))
+
+
+def package_plans(system, monkeypatch, run) -> list:
+    """``(circuits, heads, plan)`` of every ``noise._plan`` that ``run()`` makes."""
+    plans = []
+    plan = noise._plan
+
+    def recorded(circuits, heads, k):
+        plans.append((circuits, heads, plan(circuits, heads, k)))
+        return plans[-1][-1]
+
+    monkeypatch.setattr(noise, "_plan", recorded)
+    run()
+    return plans
+
+
+SMALL = replace(noise.DEMO_PARAMS, ensemble_size=8)
+PACKAGE_PATHS = {
+    "fig4": lambda system: experiment.fig4_panels(system, 1e-5, SMALL, seed=1),
+    "fig4 unrefocused": lambda system: experiment.fig4_panels(system, 1e-5, SMALL, 1, refocus=False),
+    "temporal averaging": lambda system: validation._check_temporal_averaging(system, 1e-5),
+    "pulse protocol": validation._pulse_protocol_states,
+    "noisy run": lambda system: experiment.noisy_output_density(
+        system, SMALL, 3, BellVariant.PLUS_PSI, seed=1),
+}
+
+_SYSTEM = SpinSystem()
+_CNOT_BA = nmrsim.cnot_pulse_sequence(_SYSTEM, "b")
+#: Programs for random blocks: the empty one, single pulses, the
+#: pseudo-Hadamard, both CNOTs and an equal copy of one (a distinct object).
+POOL = (
+    (),
+    nmrsim.not_pulse("a"),
+    nmrsim.not_pulse("b"),
+    nmrsim.encoding_pulse(4),
+    nmrsim.pseudo_hadamard_b(),
+    nmrsim.cnot_pulse_sequence(_SYSTEM, "a"),
+    _CNOT_BA,
+    _CNOT_BA[:1] + _CNOT_BA[1:],
+)
+BLOCKS = st.recursive(
+    st.sampled_from(POOL), lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+CIRCUITS = st.lists(st.lists(BLOCKS, max_size=3).map(tuple), min_size=1, max_size=4)
+
+
+class TestSharedWorkspace:
+    """The ensemble average's block stacks share buffers by live range."""
+
+    @pytest.mark.parametrize("path", PACKAGE_PATHS.values(), ids=PACKAGE_PATHS)
+    def test_package_plans_read_what_they_planned(self, system, monkeypatch, path):
+        plans = package_plans(system, monkeypatch, lambda: path(system))
+        assert plans
+        for circuits, heads, plan in plans:
+            replay(plan, circuits, heads)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @example(  # duplicate circuits, a repeated shared CNOT, empty parts, the empty head
+        circuits=[(POOL[6], POOL[1], POOL[7]), (POOL[6], POOL[1], POOL[7]), ((), ((),)), (POOL[3],)],
+        heads=[(), (POOL[5], POOL[6]), POOL[6]],
+        k=4,
+    )
+    @given(circuits=CIRCUITS, heads=st.lists(BLOCKS, min_size=1, max_size=3), k=st.sampled_from([1, 2, 4]))
+    def test_random_plans_read_what_they_planned(self, circuits, heads, k):
+        """Replayed, and run over two full chunks and a shorter third: bit
+        for bit what the reference engine gives on the same plan."""
+        replay(noise._plan(circuits, heads, k), circuits, heads)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 16 + 3)
+        rng = np.random.default_rng(k)
+        start = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+        start /= np.linalg.norm(start)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(noise, "CHUNK_SIZE", 16)
+            got = noise.mean_states(_SYSTEM, p, 5, circuits, heads, start)
+
+            def draws_only(table, sys, draws, calib_offset):
+                return draws
+
+            def reference(seq, draws, start, u, tmp):
+                u[...] = oracles.reference_propagate(seq, _SYSTEM, draws, p.calib_offset, start)
+                return u
+
+            m.setattr(noise, "_event_factors", draws_only)
+            m.setattr(noise, "_propagate", reference)
+            assert np.array_equal(got, noise.mean_states(_SYSTEM, p, 5, circuits, heads, start))
+
+    def test_fig4_block_stacks_share_eight_buffers(self, system):
+        """fig4's 13 block stacks (4 circuits, the 2 CNOT prefixes on
+        ``start`` and 7 blocks inside them) fit in 8 four-wide buffers beside
+        the scratch; ``start`` has none."""
+        *_, widths = noise._plan(*fig4_inputs(system, True, True), 4)
+        assert widths == [4, 0] + [4] * 8
+
+    def test_noisy_run_has_one_column_buffer(self, system, monkeypatch):
+        """A noisy run's plan has no 4-wide scratch, only its head's 1-wide
+        buffer, so its tmp is 1 wide too: a 4-wide scratch and tmp make
+        what each 1,000-member run frees about 3 times as large, which can
+        cross glibc's trim threshold (``test_workspace_not_faulted_in_again``)."""
+        plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["noisy run"](system))
+        assert [plan[3] for *_, plan in plans] == [[0, 0, 1]]
+
+    def test_fig4_traced_peak(self, system):
+        """One 1,000-member temporal average over fig4's circuits peaks at
+        4.19 MB traced (5.72 MB with a buffer per block stack)."""
+        circuits, _ = fig4_inputs(system, True, True)
+        experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
+        tracemalloc.start()
+        try:
+            experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.6e6
