@@ -91,7 +91,10 @@ class Rf:
     """A hard RF rotation pulse on one spin.
 
     A negative ``angle`` rotates about the negative axis (the RF phase
-    flipped by 180 degrees); miscalibration scales it but never its sign.
+    flipped by 180 degrees).  In a noisy ensemble each member's angle is
+    multiplied by 1 + ``calib_offset`` + its RF deviation, and that factor
+    is not kept positive: where it is below 0 (``calib_offset`` -2, say),
+    the member's rotation is reversed.
     """
 
     spin: str

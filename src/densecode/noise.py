@@ -26,10 +26,11 @@ however large the ensemble is.  Every chunk-sized array lives in one
 workspace per call, sized for ``min(CHUNK_SIZE, ensemble_size)`` members
 and refilled in place by each chunk: arrays freed and allocated again for
 every chunk are handed back to the OS by the heap and faulted in again,
-page by page.  Block stacks share the workspace's buffers by live range
-(``_share``), and a run's conjugate reuses the composition scratch:
-fig4's 13 block stacks fit in 8 buffers, and a 1,000-member fig4 average
-peaks at 4.2 MB traced, not 5.7 MB.
+page by page.  A chunk is one list of operations, its runs last, and
+every stack they write shares the workspace's buffers by live range
+(``_share``); a run's conjugate reuses the operations' scratch.  fig4's
+28 stacks, 12 of them runs, fit in 8 buffers, and a 1,000-member fig4
+average peaks at 3.7 MB traced, not 5.7 MB.
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -216,10 +217,10 @@ def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -
 _START = ((),)
 
 
-def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list, list]:
-    """Plan one call from a (4, k) ``start``: ``(circuits, heads, ops,
-    widths)``, each circuit and head as its stack's index (None for the
-    empty circuit).
+def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list]:
+    """Plan one chunk of a call from a (4, k) ``start``: ``(ops, widths)``,
+    the chunk's operations in order on buffers of widths ``widths``, the
+    last of which is the operations' scratch.
 
     Each head is planned as the block ``(_START, head)``: a program head is
     applied to ``start`` event by event, a tuple head's stack is composed
@@ -230,22 +231,26 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list
     blocks by ``id`` and hashes each given program once, not every nested
     tuple at each look-up.  ``ops`` fill the stacks of one chunk: the
     circuits' blocks, then each head, just after any of its blocks that no
-    circuit has made.  Stack 0 is scratch, 4 wide if any other stack is,
-    else none; stack 1 is ``start``; the blocks' stacks are 2, 3, ... in
-    order of first appearance, k wide for a head, else 4.  The stacks then
-    share buffers by live range (``_share``), and the plan names buffers:
-    ``widths`` holds each buffer's width (0 for ``start``'s: it has none),
-    and a circuit, a head and an operation name the buffers of its stacks.
+    circuit has made, then one operation per run, in order of circuit and
+    then head.  Stack 0 is ``start``; the others are numbered in order of
+    first write, k wide for a head or a run, else 4.  The stacks share
+    buffers by live range (``_share``), and the plan names buffers:
+    buffer 0, of width 0, is ``start``'s, and the scratch is as wide as the
+    widest buffer.
 
-    An operation ``(seq, src, part, out)`` writes stack ``out``: with a
+    An operation ``(seq, src, part, out, run)`` writes stack ``out``: with a
     program ``seq``, its events applied to the identity (``src`` None) or to
-    stack ``src`` (``_propagate``); with ``seq`` None, stack ``part``
-    composed onto stack ``src`` (``_compose``).  A program that occurs in
-    more than one place (a circuit, or a part of a distinct tuple), or that
-    opens its tuple, is propagated from the identity.  A tuple's running
-    product starts at its first part's stack; each later part is composed
-    onto it, or, a program that occurs only there, applied to it event by
-    event: onto a copy of a shared stack, in place on the tuple's own.
+    stack ``src`` (``_propagate``); with a stack ``part``, that stack
+    composed onto stack ``src`` (``_compose``); with neither, nothing.  A
+    run's operation then sums stack ``out`` into the mean of ``run``, its
+    (circuit, head) index.  A program that occurs in more than one place (a
+    circuit, or a part of a distinct tuple), or that opens its tuple, is
+    propagated from the identity.  A tuple's first step and each
+    composition write a new stack; a later part that is a program occurring
+    only there continues the tuple's stack in place.  A run composes its
+    circuit's stack onto its head's, into a new stack; the empty circuit
+    sums its head's stack as it is, or, on the empty head, the empty
+    program propagated from ``start``.
     """
     programs: dict = {}  # each distinct program by value
     tuples: dict = {}  # each distinct tuple by its parts' ids
@@ -268,8 +273,12 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list
     for node in (*circuits, *(part for parts in tuples.values() for part in parts)):
         if id(node) in uses:
             uses[id(node)] += 1
-    slots: dict = {id(_START): 1}
-    widths, ops = [0, 0], []
+    slots: dict = {id(_START): 0}
+    widths, ops = [0], []
+
+    def new(width: int) -> int:
+        widths.append(width)
+        return len(widths) - 1
 
     def stack(node) -> int:
         if id(node) in slots:
@@ -282,55 +291,54 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list
                 (part, None) if _is_program(part) and uses[id(part)] == 1 else (None, stack(part))
                 for part in node[1:]
             ]
-        own = slots[id(node)] = len(widths)
-        widths.append(k if node[0] is _START else 4)
-        # A composition cannot write its own operand, so the running product
-        # moves between ``own`` and the scratch at each one; planned back from
-        # the last step, which writes ``own``.
-        outs, out = [], own
-        for seq, _ in reversed(steps):
-            outs.append(out)
-            if seq is None:
-                out = 0 if out else own
-        for (seq, part), out in zip(steps, reversed(outs)):
-            ops.append((seq, src, part, out))
+        out = None
+        for seq, part in steps:
+            if out is None or seq is None:  # the first step and each composition
+                out = new(k if node[0] is _START else 4)
+            ops.append((seq, src, part, out, None))
             src = out
-        return own
+        slots[id(node)] = out
+        return out
 
     for node in (*circuits, *heads):
         if node:
             stack(node)
-    widths[0] = 4 if 4 in widths else 0
-    held = [slots[id(node)] for node in (*circuits, *heads) if node]  # read by the runs
-    buffer, widths = _share(ops, widths, held)
-    ops = [(seq, buffer[src], buffer[part], buffer[out]) for seq, src, part, out in ops]
-    circuits = [buffer[slots.get(id(c))] for c in circuits]
-    return circuits, [buffer[slots[id(h)]] for h in heads], ops, widths
+    circuits = [slots.get(id(c)) for c in circuits]
+    heads = [slots[id(h)] for h in heads]
+    for i, c in enumerate(circuits):
+        for j, h in enumerate(heads):
+            if c is None and h:  # the empty circuit: the head's stack as it is
+                ops.append((None, None, None, h, (i, j)))
+            else:  # the circuit composed onto the head, or the empty program onto ``start``
+                ops.append((None if c else (), h, c, new(k), (i, j)))
+    ops, widths = _share(ops, widths)
+    return ops, [*widths, max(widths)]
 
 
-def _share(ops: list, widths: list, held: list) -> tuple[dict, list]:
-    """A buffer for each stack of ``ops`` by live range: ``(buffer, widths)``,
-    stack s held in buffer ``buffer[s]`` of width ``widths[buffer[s]]``, and
-    ``buffer[None]`` None.
+def _share(ops: list, widths: list) -> tuple[list, list]:
+    """``ops`` on buffers shared by live range, and each buffer's width:
+    stack s, of width ``widths[s]``, gets a buffer of that width, and
+    ``start``, stack 0, keeps buffer 0.
 
     A stack lives from the first op that writes it to the last op that
-    reads it; the stacks in ``held`` until the runs, after every op.  The
-    scratch and ``start`` keep buffers 0 and 1.  The other stacks,
-    numbered in order of first write, are handed buffers in that order: of
-    the buffers of the stack's width, the one whose tenant was last read
-    earliest, if that was strictly before the stack is first written, else
-    a new one.  So no op writes a buffer that a later op reads for another
-    stack, no op writes one of its operands' buffers but a stack's own, and
-    each width has as many buffers as it has stacks live at one op.
+    reads it, a run's sum counted as a read of its op's stack.  The other
+    stacks, numbered in order of first write, are handed buffers in that
+    order: of the buffers of the stack's width, the one whose tenant was
+    last read earliest, if that was strictly before the stack is first
+    written, else a new one.  So no op writes a buffer that a later op
+    reads for another stack, no op writes one of its operands' buffers but
+    a stack's own, and each width has as many buffers as it has stacks live
+    at one op.
     """
     first, last = {}, {}  # each stack's first writing op and last reading op
-    for t, (_, src, part, out) in enumerate(ops):
+    for t, (_, src, part, out, run) in enumerate(ops):
         first.setdefault(out, t)
         last[src] = last[part] = t
-    last.update(dict.fromkeys(held, len(ops)))
-    buffer, sizes = {None: None, 0: 0, 1: 1}, widths[:2]
+        if run:
+            last[out] = t  # the run's sum
+    buffer, sizes = {None: None, 0: 0}, [0]
     tenants: dict = {}  # per width, a heap of (last read of its tenant, buffer)
-    for s in range(2, len(widths)):
+    for s in range(1, len(widths)):
         heap = tenants.setdefault(widths[s], [])
         if heap and heap[0][0] < first[s]:
             buffer[s] = heapq.heappop(heap)[1]
@@ -338,7 +346,8 @@ def _share(ops: list, widths: list, held: list) -> tuple[dict, list]:
             buffer[s] = len(sizes)
             sizes.append(widths[s])
         heapq.heappush(heap, (last[s], buffer[s]))
-    return buffer, sizes
+    ops = [(seq, buffer[src], buffer[part], buffer[out], run) for seq, src, part, out, run in ops]
+    return ops, sizes
 
 
 def mean_states(
@@ -356,68 +365,57 @@ def mean_states(
     parts are dropped.  Each circuit is a tuple of blocks run after its
     head (``()`` runs the head alone), and each head a block run on
     ``start``, a (4, k) factor of the input (``basis_state(0)[:, None]``
-    for |00>).  The call plans once (``_plan``), each head as a block that
-    starts at ``start``: per chunk, each distinct block gets one stack of
-    per-member propagators, each program in it propagated once, all from
-    one table of event factors, and composed right to left by
-    ``_compose``.  A run composes its circuit's stack onto its head's; its
-    stack W of shape (4, k, n) adds the sum of W_m W_m^H over its members
-    as one product of its (4, k*n) reshape with that reshape's adjoint.
-    Each mean is T2-damped over its run's free-evolution time and checked.
-    Parameters under which a phase or a T2 exponent of these runs would
-    overflow raise ``ValueError`` before any draw (``_check_ranges``).
+    for |00>).  The call plans one chunk's operations once (``_plan``), each
+    head as a block that starts at ``start`` and each run after every
+    block: per chunk, each distinct block gets one stack of per-member
+    propagators, each program in it propagated once, all from one table of
+    event factors, and composed right to left by ``_compose``.  A run
+    composes its circuit's stack onto its head's; its stack W of shape (4,
+    k, n) adds the sum of W_m W_m^H over its members as one product of its
+    (4, k*n) reshape with that reshape's adjoint.  Each mean is T2-damped
+    over its run's free-evolution time and checked.  Parameters under which
+    a phase or a T2 exponent of these runs would overflow raise
+    ``ValueError`` before any draw (``_check_ranges``).
 
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
-    factor table, the buffers of ``_plan``, which block stacks share by
-    live range, and the scratch of the compositions and of the runs.  A
-    run's conjugate is written into the compositions' scratch, free once
-    the run is composed.  Each chunk refills the workspace in place; the
-    shorter last chunk uses the leading part of each buffer.
+    factor table and the buffers of ``_plan``, which every stack shares by
+    live range, and their scratch.  A run's conjugate is written into the
+    scratch, free once the run's stack is made.  Each chunk refills the
+    workspace in place; the shorter last chunk uses the leading part of
+    each buffer.
     """
     t_heads = np.array([total_delay(head) for head in heads])
     t_totals = np.array([total_delay(circuit) for circuit in circuits])[:, None] + t_heads
     all_events = [ev for block in (*heads, *circuits) for ev in events(block)]
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
-    circuits, heads, ops, widths = _plan(circuits, heads, k)
     _check_ranges(sys, p, all_events, float(t_totals.max()))
+    ops, widths = _plan(circuits, heads, k)
     table = _FactorTable(all_events, size)
-    # The buffers and scratch, in (4, width, size) slices of one allocation
-    # that the heap keeps whole for the next call: a buffer per width of
-    # ``_plan``, then tmp and a run.  Without a 4-wide stack (a noisy run)
-    # there is no scratch stack and tmp is k wide: what a noisy run frees
-    # then stays below glibc's trim threshold (twice its largest freed
-    # allocation), so the next run does not fault the workspace and the
-    # factor table in again.
-    widths = [*widths, widths[0] or k, k]
+    # The buffers of ``_plan``, the scratch last, in (4, width, size) slices
+    # of one allocation that the heap keeps whole for the next call.  A
+    # noisy run's buffers are all 1 wide: what it frees then stays below
+    # glibc's trim threshold (twice its largest freed allocation), so the
+    # next run does not fault the workspace and the factor table in again.
     arena = np.empty(4 * size * sum(widths), dtype=complex)
-    *bufs, tmp_buf, run_buf = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
+    *bufs, tmp_buf = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
     for draws in _draw_chunks(p, seed):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
-        tmps = {width: _view(tmp_buf, 4, width, n) for width in (k, widths[0] or k)}
+        tmps = {width: _view(tmp_buf, 4, width, n) for width in (k, widths[-1])}
         stacks = [_view(buf, 4, width, n) for buf, width in zip(bufs, widths)]
-        stacks[1] = start
-        for seq, src, part, out in ops:
-            if seq is None:
+        stacks[0], conj = start, _view(tmp_buf, 4, k * n)
+        for seq, src, part, out, run in ops:
+            if part is not None:
                 _compose(stacks[part], stacks[src], stacks[out], tmps[widths[out]])
-            else:
+            elif seq is not None:
                 base = qcore.ID4 if src is None else stacks[src]
                 _propagate(seq, factors, base, stacks[out], tmps[widths[out]])
-        # a run's conjugate goes to tmp, free once the run is composed
-        run, conj = _view(run_buf, 4, k, n), _view(tmp_buf, 4, k * n)
-        for i, c in enumerate(circuits):
-            for j, h in enumerate(heads):
-                m = stacks[h]
-                if c is not None:
-                    m = _compose(stacks[c], m, run, tmps[k])
-                elif m is start:  # the empty circuit on the empty head
-                    m = run
-                    np.copyto(run, start[:, :, None])
-                m = m.reshape(4, -1)
-                np.conjugate(m, out=conj)
-                total[i, j] += m @ conj.T  # sum of W_m W_m^H
+            if run:
+                m = stacks[out].reshape(4, -1)
+                np.conjugate(m, out=conj)  # into the scratch, free once the op is done
+                total[run] += m @ conj.T  # sum of W_m W_m^H
     f_a = np.exp(-t_totals / p.t2_a)[..., None, None]
     f_b = np.exp(-t_totals / p.t2_b)[..., None, None]
     rho = total / p.ensemble_size * f_a**_COHERENT_A * f_b**_COHERENT_B

@@ -946,15 +946,19 @@ START = "start"
 
 
 def replay(plan, circuits, heads) -> None:
-    """Replay the ops of ``plan``, ``noise._plan``'s plan of ``circuits``
-    after ``heads``, on the products its buffers hold, each an event tuple
-    (``START`` first for a product on ``start``), and assert that every op
-    reads what it was planned to read: no op writes ``start`` or, in a
-    composition, one of its operands' buffers; each composition's operand
-    is a whole block's product; and each circuit's and head's buffer ends
-    holding its own events.  An op that wrote a buffer whose stack a later
-    op reads would leave that later op another product."""
-    c_bufs, h_bufs, ops, widths = plan
+    """Replay the ops of ``plan``, ``noise._plan``'s ``(ops, widths)`` of
+    ``circuits`` after ``heads``, on the products its buffers hold, each an
+    event tuple (``START`` first for a product on ``start``), and assert
+    that every op reads what it was planned to read: no op writes
+    ``start``'s buffer 0 or, in a composition, one of its operands'
+    buffers; each composition's operand is a whole block's product, in a
+    4-wide buffer; an op that makes nothing sums a run; and the scratch,
+    the last width, is the widest.  Each (circuit i, head j) run is summed
+    exactly once, after every block op and in order of (i, j), and its
+    product is ``START``, then head j's events, then circuit i's.  An op
+    that wrote a buffer whose stack a later op reads would leave that later
+    op another product."""
+    ops, widths = plan
 
     def blocks(block):
         yield nmrsim.events(block)
@@ -963,21 +967,25 @@ def replay(plan, circuits, heads) -> None:
                 yield from blocks(part)
 
     whole = {events for block in (*circuits, *heads) for events in blocks(block)}
-    held = {1: (START,)}
-    for seq, src, part, out in ops:
-        assert out != 1
-        if seq is None:
-            assert out not in (src, part)
-            assert held[part] in whole
+    held, runs = {0: (START,)}, []
+    for seq, src, part, out, run in ops:
+        assert out != 0
+        if part is not None:
+            assert seq is None and out not in (src, part)
+            assert held[part] in whole and widths[part] == 4
             held[out] = held[src] + held[part]
-        else:
-            assert part is None
+        elif seq is not None:
             held[out] = (() if src is None else held[src]) + seq
-    for circuit, c in zip(circuits, c_bufs):
-        assert (c is None) == (nmrsim.events(circuit) == ())
-        assert c is None or (held[c], widths[c]) == (nmrsim.events(circuit), 4)
-    for head, h in zip(heads, h_bufs):
-        assert held[h] == (START, *nmrsim.events(head))
+        else:
+            assert src is None and run is not None
+        if run is None:
+            assert not runs
+        else:
+            i, j = run
+            assert held[out] == (START, *nmrsim.events(heads[j]), *nmrsim.events(circuits[i]))
+            runs.append(run)
+    assert runs == list(np.ndindex(len(circuits), len(heads)))
+    assert widths[0] == 0 and widths[-1] == max(widths)
 
 
 def package_plans(system, monkeypatch, run) -> list:
@@ -1025,7 +1033,8 @@ CIRCUITS = st.lists(st.lists(BLOCKS, max_size=3).map(tuple), min_size=1, max_siz
 
 
 class TestSharedWorkspace:
-    """The ensemble average's block stacks share buffers by live range."""
+    """The ensemble average's stacks, runs included, share buffers by live
+    range."""
 
     @pytest.mark.parametrize("path", PACKAGE_PATHS.values(), ids=PACKAGE_PATHS)
     def test_package_plans_read_what_they_planned(self, system, monkeypatch, path):
@@ -1065,23 +1074,23 @@ class TestSharedWorkspace:
             assert np.array_equal(got, noise.mean_states(_SYSTEM, p, 5, circuits, heads, start))
 
     def test_fig4_block_stacks_share_eight_buffers(self, system):
-        """fig4's 13 block stacks (4 circuits, the 2 CNOT prefixes on
-        ``start`` and 7 blocks inside them) fit in 8 four-wide buffers beside
-        the scratch; ``start`` has none."""
-        *_, widths = noise._plan(*fig4_inputs(system, True, True), 4)
-        assert widths == [4, 0] + [4] * 8
+        """fig4's 28 stacks (16 that make its blocks and 12 runs) fit in 8
+        four-wide buffers beside the 4-wide scratch; ``start`` has none."""
+        _, widths = noise._plan(*fig4_inputs(system, True, True), 4)
+        assert widths == [0] + [4] * 8 + [4]
 
     def test_noisy_run_has_one_column_buffer(self, system, monkeypatch):
-        """A noisy run's plan has no 4-wide scratch, only its head's 1-wide
-        buffer, so its tmp is 1 wide too: a 4-wide scratch and tmp make
-        what each 1,000-member run frees about 3 times as large, which can
-        cross glibc's trim threshold (``test_workspace_not_faulted_in_again``)."""
+        """A noisy run's plan has only its head's 1-wide buffer, which its
+        run sums as it is, so its scratch is 1 wide too: a 4-wide scratch
+        makes what each 1,000-member run frees larger, which can cross
+        glibc's trim threshold (``test_workspace_not_faulted_in_again``)."""
         plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["noisy run"](system))
-        assert [plan[3] for *_, plan in plans] == [[0, 0, 1]]
+        assert [plan[1] for *_, plan in plans] == [[0, 1, 1]]
 
     def test_fig4_traced_peak(self, system):
         """One 1,000-member temporal average over fig4's circuits peaks at
-        4.19 MB traced (5.72 MB with a buffer per block stack)."""
+        3.68 MB traced (4.19 MB with a scratch stack and a run buffer beside
+        the block stacks' buffers, 5.72 MB with a buffer per block stack)."""
         circuits, _ = fig4_inputs(system, True, True)
         experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
         tracemalloc.start()
@@ -1090,4 +1099,4 @@ class TestSharedWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.6e6
+        assert peak < 4.05e6
