@@ -48,6 +48,7 @@ RANGE_TESTS = (
 TOMO_TESTS = ("tests/test_tomo.py",)
 OUTPUT_TESTS = ("tests/test_outputs.py",)
 ORACLE_TEST = "tests/test_noise.py::TestSourcesThatDrawNothing::test_temporal_average_equals_oracle"
+SPLIT_TEST = "tests/test_nmrsim.py::TestTemporalAveraging::test_split_matches_full_rank_average"
 NESTED_TEST = "tests/test_noise.py::TestNestedBlocks::test_nested_equal_flat_across_chunks"
 #: The cast of every |angle|'s cos and sin into the factor table.
 TRIG_COPY = "    np.copyto(trig, half_sin.reshape(2, a, 1, 1, n))  # cast to complex, into all four rows\n"
@@ -292,6 +293,20 @@ MUTANTS = (
         "start = qcore.basis_state(0)[:, None]",
         "start = qcore.basis_state(1)[:, None]",
         ("tests/test_noise.py::test_noisy_output_density_from_the_pure_column",),
+    ),
+    Mutant(
+        "identity part not added back",
+        "experiment.py",
+        "return f * qcore.ID4 + w * mean",
+        "return w * mean",
+        (SPLIT_TEST,),
+    ),
+    Mutant(
+        "mean not scaled by the weight",
+        "experiment.py",
+        "return f * qcore.ID4 + w * mean",
+        "return f * qcore.ID4 + mean",
+        (SPLIT_TEST,),
     ),
     Mutant(
         "phase table conjugated",

@@ -3,13 +3,14 @@ averaging, noisy pulse programs, tomography and deviation rescaling.
 
 ``temporal_average`` is the one loop over the three permutation prefixes:
 one call to the ensemble average ``noise.mean_states`` with the prefixes
-as heads on the thermal state.  ``fig4_panels`` is the pipeline behind the
-element-modulus bar-chart data: for each of the four encodings, run the
-temporal-averaged protocol with the error model, reconstruct the averaged
-state by tomography, extract the pseudo-pure deviation and compare against
-the ideal output.  Both pass ``nmrsim``'s blocks, each CNOT a program of its
-own, so the ensemble average propagates each CNOT once per chunk: a fig4
-chunk makes 28 event updates, not the 68 of the flat programs.
+as heads on a 3-column factor of the thermal state less its identity part.
+``fig4_panels`` is the pipeline behind the element-modulus bar-chart data:
+for each of the four encodings, run the temporal-averaged protocol with the
+error model, reconstruct the averaged state by tomography, extract the
+pseudo-pure deviation and compare against the ideal output.  Both pass
+``nmrsim``'s blocks, each CNOT a program of its own, so the ensemble
+average propagates each CNOT once per chunk: a fig4 chunk makes 28 event
+updates, not the 68 of the flat programs.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .protocol import BellVariant
 EXPERIMENTAL_PANELS = ("a", "b", "c", "d")
 THEORY_PANELS = ("e", "f", "g", "h")
 #: Smallest epsilon fig4 accepts.  Against the largest relative element
-#: error at 1e-5 (0.0857 at seed 3, 200 members), the error drifts by 6e-8
-#: at 1e-10, 1.5e-6 at 1e-12, 8e-4 at 1e-14 and 1.1e-2 at 1e-15.
+#: error at 1e-5 (0.0857 at seed 3, 200 members), the error drifts by 1.3e-8
+#: at 1e-10, 3.1e-6 at 1e-12, 4.7e-4 at 1e-14 and 3.2e-3 at 1e-15.
 MIN_EPSILON = 1e-10
 
 
@@ -82,10 +83,24 @@ def temporal_average(
     circuit acting on |00><00| (Knill, Chuang and Laflamme, PRA 57, 3348
     (1998)).  All runs share one sample of ``(params, seed)``; the default
     is noise-free.
+
+    The thermal state is split as f I + w rho', f its smallest population
+    (the |11> one) and w = tr(rho_th - f I), and only rho' is averaged: each
+    member maps I to I and T2 damps only coherences, which I has none of,
+    so the mean is f I + w times the mean of rho', exactly.  rho' has a zero
+    population, so its factor has 3 columns, not 4.  With all populations
+    equal (epsilon 0), f is 0 and w is 1.
     """
-    v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
+    rho_th = nmrsim.thermal_state(sys, epsilon)
+    f = float(rho_th.diagonal().real.min())
+    rest = rho_th - f * qcore.ID4
+    w = float(np.trace(rest).real)
+    if w == 0.0:
+        f, w, rest = 0.0, 1.0, rho_th
+    v = qcore.psd_factor(rest / w)
     prefixes = nmrsim.permutation_sequences(sys, refocus)
-    return noise.mean_states(sys, params, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
+    mean = noise.mean_states(sys, params, seed, circuits, prefixes, v).sum(axis=1) / 3.0
+    return f * qcore.ID4 + w * mean
 
 
 def fig4_panels(

@@ -5,7 +5,12 @@ Each ensemble member draws one RF-amplitude deviation and one resonance
 offset per spin (truncated Gaussians, +-3 sigma); the draws are static for
 the member, so refocusing pairs cancel them exactly the way a spin echo
 does.  T2 decay is applied after averaging as a coherence-order-dependent
-damping of off-diagonal elements over the total free-evolution time.
+damping of off-diagonal elements over the total free-evolution time: it
+damps only the final mean's coherences and moves no population.  So the
+identity part of an input passes through the average untouched, which
+``experiment.temporal_average`` uses to leave it out, and T2 moves no fig4
+number: fig4's decoded outputs are diagonal (T2 alone moves its largest
+relative error by about 2e-11).
 
 The package's one ensemble average, ``mean_states``, runs circuits after
 heads on one sample, from a factor V of the input (rho0 = V V^H).  A block
@@ -28,9 +33,14 @@ and refilled in place by each chunk: arrays freed and allocated again for
 every chunk are handed back to the OS by the heap and faulted in again,
 page by page.  A chunk is one list of operations, its runs last, and
 every stack they write shares the workspace's buffers by live range
-(``_share``); a run's conjugate reuses the operations' scratch.  fig4's
-28 stacks, 12 of them runs, fit in 8 buffers, and a 1,000-member fig4
-average peaks at 3.7 MB traced, not 5.7 MB.
+(``_share``); a run's conjugate reuses the operations' scratch.  fig4
+averages a 3-column factor of the thermal state: its 28 stacks, 12 of them
+runs, fit in 7 four-wide and 3 three-wide buffers beside the scratch, and a
+1,000-member fig4 average peaks at 4.0 MB traced (3.7 MB when the factor
+had 4 columns and every stack shared 8 four-wide buffers, 5.7 MB with a
+buffer per block stack).  A demo-config ``densecode fig4`` takes a median
+7.45 ms in perfbench's host-speed units, 7.83 ms with the 4-column factor
+(2-core x86 VM, numpy 2.4; 5.98 and 6.23 ms measured).
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -83,7 +93,11 @@ class ErrorParams:
     rf_spread        fractional std-dev of RF pulse amplitude
     calib_offset     fractional systematic rotation-angle error
     offset_spread_hz std-dev of the per-member resonance offset (Hz)
-    t2_a, t2_b       transverse relaxation times (s); inf disables decay
+    t2_a, t2_b       transverse relaxation times (s); inf disables decay.
+                     T2 damps only the coherences of each final mean, over
+                     its run's total delay, after averaging: it moves no
+                     population, so no fig4 number, whose outputs are
+                     diagonal.
     ensemble_size    number of molecules averaged
     """
 
@@ -372,10 +386,11 @@ def mean_states(
     event factors, and composed right to left by ``_compose``.  A run
     composes its circuit's stack onto its head's; its stack W of shape (4,
     k, n) adds the sum of W_m W_m^H over its members as one product of its
-    (4, k*n) reshape with that reshape's adjoint.  Each mean is T2-damped
-    over its run's free-evolution time and checked.  Parameters under which
-    a phase or a T2 exponent of these runs would overflow raise
-    ``ValueError`` before any draw (``_check_ranges``).
+    (4, k*n) reshape with that reshape's adjoint.  Each mean's coherences,
+    and nothing else, are T2-damped over its run's free-evolution time, and
+    the mean is checked.  Parameters under which a phase or a T2 exponent of
+    these runs would overflow raise ``ValueError`` before any draw
+    (``_check_ranges``).
 
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the

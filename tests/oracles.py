@@ -19,6 +19,9 @@ is reproducible but biased (a wrong sigma, a wrong truncation) shows.
 ``temporal_average`` compiles each permutation prefix and the circuit as one
 program and evolves the thermal state run by run: the reference for the
 block-composing ensemble average behind ``experiment.temporal_average``.
+``full_rank_temporal_average`` runs that ensemble average on the full
+4-column factor of the thermal state, identity part and all: the reference
+for leaving the identity out of it.
 ``CNOT_AB``, the CNOT with spin a as control, is the ideal gate of the
 control-a pulse CNOT; the library's gate set has no use for it.
 """
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from densecode import nmrsim, qcore
+from densecode import nmrsim, noise, qcore
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
 from densecode.noise import ErrorParams, _draw_chunks
 
@@ -191,3 +194,18 @@ def temporal_average(
         u = nmrsim.compile_sequence(flatten(prefix) + circuit, sys)
         total += u @ rho_th @ u.conj().T
     return total / 3.0
+
+
+def full_rank_temporal_average(
+    sys: SpinSystem,
+    epsilon: float,
+    circuits: list[tuple],
+    p: ErrorParams = ErrorParams(),
+    seed: int = 0,
+    refocus: bool = True,
+) -> np.ndarray:
+    """``experiment.temporal_average`` as one ensemble average of the whole
+    thermal state: the prefixes run on its full factor, I/4 included."""
+    v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
+    prefixes = nmrsim.permutation_sequences(sys, refocus)
+    return noise.mean_states(sys, p, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from densecode import experiment, nmrsim, protocol, qcore
+from densecode import experiment, nmrsim, noise, protocol, qcore
 from densecode.nmrsim import Delay, PulseSequence, Rf, SpinSystem
 from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 
@@ -386,3 +387,35 @@ class TestTemporalAveraging:
         for circuit, rho in zip(circuits, averaged):
             expected = oracles.temporal_average(system, epsilon, circuit, refocus)
             assert np.max(np.abs(rho - expected)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "params, seed",
+        [(noise.ErrorParams(), 0)] + [(replace(noise.DEMO_PARAMS, ensemble_size=200), s) for s in (1, 3)],
+    )
+    @pytest.mark.parametrize("refocus", [True, False])
+    def test_split_matches_full_rank_average(self, system, params, seed, refocus):
+        """The thermal state's identity part left out of the ensemble average
+        and added back: within 1e-15 of averaging the whole thermal state,
+        on fig4's circuits and the empty one, noisy and noise-free."""
+        prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus)
+        decode = nmrsim.decode_sequence(system, refocus)
+        circuits = [()] + [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
+        args = (system, 1e-5, circuits, params, seed, refocus)
+        got = experiment.temporal_average(*args)
+        assert np.max(np.abs(got - oracles.full_rank_temporal_average(*args))) <= 1e-15
+
+    @pytest.mark.parametrize("epsilon, columns", [(1e-5, 3), (0.0, 4)])
+    def test_ensemble_average_gets_factor_without_identity(self, system, monkeypatch, epsilon, columns):
+        """The one ensemble average runs a 3-column factor of the thermal
+        state: its |11> population, f, leaves with f I.  At epsilon 0 the
+        state is all identity, and the full factor is run."""
+        shapes = []
+        mean_states = noise.mean_states
+
+        def recorded(sys, p, seed, circuits, heads, start):
+            shapes.append(start.shape)
+            return mean_states(sys, p, seed, circuits, heads, start)
+
+        monkeypatch.setattr(noise, "mean_states", recorded)
+        experiment.temporal_average(system, epsilon, [()], noise.DEMO_PARAMS, seed=1)
+        assert shapes == [(4, columns)]

@@ -1079,6 +1079,13 @@ class TestSharedWorkspace:
         _, widths = noise._plan(*fig4_inputs(system, True, True), 4)
         assert widths == [0] + [4] * 8 + [4]
 
+    def test_fig4_runs_three_wide_buffers(self, system, monkeypatch):
+        """fig4's average runs the thermal state's 3-column factor: its head
+        and run stacks share 3 three-wide buffers, its block stacks 7
+        four-wide ones, beside the 4-wide scratch."""
+        plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["fig4"](system))
+        assert [plan[1] for *_, plan in plans] == [[0] + [4] * 7 + [3] * 3 + [4]]
+
     def test_noisy_run_has_one_column_buffer(self, system, monkeypatch):
         """A noisy run's plan has only its head's 1-wide buffer, which its
         run sums as it is, so its scratch is 1 wide too: a 4-wide scratch
@@ -1089,8 +1096,11 @@ class TestSharedWorkspace:
 
     def test_fig4_traced_peak(self, system):
         """One 1,000-member temporal average over fig4's circuits peaks at
-        3.68 MB traced (4.19 MB with a scratch stack and a run buffer beside
-        the block stacks' buffers, 5.72 MB with a buffer per block stack)."""
+        4.00 MB traced: its 3-column factor's head and run stacks take 3
+        three-wide buffers beside 7 four-wide ones (3.68 MB with the 4-column
+        factor, whose stacks all shared 8 four-wide buffers; 4.19 MB with a
+        scratch stack and a run buffer beside those; 5.72 MB with a buffer
+        per block stack)."""
         circuits, _ = fig4_inputs(system, True, True)
         experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
         tracemalloc.start()
