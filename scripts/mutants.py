@@ -362,16 +362,16 @@ MUTANTS = (
     Mutant(
         "blocks composed in reverse order",
         "noise.py",
-        "_compose(stacks[part], stacks[src], stacks[out], tmps[widths[out]])",
-        "_compose(stacks[src], stacks[part], stacks[out], tmps[widths[out]])",
+        "_compose(stacks[part], stacks[src], stacks[out], tmps[out])",
+        "_compose(stacks[src], stacks[part], stacks[out], tmps[out])",
         ("tests/test_noise.py::test_batched_pulse_protocol_states_match_compiled_programs",),
     ),
     Mutant(
         "in-place program applied to a shared stack without copying it",
         "noise.py",
-        "                _propagate(seq, factors, base, stacks[out], tmps[widths[out]])\n",
+        "                _propagate(seq, factors, base, stacks[out], tmps[out])\n",
         "                _propagate(seq, factors, base, stacks[out] if src is None else base,"
-        " tmps[widths[out]])\n"
+        " tmps[out])\n"
         "                if src is not None:\n"
         "                    np.copyto(stacks[out], base)\n",
         (NESTED_TEST,),
@@ -405,9 +405,23 @@ MUTANTS = (
         # threshold, which depends on the heap's history)
         "noisy run given a 4-wide tmp",
         "noise.py",
-        "return ops, [*widths, max(widths)]",
-        "return ops, [*widths, 4]",
+        "return ops, views, [*sizes, max(sizes)]",
+        "return ops, views, [*sizes, 4]",
         ("tests/test_noise.py::TestSharedWorkspace::test_noisy_run_has_one_column_buffer",),
+    ),
+    Mutant(
+        "fold ignores overlapping live ranges",
+        "noise.py",
+        "and not live[h] & live[b]:",
+        "and True:",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "stack viewed at its buffer's width",
+        "noise.py",
+        "views.setdefault((index[host[buffer[s]]], width), len(views))",
+        "views.setdefault((index[host[buffer[s]]], sizes[host[buffer[s]]]), len(views))",
+        SHARING_TESTS,
     ),
     Mutant(
         # still the same states to rounding: only the count of updates shows it

@@ -8,9 +8,12 @@ does.  T2 decay is applied after averaging as a coherence-order-dependent
 damping of off-diagonal elements over the total free-evolution time: it
 damps only the final mean's coherences and moves no population.  So the
 identity part of an input passes through the average untouched, which
-``experiment.temporal_average`` uses to leave it out, and T2 moves no fig4
-number: fig4's decoded outputs are diagonal (T2 alone moves its largest
-relative error by about 2e-11).
+``experiment.temporal_average`` uses to leave it out.  fig4's noise-free
+outputs are diagonal, so T2 alone moves its largest relative error by less
+than 1e-10; T2 acting during each delay instead would put it at 0.021
+(``tests/oracles.py``).  With the pulse errors, the damped coherences reach
+fig4's panels through the nearest-density-matrix projection: T2 = 0.3 s
+moves the demo's largest relative error by about 1e-4.
 
 The package's one ensemble average, ``mean_states``, runs circuits after
 heads on one sample, from a factor V of the input (rho0 = V V^H).  A block
@@ -33,14 +36,14 @@ and refilled in place by each chunk: arrays freed and allocated again for
 every chunk are handed back to the OS by the heap and faulted in again,
 page by page.  A chunk is one list of operations, its runs last, and
 every stack they write shares the workspace's buffers by live range
-(``_share``); a run's conjugate reuses the operations' scratch.  fig4
-averages a 3-column factor of the thermal state: its 28 stacks, 12 of them
-runs, fit in 7 four-wide and 3 three-wide buffers beside the scratch, and a
-1,000-member fig4 average peaks at 4.0 MB traced (3.7 MB when the factor
-had 4 columns and every stack shared 8 four-wide buffers, 5.7 MB with a
-buffer per block stack).  A demo-config ``densecode fig4`` takes a median
-7.45 ms in perfbench's host-speed units, 7.83 ms with the 4-column factor
-(2-core x86 VM, numpy 2.4; 5.98 and 6.23 ms measured).
+(``_share``): first among the stacks of its width, then by folding each
+buffer into an idle wider one; a run's conjugate reuses the operations'
+scratch.  fig4 averages a 3-column factor of the thermal state: its 28
+stacks, 12 of them runs, fit in 7 four-wide buffers and one three-wide
+buffer beside the scratch, 35 columns, and a 1,000-member fig4 average
+peaks at 3.6 MB traced (4.0 MB with a buffer per width, 3 of them three
+wide; 3.7 MB when the factor had 4 columns and every stack shared 8
+four-wide buffers; 5.7 MB with a buffer per block stack).
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -96,8 +99,8 @@ class ErrorParams:
     t2_a, t2_b       transverse relaxation times (s); inf disables decay.
                      T2 damps only the coherences of each final mean, over
                      its run's total delay, after averaging: it moves no
-                     population, so no fig4 number, whose outputs are
-                     diagonal.
+                     population, so alone no fig4 number, whose noise-free
+                     outputs are diagonal.
     ensemble_size    number of molecules averaged
     """
 
@@ -231,10 +234,11 @@ def _check_ranges(sys: SpinSystem, p: ErrorParams, events: list, t_max: float) -
 _START = ((),)
 
 
-def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list]:
-    """Plan one chunk of a call from a (4, k) ``start``: ``(ops, widths)``,
-    the chunk's operations in order on buffers of widths ``widths``, the
-    last of which is the operations' scratch.
+def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list, list]:
+    """Plan one chunk of a call from a (4, k) ``start``: ``(ops, views,
+    widths)``, the chunk's operations in order on ``views``, each a
+    (buffer, width) view of a buffer's leading columns, and the buffers'
+    widths ``widths``, the last of which is the operations' scratch.
 
     Each head is planned as the block ``(_START, head)``: a program head is
     applied to ``start`` event by event, a tuple head's stack is composed
@@ -248,9 +252,9 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list]:
     circuit has made, then one operation per run, in order of circuit and
     then head.  Stack 0 is ``start``; the others are numbered in order of
     first write, k wide for a head or a run, else 4.  The stacks share
-    buffers by live range (``_share``), and the plan names buffers:
-    buffer 0, of width 0, is ``start``'s, and the scratch is as wide as the
-    widest buffer.
+    buffers by live range (``_share``), and the plan names each stack by
+    its view, its buffer and its own width: view 0, buffer 0 at width 0, is
+    ``start``'s, and the scratch is as wide as the widest buffer.
 
     An operation ``(seq, src, part, out, run)`` writes stack ``out``: with a
     program ``seq``, its events applied to the identity (``src`` None) or to
@@ -325,24 +329,29 @@ def _plan(circuits: Sequence, heads: Sequence, k: int) -> tuple[list, list]:
                 ops.append((None, None, None, h, (i, j)))
             else:  # the circuit composed onto the head, or the empty program onto ``start``
                 ops.append((None if c else (), h, c, new(k), (i, j)))
-    ops, widths = _share(ops, widths)
-    return ops, [*widths, max(widths)]
+    ops, views, sizes = _share(ops, widths)
+    return ops, views, [*sizes, max(sizes)]
 
 
-def _share(ops: list, widths: list) -> tuple[list, list]:
-    """``ops`` on buffers shared by live range, and each buffer's width:
-    stack s, of width ``widths[s]``, gets a buffer of that width, and
-    ``start``, stack 0, keeps buffer 0.
+def _share(ops: list, widths: list) -> tuple[list, list, list]:
+    """``(ops, views, sizes)``: ``ops`` on buffers shared by live range, as
+    indices into ``views``, each a (buffer, width) view of a buffer's
+    leading columns, and each buffer's width, ``sizes``.  Stack s is
+    ``widths[s]`` wide, and ``start``, stack 0, keeps buffer 0 and view 0.
 
     A stack lives from the first op that writes it to the last op that
     reads it, a run's sum counted as a read of its op's stack.  The other
     stacks, numbered in order of first write, are handed buffers in that
     order: of the buffers of the stack's width, the one whose tenant was
     last read earliest, if that was strictly before the stack is first
-    written, else a new one.  So no op writes a buffer that a later op
-    reads for another stack, no op writes one of its operands' buffers but
-    a stack's own, and each width has as many buffers as it has stacks live
-    at one op.
+    written, else a new one.  So each width has as many buffers as it has
+    stacks live at one op.  Then, widest first, each buffer is folded into
+    the narrowest wider buffer, lowest index first, none of whose tenants
+    lives at an op where one of its own lives; its tenants view that
+    buffer's leading columns.  A fold only merges buffers, so the buffers'
+    total width never grows.  No op writes a buffer that a later op reads
+    for another stack, and no op writes one of its operands' buffers but a
+    stack's own.
     """
     first, last = {}, {}  # each stack's first writing op and last reading op
     for t, (_, src, part, out, run) in enumerate(ops):
@@ -350,7 +359,7 @@ def _share(ops: list, widths: list) -> tuple[list, list]:
         last[src] = last[part] = t
         if run:
             last[out] = t  # the run's sum
-    buffer, sizes = {None: None, 0: 0}, [0]
+    buffer, sizes, live = {0: 0}, [0], [0]  # live: bit t set if a tenant lives at op t
     tenants: dict = {}  # per width, a heap of (last read of its tenant, buffer)
     for s in range(1, len(widths)):
         heap = tenants.setdefault(widths[s], [])
@@ -359,9 +368,25 @@ def _share(ops: list, widths: list) -> tuple[list, list]:
         else:
             buffer[s] = len(sizes)
             sizes.append(widths[s])
+            live.append(0)
         heapq.heappush(heap, (last[s], buffer[s]))
-    ops = [(seq, buffer[src], buffer[part], buffer[out], run) for seq, src, part, out, run in ops]
-    return ops, sizes
+        live[buffer[s]] |= (2 << last[s]) - (1 << first[s])
+    host = list(range(len(sizes)))  # the buffer each one is folded into
+    narrowest = sorted(range(1, len(sizes)), key=sizes.__getitem__)
+    for b in sorted(narrowest, key=lambda b: -sizes[b]):
+        for h in narrowest:
+            if host[h] == h and sizes[h] > sizes[b] and not live[h] & live[b]:
+                host[b] = h
+                live[h] |= live[b]
+                break
+    kept = [b for b in range(len(sizes)) if host[b] == b]
+    index = {b: i for i, b in enumerate(kept)}
+    views: dict = {}  # each (buffer, width) to its index, in order of first write
+    view = {None: None}
+    for s, width in enumerate(widths):
+        view[s] = views.setdefault((index[host[buffer[s]]], width), len(views))
+    ops = [(seq, view[src], view[part], view[out], run) for seq, src, part, out, run in ops]
+    return ops, list(views), [sizes[b] for b in kept]
 
 
 def mean_states(
@@ -395,17 +420,21 @@ def mean_states(
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
     factor table and the buffers of ``_plan``, which every stack shares by
-    live range, and their scratch.  A run's conjugate is written into the
+    live range, and their scratch.  A stack narrower than its buffer, a
+    3-wide fig4 head or run folded into an idle 4-wide buffer, say, uses
+    the buffer's leading columns; each chunk views each (buffer, width)
+    pair once, not once per op.  A run's conjugate is written into the
     scratch, free once the run's stack is made.  Each chunk refills the
     workspace in place; the shorter last chunk uses the leading part of
-    each buffer.
+    each buffer.  One 1,000-member fig4 temporal average peaks at 3.6 MB
+    traced, 4.0 MB with a buffer per stack width.
     """
     t_heads = np.array([total_delay(head) for head in heads])
     t_totals = np.array([total_delay(circuit) for circuit in circuits])[:, None] + t_heads
     all_events = [ev for block in (*heads, *circuits) for ev in events(block)]
     size, k = min(CHUNK_SIZE, p.ensemble_size), start.shape[1]
     _check_ranges(sys, p, all_events, float(t_totals.max()))
-    ops, widths = _plan(circuits, heads, k)
+    ops, views, widths = _plan(circuits, heads, k)
     table = _FactorTable(all_events, size)
     # The buffers of ``_plan``, the scratch last, in (4, width, size) slices
     # of one allocation that the heap keeps whole for the next call.  A
@@ -418,15 +447,15 @@ def mean_states(
     for draws in _draw_chunks(p, seed):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
-        tmps = {width: _view(tmp_buf, 4, width, n) for width in (k, widths[-1])}
-        stacks = [_view(buf, 4, width, n) for buf, width in zip(bufs, widths)]
+        stacks = [_view(bufs[buf], 4, width, n) for buf, width in views]
+        tmps = [_view(tmp_buf, 4, width, n) for _, width in views]
         stacks[0], conj = start, _view(tmp_buf, 4, k * n)
         for seq, src, part, out, run in ops:
             if part is not None:
-                _compose(stacks[part], stacks[src], stacks[out], tmps[widths[out]])
+                _compose(stacks[part], stacks[src], stacks[out], tmps[out])
             elif seq is not None:
                 base = qcore.ID4 if src is None else stacks[src]
-                _propagate(seq, factors, base, stacks[out], tmps[widths[out]])
+                _propagate(seq, factors, base, stacks[out], tmps[out])
             if run:
                 m = stacks[out].reshape(4, -1)
                 np.conjugate(m, out=conj)  # into the scratch, free once the op is done

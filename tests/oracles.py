@@ -22,6 +22,9 @@ block-composing ensemble average behind ``experiment.temporal_average``.
 ``full_rank_temporal_average`` runs that ensemble average on the full
 4-column factor of the thermal state, identity part and all: the reference
 for leaving the identity out of it.
+``t2_in_sequence_fig4_error`` is fig4's largest relative error with T2
+acting during every delay, as it does in a spectrometer, where the library
+damps only each final mean: the size of what the library leaves out.
 ``CNOT_AB``, the CNOT with spin a as control, is the ideal gate of the
 control-a pulse CNOT; the library's gate set has no use for it.
 """
@@ -32,9 +35,10 @@ import math
 
 import numpy as np
 
-from densecode import nmrsim, noise, qcore
+from densecode import experiment, nmrsim, noise, protocol, qcore, tomo
 from densecode.nmrsim import PulseSequence, Rf, SpinSystem
 from densecode.noise import ErrorParams, _draw_chunks
+from densecode.protocol import BellVariant
 
 
 #: Controlled-NOT with spin a as control and spin b as target, the ideal
@@ -209,3 +213,38 @@ def full_rank_temporal_average(
     v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
     prefixes = nmrsim.permutation_sequences(sys, refocus)
     return noise.mean_states(sys, p, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
+
+
+def t2_in_sequence_fig4_error(sys: SpinSystem, epsilon: float, t2: float, refocus: bool = True) -> float:
+    """fig4's largest relative element error with noise-free pulses and T2
+    acting inside the sequence: after each delay of duration t, every
+    coherence of spin a and every coherence of spin b (an element whose
+    row and column differ in that spin's label) is scaled by exp(-t/T2),
+    exact phase damping, which commutes with the diagonal J evolution.
+    Each of the three prefix runs evolves the thermal state event by
+    event; each circuit's mean then goes through fig4's pipeline:
+    tomography, the pseudo-pure rescaling, and the element error against
+    the ideal output."""
+    flip = np.arange(4)[:, None] ^ np.arange(4)[None, :]
+    orders = (flip & 1 > 0) * 1.0 + (flip & 2 > 0)  # spin a the second tensor factor, b the first
+    rho_th = nmrsim.thermal_state(sys, epsilon)
+    prep = nmrsim.bell_prep_sequence(sys, BellVariant.MINUS_PHI, refocus)
+    decode = nmrsim.decode_sequence(sys, refocus)
+    averages = np.zeros((len(protocol.MESSAGES), 4, 4), dtype=complex)
+    for i, m in enumerate(protocol.MESSAGES):
+        for prefix in nmrsim.permutation_sequences(sys, refocus):
+            rho = rho_th
+            for ev in flatten((prefix, prep, nmrsim.encoding_pulse(m), decode)):
+                if isinstance(ev, Rf):
+                    u, damping = rf_unitary(ev.spin, ev.axis, ev.angle), 1.0
+                else:
+                    u, damping = j_evolution(sys, ev.duration), np.exp(-ev.duration / t2 * orders)
+                rho = u @ rho @ u.conj().T * damping
+            averages[i] += rho / 3.0
+    beta = nmrsim.pseudo_pure_beta(sys, epsilon)
+    reconstructed = tomo.reconstruct(tomo.simulate_readouts(averages))
+    extracted = tomo.project_unphysical((reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta)
+    return max(
+        tomo.max_element_error(panel, experiment.ideal_output_density(m)).relative
+        for m, panel in zip(protocol.MESSAGES, extracted)
+    )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -687,6 +688,24 @@ class TestSourcesThatDrawNothing:
         assert np.max(np.abs([panel.experimental for panel in panels] - expected)) < 1e-12
 
 
+class TestT2InSequence:
+    """T2 inside the sequence, an oracle, against the library's T2, which
+    damps only each final mean's coherences."""
+
+    def test_oracle_moves_fig4_where_the_library_does_not(self, system):
+        """With noise-free pulses, phase damping after every delay puts
+        fig4's largest relative error at 0.021 for T2 = 0.3 s; the
+        library's T2 alone moves it by less than 1e-10."""
+        epsilon = nmrsim.DEFAULT_EPSILON
+        assert abs(oracles.t2_in_sequence_fig4_error(system, epsilon, 0.3) - 0.021) <= 0.002
+
+        def worst(t2):
+            p = noise.ErrorParams(t2_a=t2, t2_b=t2)
+            return max(panel.error.relative for panel in experiment.fig4_panels(system, epsilon, p, 3))
+
+        assert abs(worst(0.3) - worst(math.inf)) < 1e-10
+
+
 class TestMonotonicity:
     def test_error_grows_with_rf_spread(self, system):
         """Mean infidelity is non-decreasing in rf_spread (95% bootstrap)."""
@@ -945,20 +964,23 @@ class TestNestedBlocks:
 START = "start"
 
 
-def replay(plan, circuits, heads) -> None:
-    """Replay the ops of ``plan``, ``noise._plan``'s ``(ops, widths)`` of
-    ``circuits`` after ``heads``, on the products its buffers hold, each an
-    event tuple (``START`` first for a product on ``start``), and assert
-    that every op reads what it was planned to read: no op writes
-    ``start``'s buffer 0 or, in a composition, one of its operands'
-    buffers; each composition's operand is a whole block's product, in a
-    4-wide buffer; an op that makes nothing sums a run; and the scratch,
-    the last width, is the widest.  Each (circuit i, head j) run is summed
-    exactly once, after every block op and in order of (i, j), and its
-    product is ``START``, then head j's events, then circuit i's.  An op
+def replay(plan, circuits, heads, k) -> None:
+    """Replay the ops of ``plan``, ``noise._plan``'s ``(ops, views,
+    widths)`` of ``circuits`` after ``heads`` on a (4, k) ``start``, on the
+    products its views hold, each an event tuple (``START`` first for a
+    product on ``start``), and assert that every op reads what it was
+    planned to read: view 0 is ``start``'s, buffer 0 at width 0, and no op
+    writes buffer 0 or one of its operands' buffers, but in place; each
+    composition's operand is a whole block's product, in a 4-wide view;
+    each view of a product is k wide if the product is on ``start``, else
+    4, and no wider than its buffer; an op that makes nothing sums a run;
+    and the scratch, the last width, is the widest.  Each (circuit i, head
+    j) run is summed exactly once, after every block op and in order of (i,
+    j), and its product is ``START``, then head j's events, then circuit
+    i's.  A write to a buffer drops what its other views held, so an op
     that wrote a buffer whose stack a later op reads would leave that later
-    op another product."""
-    ops, widths = plan
+    op another product, or none."""
+    ops, views, widths = plan
 
     def blocks(block):
         yield nmrsim.events(block)
@@ -967,17 +989,26 @@ def replay(plan, circuits, heads) -> None:
                 yield from blocks(part)
 
     whole = {events for block in (*circuits, *heads) for events in blocks(block)}
+    assert views[0] == (0, 0)
     held, runs = {0: (START,)}, []
     for seq, src, part, out, run in ops:
-        assert out != 0
+        buf, width = views[out]
+        assert buf != 0 and width <= widths[buf]
+        assert all(views[v][0] != buf for v in (src, part) if v not in (None, out))
         if part is not None:
             assert seq is None and out not in (src, part)
-            assert held[part] in whole and widths[part] == 4
-            held[out] = held[src] + held[part]
+            assert held[part] in whole and views[part][1] == 4
+            product = held[src] + held[part]
         elif seq is not None:
-            held[out] = (() if src is None else held[src]) + seq
+            product = (() if src is None else held[src]) + seq
         else:
             assert src is None and run is not None
+            product = held[out]
+        for v, (b, _) in enumerate(views):
+            if b == buf:
+                held.pop(v, None)
+        held[out] = product
+        assert width == (k if product[:1] == (START,) else 4)
         if run is None:
             assert not runs
         else:
@@ -988,13 +1019,53 @@ def replay(plan, circuits, heads) -> None:
     assert widths[0] == 0 and widths[-1] == max(widths)
 
 
+def live_ranges(ops) -> list:
+    """``[view, first write, last read]`` of each stack that ``ops`` write,
+    in order of first write: an op that writes a view starts a stack there,
+    but a program continued in place, and a run's sum reads its op's
+    stack."""
+    ranges, live = [], {}
+    for t, (seq, src, part, out, run) in enumerate(ops):
+        for v in (src, part):
+            if v:  # not None and not ``start``
+                live[v][2] = t
+        if part is not None or (seq is not None and src != out):
+            live[out] = [out, t, t]
+            ranges.append(live[out])
+        if run:
+            live[out][2] = t
+    return ranges
+
+
+def per_width_columns(ranges, views) -> int:
+    """The buffers' total width, scratch aside, with a buffer of its own
+    width for each stack (the layout before buffers were folded): per
+    width, as many buffers as stacks of that width live at one op."""
+    total = 0
+    for width in {w for _, w in views}:
+        spans = [(first, last) for v, first, last in ranges if views[v][1] == width]
+        total += width * max((sum(f <= t <= l for f, l in spans) for t, _ in spans), default=0)
+    return total
+
+
+def check_layout(plan) -> None:
+    """No two stacks that share a buffer live at one op, and the buffers
+    take no more columns than with a buffer per width."""
+    ops, views, widths = plan
+    ranges = live_ranges(ops)
+    for (v, first, last), (u, begin, end) in itertools.combinations(ranges, 2):
+        if views[v][0] == views[u][0]:
+            assert last < begin or end < first
+    assert sum(widths[:-1]) <= per_width_columns(ranges, views)
+
+
 def package_plans(system, monkeypatch, run) -> list:
-    """``(circuits, heads, plan)`` of every ``noise._plan`` that ``run()`` makes."""
+    """``(circuits, heads, k, plan)`` of every ``noise._plan`` that ``run()`` makes."""
     plans = []
     plan = noise._plan
 
     def recorded(circuits, heads, k):
-        plans.append((circuits, heads, plan(circuits, heads, k)))
+        plans.append((circuits, heads, k, plan(circuits, heads, k)))
         return plans[-1][-1]
 
     monkeypatch.setattr(noise, "_plan", recorded)
@@ -1040,8 +1111,9 @@ class TestSharedWorkspace:
     def test_package_plans_read_what_they_planned(self, system, monkeypatch, path):
         plans = package_plans(system, monkeypatch, lambda: path(system))
         assert plans
-        for circuits, heads, plan in plans:
-            replay(plan, circuits, heads)
+        for circuits, heads, k, plan in plans:
+            replay(plan, circuits, heads, k)
+            check_layout(plan)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @example(  # duplicate circuits, a repeated shared CNOT, empty parts, the empty head
@@ -1053,7 +1125,9 @@ class TestSharedWorkspace:
     def test_random_plans_read_what_they_planned(self, circuits, heads, k):
         """Replayed, and run over two full chunks and a shorter third: bit
         for bit what the reference engine gives on the same plan."""
-        replay(noise._plan(circuits, heads, k), circuits, heads)
+        plan = noise._plan(circuits, heads, k)
+        replay(plan, circuits, heads, k)
+        check_layout(plan)
         p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 16 + 3)
         rng = np.random.default_rng(k)
         start = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
@@ -1076,15 +1150,25 @@ class TestSharedWorkspace:
     def test_fig4_block_stacks_share_eight_buffers(self, system):
         """fig4's 28 stacks (16 that make its blocks and 12 runs) fit in 8
         four-wide buffers beside the 4-wide scratch; ``start`` has none."""
-        _, widths = noise._plan(*fig4_inputs(system, True, True), 4)
+        *_, widths = noise._plan(*fig4_inputs(system, True, True), 4)
         assert widths == [0] + [4] * 8 + [4]
 
     def test_fig4_runs_three_wide_buffers(self, system, monkeypatch):
         """fig4's average runs the thermal state's 3-column factor: its head
-        and run stacks share 3 three-wide buffers, its block stacks 7
-        four-wide ones, beside the 4-wide scratch."""
+        and run stacks take one three-wide buffer and the leading columns of
+        four-wide ones that its block stacks leave idle, 35 columns with the
+        4-wide scratch (41 with a buffer per width: 3 three-wide beside 7
+        four-wide)."""
         plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["fig4"](system))
-        assert [plan[1] for *_, plan in plans] == [[0] + [4] * 7 + [3] * 3 + [4]]
+        assert [plan[2] for *_, plan in plans] == [[0] + [4] * 7 + [3] + [4]]
+        (*_, (_, views, widths)), = plans
+        assert sorted(widths[b] for b, w in views if w == 3) == [3, 4, 4]
+
+    def test_pulse_protocol_folds_column_buffers(self, system, monkeypatch):
+        """The pulse-protocol check's 1-column head and run stacks take 3
+        one-wide buffers and an idle four-wide one: 39 columns, not 41."""
+        plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["pulse protocol"](system))
+        assert [plan[2] for *_, plan in plans] == [[0] + [4] * 8 + [1] * 3 + [4]]
 
     def test_noisy_run_has_one_column_buffer(self, system, monkeypatch):
         """A noisy run's plan has only its head's 1-wide buffer, which its
@@ -1092,15 +1176,16 @@ class TestSharedWorkspace:
         makes what each 1,000-member run frees larger, which can cross
         glibc's trim threshold (``test_workspace_not_faulted_in_again``)."""
         plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["noisy run"](system))
-        assert [plan[1] for *_, plan in plans] == [[0, 1, 1]]
+        assert [plan[2] for *_, plan in plans] == [[0, 1, 1]]
 
     def test_fig4_traced_peak(self, system):
         """One 1,000-member temporal average over fig4's circuits peaks at
-        4.00 MB traced: its 3-column factor's head and run stacks take 3
-        three-wide buffers beside 7 four-wide ones (3.68 MB with the 4-column
-        factor, whose stacks all shared 8 four-wide buffers; 4.19 MB with a
-        scratch stack and a run buffer beside those; 5.72 MB with a buffer
-        per block stack)."""
+        3.62 MB traced: its 3-column factor's head and run stacks fold into
+        one three-wide buffer and idle four-wide ones (4.00 MB with 3
+        three-wide buffers beside 7 four-wide ones; 3.68 MB with the
+        4-column factor, whose stacks all shared 8 four-wide buffers; 4.19
+        MB with a scratch stack and a run buffer beside those; 5.72 MB with
+        a buffer per block stack)."""
         circuits, _ = fig4_inputs(system, True, True)
         experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
         tracemalloc.start()
@@ -1109,4 +1194,4 @@ class TestSharedWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.05e6
+        assert peak < 3.75e6
