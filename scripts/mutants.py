@@ -189,8 +189,22 @@ MUTANTS = (
     Mutant(
         "a buffer handed on in the op that last reads its tenant",
         "noise.py",
-        "if heap and heap[0][0] < first[s]:",
-        "if heap and heap[0][0] <= first[s]:",
+        "if pool and pool[0][0] < first[s]:",
+        "if pool and pool[0][0] <= first[s]:",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "a stack opens a new buffer although one is free",
+        "noise.py",
+        "if pool and pool[0][0] < first[s]:",
+        "if pool and pool[0][0] < first[s] - 1:",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "buffer sized by its first tenant, not its widest",
+        "noise.py",
+        "buffer[s], sizes[b] = b, max(sizes[b], widths[s])",
+        "buffer[s], sizes[b] = b, sizes[b] or widths[s]",
         SHARING_TESTS,
     ),
     Mutant(
@@ -410,17 +424,10 @@ MUTANTS = (
         ("tests/test_noise.py::TestSharedWorkspace::test_noisy_run_has_one_column_buffer",),
     ),
     Mutant(
-        "fold ignores overlapping live ranges",
-        "noise.py",
-        "and not live[h] & live[b]:",
-        "and True:",
-        SHARING_TESTS,
-    ),
-    Mutant(
         "stack viewed at its buffer's width",
         "noise.py",
-        "views.setdefault((index[host[buffer[s]]], width), len(views))",
-        "views.setdefault((index[host[buffer[s]]], sizes[host[buffer[s]]]), len(views))",
+        "views.setdefault((buffer[s], width), len(views))",
+        "views.setdefault((buffer[s], sizes[buffer[s]]), len(views))",
         SHARING_TESTS,
     ),
     Mutant(

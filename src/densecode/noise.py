@@ -35,15 +35,12 @@ workspace per call, sized for ``min(CHUNK_SIZE, ensemble_size)`` members
 and refilled in place by each chunk: arrays freed and allocated again for
 every chunk are handed back to the OS by the heap and faulted in again,
 page by page.  A chunk is one list of operations, its runs last, and
-every stack they write shares the workspace's buffers by live range
-(``_share``): first among the stacks of its width, then by folding each
-buffer into an idle wider one; a run's conjugate reuses the operations'
-scratch.  fig4 averages a 3-column factor of the thermal state: its 28
-stacks, 12 of them runs, fit in 7 four-wide buffers and one three-wide
-buffer beside the scratch, 35 columns, and a 1,000-member fig4 average
-peaks at 3.6 MB traced (4.0 MB with a buffer per width, 3 of them three
-wide; 3.7 MB when the factor had 4 columns and every stack shared 8
-four-wide buffers; 5.7 MB with a buffer per block stack).
+every stack they write takes a buffer from one pool by live range
+(``_share``), a buffer as wide as its widest stack; a run's conjugate
+reuses the operations' scratch.  fig4 averages a 3-column factor of the
+thermal state: its 28 stacks, 12 of them runs, fit in 7 four-wide buffers
+and one three-wide buffer beside the scratch, 35 columns, and a
+1,000-member fig4 average peaks at 3.6 MB traced.
 
 Results are bit-reproducible for a fixed config and seed: the draws
 depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
@@ -341,17 +338,13 @@ def _share(ops: list, widths: list) -> tuple[list, list, list]:
 
     A stack lives from the first op that writes it to the last op that
     reads it, a run's sum counted as a read of its op's stack.  The other
-    stacks, numbered in order of first write, are handed buffers in that
-    order: of the buffers of the stack's width, the one whose tenant was
-    last read earliest, if that was strictly before the stack is first
-    written, else a new one.  So each width has as many buffers as it has
-    stacks live at one op.  Then, widest first, each buffer is folded into
-    the narrowest wider buffer, lowest index first, none of whose tenants
-    lives at an op where one of its own lives; its tenants view that
-    buffer's leading columns.  A fold only merges buffers, so the buffers'
-    total width never grows.  No op writes a buffer that a later op reads
-    for another stack, and no op writes one of its operands' buffers but a
-    stack's own.
+    stacks, numbered in order of first write, take buffers from one pool in
+    that order: the buffer whose tenant was last read earliest, if that was
+    strictly before the stack is first written, else a new one.  Each
+    buffer is as wide as its widest tenant, and a narrower tenant views its
+    leading columns.  So there are as many buffers as stacks live at one
+    op, no op writes a buffer that a later op reads for another stack, and
+    no op writes one of its operands' buffers but a stack's own.
     """
     first, last = {}, {}  # each stack's first writing op and last reading op
     for t, (_, src, part, out, run) in enumerate(ops):
@@ -359,34 +352,22 @@ def _share(ops: list, widths: list) -> tuple[list, list, list]:
         last[src] = last[part] = t
         if run:
             last[out] = t  # the run's sum
-    buffer, sizes, live = {0: 0}, [0], [0]  # live: bit t set if a tenant lives at op t
-    tenants: dict = {}  # per width, a heap of (last read of its tenant, buffer)
+    buffer, sizes = {0: 0}, [0]  # each stack's buffer, each buffer's width
+    pool: list = []  # a heap of (last read of its tenant, buffer)
     for s in range(1, len(widths)):
-        heap = tenants.setdefault(widths[s], [])
-        if heap and heap[0][0] < first[s]:
-            buffer[s] = heapq.heappop(heap)[1]
+        if pool and pool[0][0] < first[s]:
+            b = heapq.heappop(pool)[1]
         else:
-            buffer[s] = len(sizes)
-            sizes.append(widths[s])
-            live.append(0)
-        heapq.heappush(heap, (last[s], buffer[s]))
-        live[buffer[s]] |= (2 << last[s]) - (1 << first[s])
-    host = list(range(len(sizes)))  # the buffer each one is folded into
-    narrowest = sorted(range(1, len(sizes)), key=sizes.__getitem__)
-    for b in sorted(narrowest, key=lambda b: -sizes[b]):
-        for h in narrowest:
-            if host[h] == h and sizes[h] > sizes[b] and not live[h] & live[b]:
-                host[b] = h
-                live[h] |= live[b]
-                break
-    kept = [b for b in range(len(sizes)) if host[b] == b]
-    index = {b: i for i, b in enumerate(kept)}
+            b = len(sizes)
+            sizes.append(0)
+        buffer[s], sizes[b] = b, max(sizes[b], widths[s])
+        heapq.heappush(pool, (last[s], b))
     views: dict = {}  # each (buffer, width) to its index, in order of first write
     view = {None: None}
     for s, width in enumerate(widths):
-        view[s] = views.setdefault((index[host[buffer[s]]], width), len(views))
+        view[s] = views.setdefault((buffer[s], width), len(views))
     ops = [(seq, view[src], view[part], view[out], run) for seq, src, part, out, run in ops]
-    return ops, list(views), [sizes[b] for b in kept]
+    return ops, list(views), sizes
 
 
 def mean_states(
@@ -420,14 +401,15 @@ def mean_states(
     Every chunk-sized array lives in one workspace, allocated for
     ``min(CHUNK_SIZE, ensemble_size)`` members when the call starts: the
     factor table and the buffers of ``_plan``, which every stack shares by
-    live range, and their scratch.  A stack narrower than its buffer, a
-    3-wide fig4 head or run folded into an idle 4-wide buffer, say, uses
-    the buffer's leading columns; each chunk views each (buffer, width)
-    pair once, not once per op.  A run's conjugate is written into the
-    scratch, free once the run's stack is made.  Each chunk refills the
-    workspace in place; the shorter last chunk uses the leading part of
-    each buffer.  One 1,000-member fig4 temporal average peaks at 3.6 MB
-    traced, 4.0 MB with a buffer per stack width.
+    live range from one pool, and their scratch.  A stack narrower than
+    its buffer, a 3-wide fig4 head or run in a 4-wide buffer that a block
+    stack has left, say, uses the buffer's leading columns; each chunk
+    views each (buffer, width) pair once, not once per op.  A run's
+    conjugate is written into the scratch, free once the run's stack is
+    made.  Each chunk refills the workspace in place; the shorter last
+    chunk uses the leading part of each buffer.  fig4's plan has 7
+    four-wide buffers and one three-wide beside the 4-wide scratch, and
+    one 1,000-member fig4 temporal average peaks at 3.6 MB traced.
     """
     t_heads = np.array([total_delay(head) for head in heads])
     t_totals = np.array([total_delay(circuit) for circuit in circuits])[:, None] + t_heads

@@ -1037,26 +1037,22 @@ def live_ranges(ops) -> list:
     return ranges
 
 
-def per_width_columns(ranges, views) -> int:
-    """The buffers' total width, scratch aside, with a buffer of its own
-    width for each stack (the layout before buffers were folded): per
-    width, as many buffers as stacks of that width live at one op."""
-    total = 0
-    for width in {w for _, w in views}:
-        spans = [(first, last) for v, first, last in ranges if views[v][1] == width]
-        total += width * max((sum(f <= t <= l for f, l in spans) for t, _ in spans), default=0)
-    return total
-
-
 def check_layout(plan) -> None:
-    """No two stacks that share a buffer live at one op, and the buffers
-    take no more columns than with a buffer per width."""
+    """No two stacks that share a buffer live at one op, there are as many
+    buffers as stacks live at one op, and each buffer is exactly as wide as
+    its widest tenant."""
     ops, views, widths = plan
     ranges = live_ranges(ops)
     for (v, first, last), (u, begin, end) in itertools.combinations(ranges, 2):
         if views[v][0] == views[u][0]:
             assert last < begin or end < first
-    assert sum(widths[:-1]) <= per_width_columns(ranges, views)
+    most = max(sum(first <= t <= last for _, first, last in ranges) for _, t, _ in ranges)
+    widest = {}
+    for v, _, _ in ranges:
+        buf, width = views[v]
+        widest[buf] = max(widest.get(buf, 0), width)
+    assert len(widths) - 2 == most  # ``start``'s buffer and the scratch aside
+    assert widths[1:-1] == [widest[b] for b in range(1, len(widths) - 1)]
 
 
 def package_plans(system, monkeypatch, run) -> list:
@@ -1156,19 +1152,28 @@ class TestSharedWorkspace:
     def test_fig4_runs_three_wide_buffers(self, system, monkeypatch):
         """fig4's average runs the thermal state's 3-column factor: its head
         and run stacks take one three-wide buffer and the leading columns of
-        four-wide ones that its block stacks leave idle, 35 columns with the
-        4-wide scratch (41 with a buffer per width: 3 three-wide beside 7
-        four-wide)."""
+        five four-wide ones that its block stacks leave free, 35 columns with
+        the 4-wide scratch."""
         plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["fig4"](system))
         assert [plan[2] for *_, plan in plans] == [[0] + [4] * 7 + [3] + [4]]
         (*_, (_, views, widths)), = plans
-        assert sorted(widths[b] for b, w in views if w == 3) == [3, 4, 4]
+        assert sorted(widths[b] for b, w in views if w == 3) == [3, 4, 4, 4, 4, 4]
 
-    def test_pulse_protocol_folds_column_buffers(self, system, monkeypatch):
-        """The pulse-protocol check's 1-column head and run stacks take 3
-        one-wide buffers and an idle four-wide one: 39 columns, not 41."""
-        plans = package_plans(system, monkeypatch, lambda: PACKAGE_PATHS["pulse protocol"](system))
-        assert [plan[2] for *_, plan in plans] == [[0] + [4] * 8 + [1] * 3 + [4]]
+    def test_buffer_as_wide_as_its_widest_tenant(self):
+        """A 1-wide stack that dies before a 4-wide one is written hands its
+        buffer on, widened to 4.  ``_plan`` never makes such a plan (its
+        k-wide head stacks live until the runs, which come last), so this
+        asks ``_share`` directly."""
+        ops = [
+            ((), 0, None, 1, None),  # stack 1, 1 wide, on ``start``
+            ((), 1, None, 2, None),  # stack 2, 1 wide, reads stack 1 for the last time
+            ((), None, None, 3, None),  # stack 3, 4 wide, from the identity
+            (None, 2, 3, 4, (0, 0)),  # stack 4, 1 wide: stack 3 composed onto stack 2
+        ]
+        ops, views, sizes = noise._share(ops, [0, 1, 1, 4, 1])
+        assert sizes == [0, 4, 1, 1]
+        assert views == [(0, 0), (1, 1), (2, 1), (1, 4), (3, 1)]
+        check_layout((ops, views, [*sizes, max(sizes)]))
 
     def test_noisy_run_has_one_column_buffer(self, system, monkeypatch):
         """A noisy run's plan has only its head's 1-wide buffer, which its
@@ -1180,12 +1185,9 @@ class TestSharedWorkspace:
 
     def test_fig4_traced_peak(self, system):
         """One 1,000-member temporal average over fig4's circuits peaks at
-        3.62 MB traced: its 3-column factor's head and run stacks fold into
-        one three-wide buffer and idle four-wide ones (4.00 MB with 3
-        three-wide buffers beside 7 four-wide ones; 3.68 MB with the
-        4-column factor, whose stacks all shared 8 four-wide buffers; 4.19
-        MB with a scratch stack and a run buffer beside those; 5.72 MB with
-        a buffer per block stack)."""
+        3.61 MB traced: its 3-column factor's head and run stacks share one
+        pool with its block stacks, 7 four-wide buffers and one three-wide
+        beside the 4-wide scratch."""
         circuits, _ = fig4_inputs(system, True, True)
         experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
         tracemalloc.start()
