@@ -82,10 +82,10 @@ MUTANTS = (
     Mutant(
         "factors refilled only on the first chunk",
         "noise.py",
-        "    for draws in _draw_chunks(p, seed):\n"
+        "    for draws in _draw_chunks(p):\n"
         "        factors = _event_factors(table, sys, draws, p.calib_offset)\n",
         "    factors = None\n"
-        "    for draws in _draw_chunks(p, seed):\n"
+        "    for draws in _draw_chunks(p):\n"
         "        factors = factors or _event_factors(table, sys, draws, p.calib_offset)\n",
         FACTOR_TESTS,
     ),
@@ -469,8 +469,8 @@ MUTANTS = (
     Mutant(
         "every chunk on spawn key 0",
         "noise.py",
-        "np.random.SeedSequence(seed, spawn_key=(c,))",
-        "np.random.SeedSequence(seed, spawn_key=(0,))",
+        "np.random.SeedSequence(p.seed, spawn_key=(c,))",
+        "np.random.SeedSequence(p.seed, spawn_key=(0,))",
         DRAW_TESTS,
     ),
     Mutant(
@@ -581,6 +581,27 @@ MUTANTS = (
         EPSILON_TESTS,
     ),
     Mutant(
+        "zero option value ignored: --seed 0 leaves the config seed",
+        "cli.py",
+        "if value is not None:",
+        "if value:",
+        ("tests/test_cli.py::TestSeedContract",),
+    ),
+    Mutant(
+        "negative seed accepted",
+        "noise.py",
+        "or seed < 0:",
+        "or seed < -1:",
+        ("tests/test_cli.py::TestSeedContract",),
+    ),
+    Mutant(
+        "epsilon 0 accepted",
+        "nmrsim.py",
+        "self.epsilon > 0):",
+        "self.epsilon >= 0):",
+        ("tests/test_nmrsim.py::TestThermalState",) + EPSILON_TESTS,
+    ),
+    Mutant(
         "--seed accepted without --noise",
         "cli.py",
         'raise ValueError("--seed requires --noise")',
@@ -632,14 +653,14 @@ MUTANTS = (
     Mutant(
         "tiny epsilon reaches the checks",
         "cli.py",
-        "if epsilon < experiment.MIN_EPSILON:",
+        "if system.epsilon < experiment.MIN_EPSILON:",
         "if False:",
         EPSILON_TESTS,
     ),
     Mutant(
         "too-large epsilon reaches the checks",
         "cli.py",
-        "nmrsim.thermal_state(system, epsilon)",
+        "nmrsim.thermal_state(system)  # the populations bound epsilon above",
         "pass",
         EPSILON_TESTS,
     ),

@@ -6,16 +6,19 @@ out-of-range input), 3 I/O failure (an unreadable config path, the empty
 path among them, or an unwritable output).
 
 Runs are configured by a single JSON document with optional ``spin_system``
-and ``noise`` objects; every field has a default, so any run is reproducible
-from one file plus a seed.  ``resolve`` first checks run and tomo's option
-rules (``--seed`` needs ``--noise``, ``--noise`` needs ``--layer pulse``),
-before any file is read; then it reads, in order: the document's keys and
-sections; the spin system and epsilon; the noise parameters (always for fig4
-and validate, only with ``--noise`` for run and tomo, where ``--noise PATH``
-replaces the section by the file's ``noise`` section, empty if absent, if
-the file has a ``spin_system`` or ``noise`` key, else by the whole file;
-the file's ``spin_system`` section is checked as ``--config``'s, not used);
-``noise.seed``, then ``--seed`` over it; then ``validate --ensemble-size``.
+and ``noise`` objects, one per dataclass: ``spin_system`` sets the fields
+of ``nmrsim.SpinSystem``, epsilon among them, and ``noise`` those of
+``noise.ErrorParams``, the seed among them.  Every field has a default, so
+any run is reproducible from one file.  ``resolve`` first checks run and
+tomo's option rules (``--seed`` needs ``--noise``, ``--noise`` needs
+``--layer pulse``), before any file is read; then it reads, in order: the
+document's keys and sections; the spin system; the noise parameters
+(always for fig4 and validate, only with ``--noise`` for run and tomo,
+where ``--noise PATH`` replaces the section by the file's ``noise``
+section, empty if absent, if the file has a ``spin_system`` or ``noise``
+key, else by the whole file; the file's ``spin_system`` section is checked
+as ``--config``'s, not used); then ``--seed`` and ``validate
+--ensemble-size`` over their fields.
 
 ``main`` parses with one parser per process, built by ``build_parser`` on
 the first call and shared by every later one.  Each command returns a
@@ -50,13 +53,14 @@ EXIT_IO = 3
 
 
 #: Keys of a config document, and of its sections with the dataclass field
-#: each key sets (``None``: read by the resolver itself).
+#: each key sets: ``spin_system`` builds a ``SpinSystem``, ``noise`` an
+#: ``ErrorParams``.
 CONFIG_SECTIONS = ("spin_system", "noise")
 SPIN_SYSTEM_KEYS = {
     "freq_a_mhz": "freq_a",
     "freq_b_mhz": "freq_b",
     "j_hz": "j_coupling",
-    "epsilon": None,
+    "epsilon": "epsilon",
 }
 NOISE_KEYS = {
     "rf_spread": "rf_spread",
@@ -65,7 +69,7 @@ NOISE_KEYS = {
     "t2_a_s": "t2_a",
     "t2_b_s": "t2_b",
     "ensemble_size": "ensemble_size",
-    "seed": None,
+    "seed": "seed",
 }
 
 
@@ -135,7 +139,6 @@ _CONFIG_NAMES = {
         ("ErrorParams", "noise", NOISE_KEYS),
     )
     for key, field in keys.items()
-    if field is not None
 }
 
 
@@ -154,42 +157,27 @@ def _from_section(cls, section: dict, name: str, keys: dict, base):
     each defaulting to ``base``'s."""
     fields = {
         field: _config_value(
-            section, name, key, getattr(base, field), integer=field == "ensemble_size"
+            section, name, key, getattr(base, field), integer=field in ("ensemble_size", "seed")
         )
         for key, field in keys.items()
-        if field is not None
     }
     return cls(**fields)
 
 
-def _check_seed(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _spin_system(cfg: dict) -> tuple[nmrsim.SpinSystem, float]:
-    """The spin system and epsilon of the document ``cfg``, from its
-    ``spin_system`` section (defaults where absent), with epsilon > 0."""
+def _spin_system(cfg: dict) -> nmrsim.SpinSystem:
+    """The spin system of the document ``cfg``, from its ``spin_system``
+    section (defaults where absent)."""
     sc = _section(cfg, "spin_system", SPIN_SYSTEM_KEYS)
-    system = _from_section(
-        nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem()
-    )
-    epsilon = _config_value(sc, "spin_system", "epsilon", nmrsim.DEFAULT_EPSILON)
-    if not epsilon > 0:
-        raise ValueError("config spin_system.epsilon must be finite and > 0")
-    return system, epsilon
+    return _from_section(nmrsim.SpinSystem, sc, "spin_system", SPIN_SYSTEM_KEYS, nmrsim.SpinSystem())
 
 
 @dataclass(frozen=True)
 class Inputs:
-    """A command's resolved inputs; ``params`` and ``seed`` are ``None``
-    when the noise model is off."""
+    """A command's resolved inputs; ``params`` is ``None`` when the noise
+    model is off."""
 
     system: nmrsim.SpinSystem
-    epsilon: float
     params: noise.ErrorParams | None
-    seed: int | None
 
 
 def resolve(args: argparse.Namespace) -> Inputs:
@@ -203,37 +191,32 @@ def resolve(args: argparse.Namespace) -> Inputs:
         if args.noise is not None and args.layer != "pulse":
             raise ValueError("--noise requires --layer pulse")
     cfg = {} if args.config is None else _check_keys(_read_document(args.config), "", CONFIG_SECTIONS)
-    system, epsilon = _spin_system(cfg)
+    system = _spin_system(cfg)
     if args.command in ("fig4", "validate"):
-        if epsilon < experiment.MIN_EPSILON:
+        if system.epsilon < experiment.MIN_EPSILON:
             raise ValueError(
                 f"config spin_system.epsilon must be >= {experiment.MIN_EPSILON:g} for the "
-                f"pseudo-pure rescaling, got {epsilon!r}"
+                f"pseudo-pure rescaling, got {system.epsilon!r}"
             )
-        try:  # the populations bound epsilon above: "epsilon 0.2 too large: ..."
-            nmrsim.thermal_state(system, epsilon)
-        except ValueError as exc:
-            raise ValueError(f"config spin_system.{exc}") from None
+        nmrsim.thermal_state(system)  # the populations bound epsilon above
     nc = _section(cfg, "noise", NOISE_KEYS)
     if args.command in ("run", "tomo"):
         if args.noise is None:  # only the section's shape and keys are checked
-            return Inputs(system, epsilon, None, None)
+            return Inputs(system, None)
         if args.noise is not True:  # a whole document, or a bare noise object
             doc = _read_document(args.noise)
             doc = _check_keys(doc, "", CONFIG_SECTIONS) if doc.keys() & CONFIG_SECTIONS else {"noise": doc}
             _spin_system(doc)  # checked as --config's, never used
             nc = _section(doc, "noise", NOISE_KEYS)
     params = _from_section(noise.ErrorParams, nc, "noise", NOISE_KEYS, noise.DEMO_PARAMS)
-    seed = _check_seed(nc.get("seed", noise.DEMO_SEED), "config noise.seed")
-    if args.seed is not None:
-        seed = _check_seed(args.seed, "--seed")
-    if args.command == "validate" and args.ensemble_size is not None:
-        try:
-            params = replace(params, ensemble_size=args.ensemble_size)
-        except ValueError as exc:  # name the option, not the dataclass field
-            message = str(exc).replace("ErrorParams.ensemble_size", "--ensemble-size", 1)
-            raise ValueError(message) from None
-    return Inputs(system, epsilon, params, seed)
+    for option, field in (("--seed", "seed"), ("--ensemble-size", "ensemble_size")):
+        value = getattr(args, field, None)  # only validate has --ensemble-size
+        if value is not None:
+            try:
+                params = replace(params, **{field: value})
+            except ValueError as exc:  # name the option, not the dataclass field
+                raise ValueError(str(exc).replace(f"ErrorParams.{field}", option, 1)) from None
+    return Inputs(system, params)
 
 
 def _variant(value: str) -> BellVariant:
@@ -414,7 +397,7 @@ def cmd_table(args) -> Result:
 
 
 def cmd_run(args, inputs: Inputs) -> Result:
-    params, seed = inputs.params, inputs.seed
+    params = inputs.params
     m, v = args.message, args.variant
 
     report: dict = {"layer": args.layer, "message": m, "bits": protocol.message_bits(m),
@@ -451,11 +434,11 @@ def cmd_run(args, inputs: Inputs) -> Result:
         lines.append(f"dominant state: |{qcore.BASIS_LABELS[k]}>  population={probs[k]:.12f}")
         lines.append(f"recovered message: {report['recovered_message']}")
     else:
-        rho = experiment.noisy_output_density(inputs.system, params, m, v, seed=seed)
+        rho = experiment.noisy_output_density(inputs.system, params, m, v)
         probs = qcore.probabilities(rho)
         k = int(np.argmax(probs))
         report.update(
-            seed=seed,
+            seed=params.seed,
             ensemble_size=params.ensemble_size,
             populations={qcore.BASIS_LABELS[i]: float(probs[i]) for i in range(4)},
             density_matrix=_density_json(rho),
@@ -473,16 +456,16 @@ def cmd_run(args, inputs: Inputs) -> Result:
 
 
 def cmd_fig4(args, inputs: Inputs) -> Result:
-    params, seed = inputs.params, inputs.seed
-    panels = experiment.fig4_panels(inputs.system, inputs.epsilon, params, seed=seed)
+    params = inputs.params
+    panels = experiment.fig4_panels(inputs.system, params)
 
     summary = {
-        "seed": seed,
+        "seed": params.seed,
         "ensemble_size": params.ensemble_size,
         "noise": {
             key: getattr(params, field)
             for key, field in NOISE_KEYS.items()
-            if field not in (None, "ensemble_size")
+            if field not in ("seed", "ensemble_size")
         },
         "panels": [
             {
@@ -532,7 +515,7 @@ def cmd_tomo(args, inputs: Inputs) -> Result:
     elif params is None:
         rho_in = qcore.pure_density(experiment.pulse_output_state(inputs.system, m, v))
     else:
-        rho_in = experiment.noisy_output_density(inputs.system, params, m, v, seed=inputs.seed)
+        rho_in = experiment.noisy_output_density(inputs.system, params, m, v)
 
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(rho_in))
     err = tomo.max_element_error(reconstructed, ideal)
@@ -565,11 +548,9 @@ def cmd_tomo(args, inputs: Inputs) -> Result:
 
 
 def cmd_validate(args, inputs: Inputs) -> Result:
-    results = validation.run_validation(
-        sys=inputs.system, epsilon=inputs.epsilon, params=inputs.params, seed=inputs.seed
-    )
+    results = validation.run_validation(inputs.system, inputs.params)
     payload = {
-        "seed": inputs.seed,
+        "seed": inputs.params.seed,
         "checks": [
             {"name": r.name, "passed": r.passed, "value": r.value, "bound": r.bound,
              "detail": r.detail}

@@ -54,11 +54,7 @@ def pulse_output_state(sys: nmrsim.SpinSystem, m: int, variant: BellVariant) -> 
 
 
 def noisy_output_density(
-    sys: nmrsim.SpinSystem,
-    params: noise.ErrorParams,
-    m: int,
-    variant: BellVariant,
-    seed: int,
+    sys: nmrsim.SpinSystem, params: noise.ErrorParams, m: int, variant: BellVariant
 ) -> np.ndarray:
     """Ensemble-averaged pulse-layer output for a pure |00> input."""
     # one flat head: a program run once from a one-column start propagates
@@ -66,32 +62,30 @@ def noisy_output_density(
     # from the identity and composed (twice as slow at 20,000 members)
     seq = nmrsim.events(nmrsim.dense_coding_sequence(sys, m, variant))
     start = qcore.basis_state(0)[:, None]
-    return noise.mean_states(sys, params, seed, [()], [seq], start)[0, 0]
+    return noise.mean_states(sys, params, [()], [seq], start)[0, 0]
 
 
 def temporal_average(
     sys: nmrsim.SpinSystem,
-    epsilon: float,
     circuits: list[tuple],
     params: noise.ErrorParams = noise.ErrorParams(),
-    seed: int = 0,
     refocus: bool = True,
 ) -> np.ndarray:
     """Each circuit's output (a circuit is a tuple of pulse blocks) averaged
     over the three permutation prefixes run on the thermal state, shape
     (len(circuits), 4, 4).  The mean carries a deviation proportional to the
     circuit acting on |00><00| (Knill, Chuang and Laflamme, PRA 57, 3348
-    (1998)).  All runs share one sample of ``(params, seed)``; the default
-    is noise-free.
+    (1998)).  All runs share the one sample of ``params``; the default is
+    noise-free.
 
     The thermal state is split as f I + w rho', f its smallest population
     (the |11> one) and w = tr(rho_th - f I), and only rho' is averaged: each
     member maps I to I and T2 damps only coherences, which I has none of,
     so the mean is f I + w times the mean of rho', exactly.  rho' has a zero
     population, so its factor has 3 columns, not 4.  With all populations
-    equal (epsilon 0), f is 0 and w is 1.
+    equal (an epsilon whose deviation rounds away), f is 0 and w is 1.
     """
-    rho_th = nmrsim.thermal_state(sys, epsilon)
+    rho_th = nmrsim.thermal_state(sys)
     f = float(rho_th.diagonal().real.min())
     rest = rho_th - f * qcore.ID4
     w = float(np.trace(rest).real)
@@ -99,16 +93,12 @@ def temporal_average(
         f, w, rest = 0.0, 1.0, rho_th
     v = qcore.psd_factor(rest / w)
     prefixes = nmrsim.permutation_sequences(sys, refocus)
-    mean = noise.mean_states(sys, params, seed, circuits, prefixes, v).sum(axis=1) / 3.0
+    mean = noise.mean_states(sys, params, circuits, prefixes, v).sum(axis=1) / 3.0
     return f * qcore.ID4 + w * mean
 
 
 def fig4_panels(
-    sys: nmrsim.SpinSystem,
-    epsilon: float,
-    params: noise.ErrorParams,
-    seed: int,
-    refocus: bool = True,
+    sys: nmrsim.SpinSystem, params: noise.ErrorParams, refocus: bool = True
 ) -> list[Fig4Panel]:
     """Theory/experiment matrix pairs for all four encodings.
 
@@ -118,18 +108,18 @@ def fig4_panels(
     is rescaled to a unit-weight matrix, which is replaced by the nearest
     density matrix only if it dips below -1e-6 (``tomo.project_unphysical``).
     The rescaling divides rounding error by the pure weight beta ~ epsilon,
-    so ``epsilon`` below ``MIN_EPSILON`` raises ``ValueError``.
+    so ``sys.epsilon`` below ``MIN_EPSILON`` raises ``ValueError``.
     """
-    if epsilon < MIN_EPSILON:
+    if sys.epsilon < MIN_EPSILON:
         raise ValueError(
-            f"epsilon {epsilon!r} too small: the pseudo-pure rescaling needs "
+            f"epsilon {sys.epsilon!r} too small: the pseudo-pure rescaling needs "
             f"epsilon >= {MIN_EPSILON:g}"
         )
-    beta = nmrsim.pseudo_pure_beta(sys, epsilon)
+    beta = nmrsim.pseudo_pure_beta(sys)
     prep = nmrsim.bell_prep_sequence(sys, BellVariant.MINUS_PHI, refocus)
     decode = nmrsim.decode_sequence(sys, refocus)
     circuits = [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
-    averages = temporal_average(sys, epsilon, circuits, params, seed, refocus)
+    averages = temporal_average(sys, circuits, params, refocus)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(averages))
     extracted = tomo.project_unphysical((reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta)
     panels = []

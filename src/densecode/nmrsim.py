@@ -57,12 +57,15 @@ DEFAULT_EPSILON = 1e-5
 @dataclass(frozen=True)
 class SpinSystem:
     """Static parameters of the two-spin sample: finite positive Larmor
-    frequencies and J coupling, a finite frequency ratio, and a finite
-    1/(2J) and pi*J."""
+    frequencies and J coupling, a finite frequency ratio, a finite 1/(2J)
+    and pi*J, and the finite positive thermal polarization ``epsilon`` of
+    spin b, which sets the pseudo-pure weight (``thermal_state`` bounds it
+    above)."""
 
     freq_a: float = DEFAULT_FREQ_A_MHZ  # MHz, spin a (1H)
     freq_b: float = DEFAULT_FREQ_B_MHZ  # MHz, spin b (13C)
     j_coupling: float = DEFAULT_J_HZ    # Hz
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         for name in ("freq_a", "freq_b", "j_coupling"):
@@ -79,6 +82,8 @@ class SpinSystem:
             raise ValueError("SpinSystem.j_coupling is too small: pi/J is not finite")
         if not math.isfinite(math.pi * self.j_coupling):
             raise ValueError("SpinSystem.j_coupling is too large: pi*J is not finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("SpinSystem.epsilon must be finite and > 0")
 
     @property
     def polarization_ratio(self) -> float:
@@ -436,23 +441,21 @@ def dense_coding_sequence(
     )
 
 
-def thermal_state(sys: SpinSystem, epsilon: float) -> np.ndarray:
+def thermal_state(sys: SpinSystem) -> np.ndarray:
     """High-temperature equilibrium state I/4 + eps*(ratio*sz_a + sz_b)/2.
 
-    ``epsilon`` is the 13C single-spin polarization; the regime of validity
-    is epsilon <= 1e-3.  Raises if the deviation would push a population
-    negative (state no longer positive semidefinite).
+    ``sys.epsilon`` is the 13C single-spin polarization; the regime of
+    validity is epsilon <= 1e-3.  Raises if the deviation would push a
+    population negative (state no longer positive semidefinite).
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError("epsilon must be finite and >= 0")
-    r = sys.polarization_ratio
+    epsilon, r = sys.epsilon, sys.polarization_ratio
     if math.isfinite(epsilon * (r + 1.0)):
         diag = 0.25 + epsilon * (r * _ZA_DIAG + _ZB_DIAG) / 2.0
     else:  # a deviation beyond the floats takes a population below 0
         diag = np.full(4, -math.inf)
     if np.any(diag < 0):
         raise ValueError(
-            f"epsilon {epsilon!r} too large: thermal populations go negative"
+            f"SpinSystem.epsilon {epsilon!r} too large: thermal populations go negative"
         )
     return np.diag(diag).astype(complex)
 
@@ -488,11 +491,11 @@ def pseudo_pure_decomposition(rho: np.ndarray) -> tuple[float, float, float]:
     return alpha, beta, residual
 
 
-def pseudo_pure_beta(sys: SpinSystem, epsilon: float) -> float:
+def pseudo_pure_beta(sys: SpinSystem) -> float:
     """Pure-state weight beta of the temporal-averaged preparation.
 
     For the thermal diagonal this is (2/3)*epsilon*(ratio + 1), known in
     closed form; used to rescale simulated experiments back to unit-weight
     density matrices.
     """
-    return (2.0 / 3.0) * epsilon * (sys.polarization_ratio + 1.0)
+    return (2.0 / 3.0) * sys.epsilon * (sys.polarization_ratio + 1.0)

@@ -43,11 +43,12 @@ and one three-wide buffer beside the scratch, 35 columns, and a
 1,000-member fig4 average peaks at 3.6 MB traced.
 
 Results are bit-reproducible for a fixed config and seed: the draws
-depend only on ``(params, seed)`` and ``CHUNK_SIZE``, one generator per
-chunk (``_draw_chunks``), and the chunks are summed in member order.
-``CHUNK_SIZE`` is part of that contract: another chunk size draws another
-sample.  Member k's draws are not those of numpy's per-member child
-stream ``default_rng(SeedSequence(seed).spawn(n)[k])``: the contract is
+depend only on ``params``, whose ``seed`` they are drawn from, and
+``CHUNK_SIZE``, one generator per chunk (``_draw_chunks``), and the chunks
+are summed in member order.  ``CHUNK_SIZE`` is part of that contract:
+another chunk size draws another sample.  Member k's draws are not those
+of numpy's per-member child stream
+``default_rng(SeedSequence(seed).spawn(n)[k])``: the contract is
 reproducibility, not bit identity to per-child streams.  The draws do not
 depend on the pulse program, so programs run on one sample share them:
 each chunk is drawn once, and every run is composed from per-member block
@@ -99,6 +100,7 @@ class ErrorParams:
                      population, so alone no fig4 number, whose noise-free
                      outputs are diagonal.
     ensemble_size    number of molecules averaged
+    seed             non-negative integer seed of the members' draws
     """
 
     rf_spread: float = 0.0
@@ -107,6 +109,7 @@ class ErrorParams:
     t2_a: float = math.inf
     t2_b: float = math.inf
     ensemble_size: int = 1
+    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("rf_spread", "offset_spread_hz"):
@@ -130,6 +133,9 @@ class ErrorParams:
                 f"ErrorParams.ensemble_size must be an integer in [1, {MAX_ENSEMBLE_SIZE}], "
                 f"got {size!r}"
             )
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"ErrorParams.seed must be a non-negative integer, got {seed!r}")
 
 
 #: Calibrated demonstration parameters: a coarse grid search over
@@ -143,17 +149,17 @@ DEMO_PARAMS = ErrorParams(
     t2_a=0.3,
     t2_b=0.3,
     ensemble_size=1000,
+    seed=20260808,
 )
-DEMO_SEED = 20260808
 
 
-def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
+def _draw_chunks(p: ErrorParams) -> Iterator[np.ndarray]:
     """Per-member (RF deviation, offset a, offset b) in member order, in
-    chunks of shape (<= CHUNK_SIZE, 3), for an integer ``seed`` >= 0.
+    chunks of shape (<= CHUNK_SIZE, 3).
 
     Chunk c, members ``c * CHUNK_SIZE`` on, has one generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(c,)))`` (the c-th child of
-    ``SeedSequence(seed).spawn``).  It draws a full ``(CHUNK_SIZE, 3)``
+    ``default_rng(SeedSequence(p.seed, spawn_key=(c,)))`` (the c-th child
+    of ``SeedSequence(p.seed).spawn``).  It draws a full ``(CHUNK_SIZE, 3)``
     block of ``standard_normal`` and redraws every entry beyond 3 from the
     same generator until none is left; the block is then sliced to the
     chunk's members and scaled by the sigmas.  A full block for every chunk
@@ -166,7 +172,7 @@ def _draw_chunks(p: ErrorParams, seed: int) -> Iterator[np.ndarray]:
     """
     sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
     for c, start in enumerate(range(0, p.ensemble_size, CHUNK_SIZE)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        rng = np.random.default_rng(np.random.SeedSequence(p.seed, spawn_key=(c,)))
         z = rng.standard_normal((CHUNK_SIZE, 3))
         while (beyond := np.abs(z) > 3.0).any():
             z[beyond] = rng.standard_normal(np.count_nonzero(beyond))
@@ -373,13 +379,12 @@ def _share(ops: list, widths: list) -> tuple[list, list, list]:
 def mean_states(
     sys: SpinSystem,
     p: ErrorParams,
-    seed,
     circuits: Sequence[tuple],
     heads: Sequence[tuple],
     start: np.ndarray,
 ) -> np.ndarray:
     """Bulk-sample states of every (circuit, head) run on one sample, shape
-    (len(circuits), len(heads), 4, 4).
+    (len(circuits), len(heads), 4, 4), on the one sample ``p`` draws.
 
     A block is a pulse program or a tuple of blocks, run in order; empty
     parts are dropped.  Each circuit is a tuple of blocks run after its
@@ -404,7 +409,8 @@ def mean_states(
     live range from one pool, and their scratch.  A stack narrower than
     its buffer, a 3-wide fig4 head or run in a 4-wide buffer that a block
     stack has left, say, uses the buffer's leading columns; each chunk
-    views each (buffer, width) pair once, not once per op.  A run's
+    views each (buffer, width) pair once, not once per op, and the scratch
+    once per width, ``start``'s aside.  A run's
     conjugate is written into the scratch, free once the run's stack is
     made.  Each chunk refills the workspace in place; the shorter last
     chunk uses the leading part of each buffer.  fig4's plan has 7
@@ -426,12 +432,12 @@ def mean_states(
     arena = np.empty(4 * size * sum(widths), dtype=complex)
     *bufs, tmp_buf = np.split(arena, 4 * size * np.cumsum(widths[:-1]))
     total = np.zeros(t_totals.shape + (4, 4), dtype=complex)
-    for draws in _draw_chunks(p, seed):
+    for draws in _draw_chunks(p):
         factors = _event_factors(table, sys, draws, p.calib_offset)
         n = len(draws)
-        stacks = [_view(bufs[buf], 4, width, n) for buf, width in views]
-        tmps = [_view(tmp_buf, 4, width, n) for _, width in views]
-        stacks[0], conj = start, _view(tmp_buf, 4, k * n)
+        stacks = [start, *(_view(bufs[buf], 4, width, n) for buf, width in views[1:])]
+        scratch = {w: _view(tmp_buf, 4, w, n) for w in dict.fromkeys(w for _, w in views[1:])}
+        tmps, conj = [scratch.get(width) for _, width in views], _view(tmp_buf, 4, k * n)
         for seq, src, part, out, run in ops:
             if part is not None:
                 _compose(stacks[part], stacks[src], stacks[out], tmps[out])

@@ -144,7 +144,7 @@ def _pulse_protocol_states(sys: nmrsim.SpinSystem) -> np.ndarray:
     circuits = [(nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
     heads = [nmrsim.bell_prep_sequence(sys, v) for v in BELL_VARIANT_ORDER]
     start = qcore.basis_state(0)[:, None]
-    return noise.mean_states(sys, noise.ErrorParams(), 0, circuits, heads, start)
+    return noise.mean_states(sys, noise.ErrorParams(), circuits, heads, start)
 
 
 def _check_pulse_protocol(sys: nmrsim.SpinSystem, grid) -> CheckResult:
@@ -165,8 +165,8 @@ def _check_pulse_protocol(sys: nmrsim.SpinSystem, grid) -> CheckResult:
     )
 
 
-def _check_temporal_averaging(sys: nmrsim.SpinSystem, epsilon: float) -> CheckResult:
-    rho = experiment.temporal_average(sys, epsilon, [()])[0]
+def _check_temporal_averaging(sys: nmrsim.SpinSystem) -> CheckResult:
+    rho = experiment.temporal_average(sys, [()])[0]
     _, beta, residual = nmrsim.pseudo_pure_decomposition(rho)
     ok = residual <= 1e-10 and beta > 0
     return CheckResult(
@@ -200,10 +200,8 @@ def _check_tomography(seed: int) -> CheckResult:
     )
 
 
-def _check_error_band(
-    sys: nmrsim.SpinSystem, epsilon: float, params: noise.ErrorParams, seed: int
-) -> CheckResult:
-    panels = experiment.fig4_panels(sys, epsilon, params, seed=seed)
+def _check_error_band(sys: nmrsim.SpinSystem, params: noise.ErrorParams) -> CheckResult:
+    panels = experiment.fig4_panels(sys, params)
     worst = max(panel.error.relative for panel in panels)
     lo, hi = ERROR_BAND
     return CheckResult(
@@ -215,12 +213,10 @@ def _check_error_band(
     )
 
 
-def _check_determinism(
-    sys: nmrsim.SpinSystem, params: noise.ErrorParams, seed: int
-) -> CheckResult:
+def _check_determinism(sys: nmrsim.SpinSystem, params: noise.ErrorParams) -> CheckResult:
     small = replace(params, ensemble_size=min(params.ensemble_size, 32))
-    first = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI, seed)
-    second = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI, seed)
+    first = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI)
+    second = experiment.noisy_output_density(sys, small, 1, BellVariant.MINUS_PHI)
     identical = bool(np.array_equal(first, second))
     return CheckResult(
         "noise-determinism",
@@ -231,10 +227,9 @@ def _check_determinism(
     )
 
 
-def run_validation(
-    sys: nmrsim.SpinSystem, epsilon: float, params: noise.ErrorParams, seed: int
-) -> list[CheckResult]:
-    """Run every check; all must pass on a healthy build.  Each ideal network
+def run_validation(sys: nmrsim.SpinSystem, params: noise.ErrorParams) -> list[CheckResult]:
+    """Run every check; all must pass on a healthy build.  ``params.seed``
+    also draws the tomography check's random states.  Each ideal network
     runs once: the table, capacity and pulse-protocol checks read one grid."""
     grid = protocol.table1()
     return [
@@ -244,8 +239,8 @@ def run_validation(
         _check_capacity(grid),
         _check_pulse_cnot(sys),
         _check_pulse_protocol(sys, grid),
-        _check_temporal_averaging(sys, epsilon),
-        _check_tomography(seed),
-        _check_error_band(sys, epsilon, params, seed),
-        _check_determinism(sys, params, seed),
+        _check_temporal_averaging(sys),
+        _check_tomography(params.seed),
+        _check_error_band(sys, params),
+        _check_determinism(sys, params),
     ]

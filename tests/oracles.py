@@ -142,22 +142,20 @@ def reference_propagate(
     return np.moveaxis(u, 0, -1)
 
 
-def member_draws(p: ErrorParams, seed) -> np.ndarray:
+def member_draws(p: ErrorParams) -> np.ndarray:
     """Per-member (RF deviation, offset of spin a, offset of spin b), shape
-    (ensemble_size, 3): the library's draw chunks for ``seed``, joined."""
-    return np.concatenate(list(_draw_chunks(p, seed)))
+    (ensemble_size, 3): the library's draw chunks of ``p``, joined."""
+    return np.concatenate(list(_draw_chunks(p)))
 
 
-def noisy_compile(
-    seq: PulseSequence, sys: SpinSystem, p: ErrorParams, sample_seed, member: int = 0
-) -> np.ndarray:
-    """Propagator of member ``member`` of the ensemble drawn with
-    ``sample_seed``, with that member's drawn errors.
+def noisy_compile(seq: PulseSequence, sys: SpinSystem, p: ErrorParams, member: int = 0) -> np.ndarray:
+    """Propagator of member ``member`` of the ensemble drawn from ``p``,
+    with that member's drawn errors.
 
     With all spreads and the calibration offset at zero this equals the
     noise-free compilation exactly.
     """
-    draws = member_draws(p, sample_seed)[member : member + 1]
+    draws = member_draws(p)[member : member + 1]
     return nmrsim._compile_stack(seq, sys, draws, p.calib_offset)[..., 0]
 
 
@@ -186,13 +184,11 @@ def quadrature_moments(
     return mean, np.tensordot(weights, np.abs(outer - mean) ** 2, axes=1)
 
 
-def temporal_average(
-    sys: SpinSystem, epsilon: float, circuit: PulseSequence, refocus: bool = True
-) -> np.ndarray:
+def temporal_average(sys: SpinSystem, circuit: PulseSequence, refocus: bool = True) -> np.ndarray:
     """Mean of U rho_th U^H over the three runs, U compiled from each
     permutation prefix followed by ``circuit``."""
     circuit = flatten(circuit)
-    rho_th = nmrsim.thermal_state(sys, epsilon)
+    rho_th = nmrsim.thermal_state(sys)
     total = np.zeros((4, 4), dtype=complex)
     for prefix in nmrsim.permutation_sequences(sys, refocus=refocus):
         u = nmrsim.compile_sequence(flatten(prefix) + circuit, sys)
@@ -201,21 +197,16 @@ def temporal_average(
 
 
 def full_rank_temporal_average(
-    sys: SpinSystem,
-    epsilon: float,
-    circuits: list[tuple],
-    p: ErrorParams = ErrorParams(),
-    seed: int = 0,
-    refocus: bool = True,
+    sys: SpinSystem, circuits: list[tuple], p: ErrorParams = ErrorParams(), refocus: bool = True
 ) -> np.ndarray:
     """``experiment.temporal_average`` as one ensemble average of the whole
     thermal state: the prefixes run on its full factor, I/4 included."""
-    v_th = qcore.psd_factor(nmrsim.thermal_state(sys, epsilon))
+    v_th = qcore.psd_factor(nmrsim.thermal_state(sys))
     prefixes = nmrsim.permutation_sequences(sys, refocus)
-    return noise.mean_states(sys, p, seed, circuits, prefixes, v_th).sum(axis=1) / 3.0
+    return noise.mean_states(sys, p, circuits, prefixes, v_th).sum(axis=1) / 3.0
 
 
-def t2_in_sequence_fig4_error(sys: SpinSystem, epsilon: float, t2: float, refocus: bool = True) -> float:
+def t2_in_sequence_fig4_error(sys: SpinSystem, t2: float, refocus: bool = True) -> float:
     """fig4's largest relative element error with noise-free pulses and T2
     acting inside the sequence: after each delay of duration t, every
     coherence of spin a and every coherence of spin b (an element whose
@@ -227,7 +218,7 @@ def t2_in_sequence_fig4_error(sys: SpinSystem, epsilon: float, t2: float, refocu
     the ideal output."""
     flip = np.arange(4)[:, None] ^ np.arange(4)[None, :]
     orders = (flip & 1 > 0) * 1.0 + (flip & 2 > 0)  # spin a the second tensor factor, b the first
-    rho_th = nmrsim.thermal_state(sys, epsilon)
+    rho_th = nmrsim.thermal_state(sys)
     prep = nmrsim.bell_prep_sequence(sys, BellVariant.MINUS_PHI, refocus)
     decode = nmrsim.decode_sequence(sys, refocus)
     averages = np.zeros((len(protocol.MESSAGES), 4, 4), dtype=complex)
@@ -241,7 +232,7 @@ def t2_in_sequence_fig4_error(sys: SpinSystem, epsilon: float, t2: float, refocu
                     u, damping = j_evolution(sys, ev.duration), np.exp(-ev.duration / t2 * orders)
                 rho = u @ rho @ u.conj().T * damping
             averages[i] += rho / 3.0
-    beta = nmrsim.pseudo_pure_beta(sys, epsilon)
+    beta = nmrsim.pseudo_pure_beta(sys)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(averages))
     extracted = tomo.project_unphysical((reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta)
     return max(

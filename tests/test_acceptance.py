@@ -147,8 +147,8 @@ def test_criterion_5_pulse_layer_equivalence():
 
 
 def test_criterion_6_temporal_averaging_deviation():
-    system = nmrsim.SpinSystem()
-    rho = experiment.temporal_average(system, 1e-3, [()])[0]
+    system = nmrsim.SpinSystem(epsilon=1e-3)
+    rho = experiment.temporal_average(system, [()])[0]
     diag = np.real(np.diag(rho))
     background = float(np.mean(diag[1:]))
     model = background * np.eye(4, dtype=complex)
@@ -183,7 +183,7 @@ def test_criterion_7_tomography_round_trip():
 def test_criterion_8_error_scale_demonstration():
     system = nmrsim.SpinSystem()
     t0 = time.perf_counter()
-    panels = experiment.fig4_panels(system, 1e-5, noise.DEMO_PARAMS, seed=noise.DEMO_SEED)
+    panels = experiment.fig4_panels(system, noise.DEMO_PARAMS)
     elapsed = time.perf_counter() - t0
     worst = max(p.error.relative for p in panels)
     ok = 0.05 <= worst <= 0.15 and elapsed < 30.0 and noise.DEMO_PARAMS.ensemble_size == 1000

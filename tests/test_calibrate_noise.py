@@ -28,5 +28,5 @@ def test_one_point_grid_and_rescore(monkeypatch, capsys):
     for line in grid + rescored:
         value = float(MAX_REL.search(line).group(1))
         assert math.isfinite(value) and 0.0 < value < 1.0
-    demo_seed = calibrate_noise.noise.DEMO_SEED
+    demo_seed = calibrate_noise.noise.DEMO_PARAMS.seed
     assert re.fullmatch(rf"  seed=\s*{demo_seed}  max_rel=0\.0902", rescored[0])

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densecode import cli, noise, protocol, validation
+from densecode import cli, nmrsim, noise, protocol, validation
 from densecode.cli import NOISE_KEYS, SPIN_SYSTEM_KEYS
 
 
@@ -743,7 +744,7 @@ def resolve(argv):
 def test_error_params_from_config_defaults():
     inputs = resolve(["fig4"])
     assert inputs.params == noise.DEMO_PARAMS
-    assert inputs.seed == noise.DEMO_SEED
+    assert inputs.params.seed == 20260808
 
 
 def test_spin_system_from_config_defaults():
@@ -751,7 +752,46 @@ def test_spin_system_from_config_defaults():
     assert inputs.system.freq_a == 500.13
     assert inputs.system.freq_b == 125.77
     assert inputs.system.j_coupling == 215.0
-    assert inputs.epsilon == 1e-5
+    assert inputs.system.epsilon == 1e-5
+
+
+#: An in-range value other than the default for every config key.
+NON_DEFAULT_VALUES = {
+    "freq_a_mhz": 400.13,
+    "freq_b_mhz": 100.61,
+    "j_hz": 200.0,
+    "epsilon": 2e-5,
+    "rf_spread": 0.04,
+    "calib_offset": -0.02,
+    "offset_spread_hz": 12.5,
+    "t2_a_s": 0.5,
+    "t2_b_s": 0.25,
+    "ensemble_size": 7,
+    "seed": 5,
+}
+CONFIG_FIELDS = [
+    (section, key, field)
+    for section, keys in (("spin_system", SPIN_SYSTEM_KEYS), ("noise", NOISE_KEYS))
+    for key, field in keys.items()
+]
+
+
+@pytest.mark.parametrize("section, key, field", CONFIG_FIELDS, ids=[key for _, key, _ in CONFIG_FIELDS])
+def test_config_key_sets_its_field(tmp_path, section, key, field):
+    """A document that sets one key alone resolves to the defaults with
+    that key's dataclass field, and only it, changed."""
+    value = NON_DEFAULT_VALUES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    inputs = resolve(["fig4", "--config", str(cfg)])
+    system, params = nmrsim.SpinSystem(), noise.DEMO_PARAMS
+    if section == "spin_system":
+        assert value != getattr(system, field)
+        system = replace(system, **{field: value})
+    else:
+        assert value != getattr(params, field)
+        params = replace(params, **{field: value})
+    assert inputs == cli.Inputs(system, params)
 
 
 class TestNoiseSectionOnlyWithNoise:
@@ -1022,7 +1062,7 @@ class TestRangeErrorsNameConfigKeys:
     def test_overflow_is_usage_error(self, capsys, tmp_path, monkeypatch, command):
         # the last resort against a traceback: draws beyond any range check
         # overflow the scaled pulse angles inside the engine
-        draws = lambda p, seed: iter([np.full((p.ensemble_size, 3), 1e308)])  # noqa: E731
+        draws = lambda p: iter([np.full((p.ensemble_size, 3), 1e308)])  # noqa: E731
         monkeypatch.setattr(noise, "_draw_chunks", draws)
         err = usage_error(capsys, tmp_path, command, {"noise": {"ensemble_size": 2}})
         assert err.startswith("error: overflow encountered")
@@ -1057,6 +1097,15 @@ class TestRangeErrorsNameConfigKeys:
             assert err == (
                 f"error: config spin_system.epsilon {epsilon} too large: thermal populations go negative\n"
             )
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS[2:])
+    def test_epsilon_bounds_refused_before_the_noise_section(self, capsys, tmp_path, command):
+        """Both bounds are checked with the spin system, before the noise
+        section is read and anything is run."""
+        for epsilon, message in ((1e-300, "must be >= 1e-10"), (0.2, "0.2 too large")):
+            document = {"spin_system": {"epsilon": epsilon}, "noise": {"rf_spread": -1}}
+            err = usage_error(capsys, tmp_path, command, document)
+            assert err.startswith(f"error: config spin_system.epsilon {message}")
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS[2:])
     def test_epsilon_overflowing_thermal_state(self, capsys, tmp_path, command):
@@ -1160,6 +1209,30 @@ class TestSeedContract:
     def test_seed_without_noise(self, capsys, tmp_path, command):
         err = usage_error(capsys, tmp_path, command + ["--seed", "5"])
         assert err == "error: --seed requires --noise\n"
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [(["fig4", "--format", "json"], "fig4.json"),
+         (["run", "-m", "2", "--layer", "pulse", "--noise", "--format", "json"], "out.json")],
+        ids=["fig4", "noisy run"],
+    )
+    def test_zero_seed_option_overrides_config_seed(self, capsys, tmp_path, command, name):
+        """``--seed 0`` over a config ``noise.seed`` of 5 writes what a config
+        seed of 0 writes, and not what seed 5 writes."""
+
+        def output(out, config_seed, *options):
+            out.mkdir()
+            cfg = out / "cfg.json"
+            cfg.write_text(json.dumps({"noise": {"seed": config_seed, "ensemble_size": 20}}))
+            target = out if command[0] == "fig4" else out / name
+            code, _, err = run_cli(capsys, command + ["--config", str(cfg), "--out", str(target), *options])
+            assert (code, err) == (0, "")
+            return (out / name).read_bytes()
+
+        overridden = output(tmp_path / "overridden", 5, "--seed", "0")
+        assert json.loads(overridden)["seed"] == 0
+        assert overridden == output(tmp_path / "zero", 0)
+        assert overridden != output(tmp_path / "five", 5)
 
     def test_zero_and_large_seeds_run(self, capsys):
         for seed in ("0", str(2**130 + 9)):

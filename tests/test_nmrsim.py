@@ -297,32 +297,45 @@ def test_compile_matches_kron_oracle(system, seq):
     assert np.max(np.abs(compiled - oracles.kron_compile(seq, system))) <= 1e-15
 
 
+#: An epsilon whose deviation rounds away: all four thermal populations are
+#: exactly 1/4, the state of epsilon 0, which ``SpinSystem`` refuses.  Test
+#: ids name it 0.0, the epsilon it stands for.
+VANISHING_EPSILON = 1e-300
+
+
 class TestThermalState:
     def test_zero_epsilon_is_maximally_mixed(self, system):
-        assert np.allclose(nmrsim.thermal_state(system, 0.0), np.eye(4) / 4)
+        rho = nmrsim.thermal_state(replace(system, epsilon=VANISHING_EPSILON))
+        assert np.array_equal(rho, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, math.inf, math.nan])
+    def test_spin_system_refuses_epsilon_not_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match=r"^SpinSystem\.epsilon must be finite and > 0$"):
+            SpinSystem(epsilon=epsilon)
 
     def test_population_ordering(self, system):
-        diag = np.real(np.diag(nmrsim.thermal_state(system, 1e-4)))
+        diag = np.real(np.diag(nmrsim.thermal_state(replace(system, epsilon=1e-4))))
         assert diag[0] == max(diag)
         assert diag[3] == min(diag)
         assert np.argsort(diag).tolist() == [3, 1, 2, 0]  # ratio > 1 favors spin a
 
     def test_diagonal_only(self, system):
-        rho = nmrsim.thermal_state(system, 1e-4)
+        rho = nmrsim.thermal_state(replace(system, epsilon=1e-4))
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
 
     def test_rejects_psd_breaking_epsilon(self, system):
-        with pytest.raises(ValueError, match="negative"):
-            nmrsim.thermal_state(system, 0.2)
+        message = r"^SpinSystem\.epsilon 0\.2 too large: thermal populations go negative$"
+        with pytest.raises(ValueError, match=message):
+            nmrsim.thermal_state(replace(system, epsilon=0.2))
 
     def test_rejects_overflowing_deviation(self):
         # epsilon * ratio overflows: refused as too large, not raised by numpy
-        system = SpinSystem(freq_b=1e-121)
+        system = SpinSystem(freq_b=1e-121, epsilon=1e233)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="negative"):
-            nmrsim.thermal_state(system, 1e233)
+            nmrsim.thermal_state(system)
 
     def test_valid_density(self, system):
-        qcore.check_density_matrix(nmrsim.thermal_state(system, 1e-3))
+        qcore.check_density_matrix(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
 
 
 class TestTemporalAveraging:
@@ -338,7 +351,7 @@ class TestTemporalAveraging:
                 assert abs(out[dst]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_population_vectors_sum_uniformly(self, system):
-        rho_th = nmrsim.thermal_state(system, 1e-3)
+        rho_th = nmrsim.thermal_state(replace(system, epsilon=1e-3))
         totals = np.zeros(4)
         for prefix in nmrsim.permutation_sequences(system):
             u = nmrsim.compile_sequence(prefix, system)
@@ -347,45 +360,49 @@ class TestTemporalAveraging:
         assert totals[2] == pytest.approx(totals[3], abs=1e-12)
 
     def test_averaged_preparation_deviation(self, system):
-        rho = experiment.temporal_average(system, 1e-3, [()])[0]
+        system = replace(system, epsilon=1e-3)
+        rho = experiment.temporal_average(system, [()])[0]
         alpha, beta, residual = nmrsim.pseudo_pure_decomposition(rho)
         assert residual <= 1e-10
         assert beta > 0
-        assert beta == pytest.approx(nmrsim.pseudo_pure_beta(system, 1e-3), abs=1e-12)
+        assert beta == pytest.approx(nmrsim.pseudo_pure_beta(system), abs=1e-12)
         assert alpha + beta == pytest.approx(1.0, abs=1e-12)
 
     def test_averaged_output_deviation_follows_circuit(self, system):
+        system = replace(system, epsilon=1e-3)
         circuit = nmrsim.dense_coding_sequence(system, 1, BellVariant.MINUS_PHI)
-        rho = experiment.temporal_average(system, 1e-3, [(circuit,)])[0]
+        rho = experiment.temporal_average(system, [(circuit,)])[0]
         diag = np.real(np.diag(rho))
         background = np.mean([diag[0], diag[1], diag[3]])
         model = background * np.eye(4)
         model[2, 2] += diag[2] - background
         assert np.max(np.abs(rho - model)) < 1e-10
         assert diag[2] - background == pytest.approx(
-            nmrsim.pseudo_pure_beta(system, 1e-3), abs=1e-12
+            nmrsim.pseudo_pure_beta(system), abs=1e-12
         )
 
     def test_zero_epsilon_output_is_mixed(self, system):
+        system = replace(system, epsilon=VANISHING_EPSILON)
         circuit = nmrsim.dense_coding_sequence(system, 3, BellVariant.PLUS_PSI)
-        rho = experiment.temporal_average(system, 0.0, [(circuit,)])[0]
+        rho = experiment.temporal_average(system, [(circuit,)])[0]
         assert np.max(np.abs(rho - np.eye(4) / 4)) < 1e-12
 
-    @pytest.mark.parametrize("epsilon", [1e-3, 0.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, pytest.param(VANISHING_EPSILON, id="0.0")])
     @pytest.mark.parametrize("refocus", [True, False])
     def test_matches_prefix_loop_oracle(self, system, refocus, epsilon):
         """The empty circuit and all 16 dense-coding circuits, composed from
         their preparation, encoding and decoding blocks, against the oracle
         compiling each prefix + circuit as one program."""
+        system = replace(system, epsilon=epsilon)
         decode = nmrsim.decode_sequence(system, refocus=refocus)
         circuits = [()] + [
             (nmrsim.bell_prep_sequence(system, v, refocus), nmrsim.encoding_pulse(m), decode)
             for m in protocol.MESSAGES
             for v in BELL_VARIANT_ORDER
         ]
-        averaged = experiment.temporal_average(system, epsilon, circuits, refocus=refocus)
+        averaged = experiment.temporal_average(system, circuits, refocus=refocus)
         for circuit, rho in zip(circuits, averaged):
-            expected = oracles.temporal_average(system, epsilon, circuit, refocus)
+            expected = oracles.temporal_average(system, circuit, refocus)
             assert np.max(np.abs(rho - expected)) <= 1e-15
 
     @pytest.mark.parametrize(
@@ -400,22 +417,23 @@ class TestTemporalAveraging:
         prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus)
         decode = nmrsim.decode_sequence(system, refocus)
         circuits = [()] + [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES]
-        args = (system, 1e-5, circuits, params, seed, refocus)
+        args = (system, circuits, replace(params, seed=seed), refocus)
         got = experiment.temporal_average(*args)
         assert np.max(np.abs(got - oracles.full_rank_temporal_average(*args))) <= 1e-15
 
-    @pytest.mark.parametrize("epsilon, columns", [(1e-5, 3), (0.0, 4)])
+    @pytest.mark.parametrize("epsilon, columns", [(1e-5, 3), pytest.param(VANISHING_EPSILON, 4, id="0.0-4")])
     def test_ensemble_average_gets_factor_without_identity(self, system, monkeypatch, epsilon, columns):
         """The one ensemble average runs a 3-column factor of the thermal
-        state: its |11> population, f, leaves with f I.  At epsilon 0 the
-        state is all identity, and the full factor is run."""
+        state: its |11> population, f, leaves with f I.  Where the deviation
+        rounds away the state is all identity, and the full factor is run."""
         shapes = []
         mean_states = noise.mean_states
 
-        def recorded(sys, p, seed, circuits, heads, start):
+        def recorded(sys, p, circuits, heads, start):
             shapes.append(start.shape)
-            return mean_states(sys, p, seed, circuits, heads, start)
+            return mean_states(sys, p, circuits, heads, start)
 
         monkeypatch.setattr(noise, "mean_states", recorded)
-        experiment.temporal_average(system, epsilon, [()], noise.DEMO_PARAMS, seed=1)
+        params = replace(noise.DEMO_PARAMS, seed=1)
+        experiment.temporal_average(replace(system, epsilon=epsilon), [()], params)
         assert shapes == [(4, columns)]

@@ -17,12 +17,12 @@ from densecode.protocol import BELL_VARIANT_ORDER, BellVariant
 RHO00 = qcore.pure_density(qcore.basis_state(0))
 
 
-def mean_state(seq, system, p, rho0, seed):
+def mean_state(seq, system, p, rho0):
     """``seq`` run alone on ``rho0`` (a density matrix) through the one
     ensemble average: one flat head, the empty circuit, a factor of
     ``rho0``."""
     v = qcore.psd_factor(qcore.check_density_matrix(rho0))
-    return noise.mean_states(system, p, seed, [()], [nmrsim.events(seq)], v)[0, 0]
+    return noise.mean_states(system, p, [()], [nmrsim.events(seq)], v)[0, 0]
 
 
 @pytest.fixture
@@ -35,9 +35,9 @@ def bell_seq(system):
     return nmrsim.events(nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI))
 
 
-def bell_infidelity(system, seq, params, seed):
+def bell_infidelity(system, seq, params):
     """Infidelity of the noisy run against the noise-free output of ``seq``."""
-    rho = mean_state(seq, system, params, RHO00, seed=seed)
+    rho = mean_state(seq, system, params, RHO00)
     u = nmrsim.compile_sequence(seq, system)
     return 1.0 - qcore.fidelity(rho, u @ RHO00 @ u.conj().T)
 
@@ -84,76 +84,75 @@ class TestNoisyCompile:
     def test_zero_noise_equals_clean_compile(self, system, bell_seq):
         p = noise.ErrorParams()
         clean = nmrsim.compile_sequence(bell_seq, system)
-        noisy = oracles.noisy_compile(bell_seq, system, p, sample_seed=42)
+        noisy = oracles.noisy_compile(bell_seq, system, replace(p, seed=42))
         assert np.max(np.abs(noisy - clean)) < 1e-12
 
     def test_calibration_offset_scales_angle(self, system):
         eps = 0.03
         p = noise.ErrorParams(calib_offset=eps)
         seq = PulseSequence((Rf("b", "X", np.pi),))
-        noisy = oracles.noisy_compile(seq, system, p, sample_seed=0)
+        noisy = oracles.noisy_compile(seq, system, p)
         expected = oracles.rf_unitary("b", "X", np.pi * (1 + eps))
         assert np.max(np.abs(noisy - expected)) < 1e-12
 
     def test_deterministic_given_seed(self, system, bell_seq):
-        p = noise.ErrorParams(rf_spread=0.05, offset_spread_hz=20.0)
-        a = oracles.noisy_compile(bell_seq, system, p, sample_seed=7)
-        b = oracles.noisy_compile(bell_seq, system, p, sample_seed=7)
+        p = noise.ErrorParams(rf_spread=0.05, offset_spread_hz=20.0, seed=7)
+        a = oracles.noisy_compile(bell_seq, system, p)
+        b = oracles.noisy_compile(bell_seq, system, p)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, system, bell_seq):
         p = noise.ErrorParams(rf_spread=0.05)
-        a = oracles.noisy_compile(bell_seq, system, p, sample_seed=1)
-        b = oracles.noisy_compile(bell_seq, system, p, sample_seed=2)
+        a = oracles.noisy_compile(bell_seq, system, replace(p, seed=1))
+        b = oracles.noisy_compile(bell_seq, system, replace(p, seed=2))
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_output_is_unitary(self, system, bell_seq):
-        p = noise.ErrorParams(rf_spread=0.1, calib_offset=0.05, offset_spread_hz=50.0)
-        qcore.check_unitary(oracles.noisy_compile(bell_seq, system, p, sample_seed=3))
+        p = noise.ErrorParams(rf_spread=0.1, calib_offset=0.05, offset_spread_hz=50.0, seed=3)
+        qcore.check_unitary(oracles.noisy_compile(bell_seq, system, p))
 
     def test_draws_truncated_at_three_sigma(self):
         p = noise.ErrorParams(rf_spread=2.0, offset_spread_hz=2.0, ensemble_size=20000)
-        draws = oracles.member_draws(p, 0)
+        draws = oracles.member_draws(p)
         assert draws.shape == (20000, 3)
         assert np.max(np.abs(draws)) <= 6.0
 
 
 class TestEnsembleAverage:
     def test_zero_noise_any_size_is_clean_evolution(self, system, bell_seq):
-        p = noise.ErrorParams(ensemble_size=17)
-        rho = mean_state(bell_seq, system, p, RHO00, seed=5)
+        p = noise.ErrorParams(ensemble_size=17, seed=5)
+        rho = mean_state(bell_seq, system, p, RHO00)
         u = nmrsim.compile_sequence(bell_seq, system)
         assert np.max(np.abs(rho - u @ RHO00 @ u.conj().T)) < 1e-12
 
     def test_matches_member_by_member_compilation(self, system, bell_seq):
-        p = noise.ErrorParams(rf_spread=0.05, offset_spread_hz=25.0, ensemble_size=8)
-        seed = 11
+        p = noise.ErrorParams(rf_spread=0.05, offset_spread_hz=25.0, ensemble_size=8, seed=11)
         total = np.zeros((4, 4), dtype=complex)
         for k in range(p.ensemble_size):
-            u = oracles.noisy_compile(bell_seq, system, p, sample_seed=seed, member=k)
+            u = oracles.noisy_compile(bell_seq, system, p, member=k)
             total += u @ RHO00 @ u.conj().T
         expected = total / p.ensemble_size
-        rho = mean_state(bell_seq, system, p, RHO00, seed=seed)
+        rho = mean_state(bell_seq, system, p, RHO00)
         assert np.max(np.abs(rho - expected)) < 1e-12  # T2 inf: no damping
 
     def test_bit_identical_reruns(self, system, bell_seq):
-        p = noise.ErrorParams(rf_spread=0.08, offset_spread_hz=40.0, ensemble_size=64)
-        a = mean_state(bell_seq, system, p, RHO00, seed=123)
-        b = mean_state(bell_seq, system, p, RHO00, seed=123)
+        p = noise.ErrorParams(rf_spread=0.08, offset_spread_hz=40.0, ensemble_size=64, seed=123)
+        a = mean_state(bell_seq, system, p, RHO00)
+        b = mean_state(bell_seq, system, p, RHO00)
         assert np.array_equal(a, b)
 
     def test_output_valid_density_for_aggressive_params(self, system, bell_seq):
         p = noise.ErrorParams(
             rf_spread=0.5, calib_offset=0.2, offset_spread_hz=200.0,
-            t2_a=0.01, t2_b=0.02, ensemble_size=50,
+            t2_a=0.01, t2_b=0.02, ensemble_size=50, seed=9,
         )
-        rho = mean_state(bell_seq, system, p, RHO00, seed=9)
+        rho = mean_state(bell_seq, system, p, RHO00)
         qcore.check_density_matrix(rho)
 
     def test_huge_rf_spread_kills_coherence(self, system):
         seq = PulseSequence((Rf("a", "X", np.pi / 2),))
-        p = noise.ErrorParams(rf_spread=50.0, ensemble_size=2000)
-        rho = mean_state(seq, system, p, RHO00, seed=21)
+        p = noise.ErrorParams(rf_spread=50.0, ensemble_size=2000, seed=21)
+        rho = mean_state(seq, system, p, RHO00)
         # transverse coherence of spin a lives on the (00,01) and (10,11) elements
         assert abs(rho[0, 1]) < 0.05
         assert abs(rho[2, 3]) < 0.05
@@ -162,8 +161,8 @@ class TestEnsembleAverage:
         seq = PulseSequence((Rf("a", "X", np.pi / 2), nmrsim.Delay(0.05)))
         p_decay = noise.ErrorParams(t2_a=0.1, t2_b=0.1)
         p_clean = noise.ErrorParams()
-        damped = mean_state(seq, system, p_decay, RHO00, seed=0)
-        clean = mean_state(seq, system, p_clean, RHO00, seed=0)
+        damped = mean_state(seq, system, p_decay, RHO00)
+        clean = mean_state(seq, system, p_clean, RHO00)
         assert np.allclose(np.diag(damped), np.diag(clean), atol=1e-12)
         factor = math.exp(-0.05 / 0.1)
         assert abs(damped[0, 1]) == pytest.approx(abs(clean[0, 1]) * factor, rel=1e-9)
@@ -184,16 +183,16 @@ class TestEnsembleAverage:
     def test_overflowing_phase_refused_before_any_draw(self, monkeypatch, j, params, message):
         system = SpinSystem(j_coupling=j)
         seq = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
-        monkeypatch.setattr(noise, "_draw_chunks", lambda p, seed: pytest.fail("drew before refusing"))
+        monkeypatch.setattr(noise, "_draw_chunks", lambda p: pytest.fail("drew before refusing"))
         with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
-            mean_state(seq, system, noise.ErrorParams(**params), RHO00, seed=0)
+            mean_state(seq, system, noise.ErrorParams(**params), RHO00)
 
 
-def member_oracle(seq, system, p, rho0, seed):
+def member_oracle(seq, system, p, rho0):
     """Mean of U_k rho0 U_k^H over the members' draws, each U_k a product of
     ``oracles.rf_unitary`` and diagonal delay matrices, then T2 damping."""
     total = np.zeros((4, 4), dtype=complex)
-    for delta, off_a, off_b in oracles.member_draws(p, seed):
+    for delta, off_a, off_b in oracles.member_draws(p):
         u = np.eye(4, dtype=complex)
         for ev in seq:
             if isinstance(ev, Rf):
@@ -243,7 +242,7 @@ class TestRowPermutationEngine:
         "rho0",
         [
             RHO00,
-            nmrsim.thermal_state(SpinSystem(), 1e-3),
+            nmrsim.thermal_state(SpinSystem(epsilon=1e-3)),
             np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex),
         ],
         ids=["pure", "thermal", "rank2"],
@@ -254,9 +253,9 @@ class TestRowPermutationEngine:
         seq = nmrsim.events(nmrsim.dense_coding_sequence(system, 4, BellVariant.MINUS_PSI))
         base = replace(noise.DEMO_PARAMS, t2_a=0.05, t2_b=0.08)
         for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            p = replace(base, ensemble_size=size)
-            rho = mean_state(seq, system, p, rho0, seed=size)
-            assert np.max(np.abs(rho - member_oracle(seq, system, p, rho0, size))) < 1e-12
+            p = replace(base, ensemble_size=size, seed=size)
+            rho = mean_state(seq, system, p, rho0)
+            assert np.max(np.abs(rho - member_oracle(seq, system, p, rho0))) < 1e-12
 
     @pytest.mark.parametrize("chunk", [3, None])
     def test_chunked_draws_equal_one_spawn(self, monkeypatch, chunk):
@@ -266,9 +265,9 @@ class TestRowPermutationEngine:
         if chunk is not None:
             monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
         c = noise.CHUNK_SIZE
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * c + 1)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * c + 1, seed=99)
         sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
-        chunks = list(noise._draw_chunks(p, 99))
+        chunks = list(noise._draw_chunks(p))
         assert [len(x) for x in chunks] == [c, c, 1]
         children = np.random.SeedSequence(99).spawn(len(chunks))
         for got, child in zip(chunks, children):
@@ -281,7 +280,7 @@ class TestRowPermutationEngine:
 def fig4_programs(system, refocus):
     """fig4's heads and blocks as flat programs, each with the start it is
     propagated from, and the full dense-coding program."""
-    v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+    v_th = qcore.psd_factor(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
     heads = nmrsim.permutation_sequences(system, refocus=refocus)
     blocks = [
         nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=refocus),
@@ -298,8 +297,8 @@ class TestFactorTable:
 
     @pytest.mark.parametrize("refocus", [True, False])
     def test_engine_equals_reference_engine(self, system, refocus):
-        p = replace(noise.DEMO_PARAMS, ensemble_size=300)
-        draws = next(noise._draw_chunks(p, 7))
+        p = replace(noise.DEMO_PARAMS, ensemble_size=300, seed=7)
+        draws = next(noise._draw_chunks(p))
         programs = fig4_programs(system, refocus)
         # one table across every program, as in one chunk, sized for more
         # members than drawn, as for a shorter last chunk
@@ -316,10 +315,10 @@ class TestFactorTable:
     def test_mean_states_equal_reference_engine_across_chunks(self, system, monkeypatch):
         # two full chunks and a shorter third, each refilling the workspace
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
-        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5, seed=11)
+        v_th = qcore.psd_factor(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
         circuits, heads = fig4_inputs(system, True, False)
-        got = noise.mean_states(system, p, 11, circuits, heads, v_th)
+        got = noise.mean_states(system, p, circuits, heads, v_th)
 
         def draws_only(table, sys, draws, calib_offset):
             return draws  # what ``reference`` reads in place of the factors
@@ -330,22 +329,22 @@ class TestFactorTable:
 
         monkeypatch.setattr(noise, "_event_factors", draws_only)
         monkeypatch.setattr(noise, "_propagate", reference)
-        assert np.array_equal(got, noise.mean_states(system, p, 11, circuits, heads, v_th))
+        assert np.array_equal(got, noise.mean_states(system, p, circuits, heads, v_th))
 
     def test_no_state_leaks_between_calls(self, system, monkeypatch):
         """Back-to-back calls with other parameters and seeds each give what
         the same call gives on its own."""
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
-        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        v_th = qcore.psd_factor(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
         heads = nmrsim.permutation_sequences(system)
         circuits = [(nmrsim.bell_prep_sequence(system, BellVariant.PLUS_PSI),)]
         calls = [
-            (replace(noise.DEMO_PARAMS, ensemble_size=150), 3),
-            (replace(noise.DEMO_PARAMS, ensemble_size=70, calib_offset=-0.02, rf_spread=0.1), 4),
+            replace(noise.DEMO_PARAMS, ensemble_size=150, seed=3),
+            replace(noise.DEMO_PARAMS, ensemble_size=70, calib_offset=-0.02, rf_spread=0.1, seed=4),
         ]
-        first = [noise.mean_states(system, p, seed, circuits, heads, v_th) for p, seed in calls]
-        for (p, seed), expected in zip(calls[::-1], first[::-1]):
-            assert np.array_equal(noise.mean_states(system, p, seed, circuits, heads, v_th), expected)
+        first = [noise.mean_states(system, p, circuits, heads, v_th) for p in calls]
+        for p, expected in zip(calls[::-1], first[::-1]):
+            assert np.array_equal(noise.mean_states(system, p, circuits, heads, v_th), expected)
 
     def test_memory_bounded_however_large_the_ensemble(self, system):
         """The traced peak of a temporal average over 8 chunks is at most
@@ -355,10 +354,10 @@ class TestFactorTable:
         circuits = [(prep, nmrsim.encoding_pulse(3), nmrsim.decode_sequence(system))]
 
         def peak(chunks):
-            p = replace(noise.DEMO_PARAMS, ensemble_size=chunks * noise.CHUNK_SIZE)
+            p = replace(noise.DEMO_PARAMS, ensemble_size=chunks * noise.CHUNK_SIZE, seed=2)
             tracemalloc.start()
             try:
-                experiment.temporal_average(system, 1e-5, circuits, p, seed=2)
+                experiment.temporal_average(system, circuits, p)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -396,8 +395,8 @@ class TestColumnLayout:
                 return propagate(*args)
 
         monkeypatch.setattr(noise, "_propagate", recording_propagate)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 5)
-        experiment.noisy_output_density(system, p, 4, BellVariant.MINUS_PSI, seed=3)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE + 5, seed=3)
+        experiment.noisy_output_density(system, p, 4, BellVariant.MINUS_PSI)
         assert {shape for _, shape in operands} == {(4, 1, noise.CHUNK_SIZE), (4, 1, 5)}
         for arr, shape in operands:
             assert arr.dtype == np.complex128
@@ -411,9 +410,9 @@ class TestColumnLayout:
         if chunk is not None:
             monkeypatch.setattr(noise, "CHUNK_SIZE", chunk)
         c = noise.CHUNK_SIZE
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * c + 1)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * c + 1, seed=CONTRACT_SEED)
         sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
-        chunks = list(noise._draw_chunks(p, CONTRACT_SEED))
+        chunks = list(noise._draw_chunks(p))
         assert [len(x) for x in chunks] == [c, c, 1]
         for i, got in enumerate(chunks):
             rng = np.random.default_rng(np.random.SeedSequence(CONTRACT_SEED, spawn_key=(i,)))
@@ -461,27 +460,28 @@ class TestComposition:
         """With T2 off, each run's mean is the sum over members of W_m W_m^H
         over n, W_m the head's member m composed through the circuit's blocks
         one matrix product at a time."""
-        p = replace(noise.DEMO_PARAMS, t2_a=math.inf, t2_b=math.inf, ensemble_size=7)
+        p = replace(noise.DEMO_PARAMS, t2_a=math.inf, t2_b=math.inf, ensemble_size=7, seed=3)
         rho0 = np.diag([0.7, 0.0, 0.3, 0.0]).astype(complex)
         v = qcore.psd_factor(qcore.check_density_matrix(rho0))
         head = nmrsim.events(nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PSI))
         blocks = (nmrsim.encoding_pulse(4), nmrsim.events(nmrsim.decode_sequence(system)))
-        draws = np.concatenate(list(noise._draw_chunks(p, 3)))
+        draws = np.concatenate(list(noise._draw_chunks(p)))
         w_head = nmrsim._compile_stack(head, system, draws, p.calib_offset, v)
         w_run = w_head
         for block in blocks:
             u = nmrsim._compile_stack(block, system, draws, p.calib_offset)
             w_run = np.stack([u[..., m] @ w_run[..., m] for m in range(len(draws))], axis=-1)
-        got = noise.mean_states(system, p, 3, [blocks, ()], [head], v)
+        got = noise.mean_states(system, p, [blocks, ()], [head], v)
         for state, w in zip(got[:, 0], (w_run, w_head)):
             expected = sum(w[..., m] @ w[..., m].conj().T for m in range(len(draws))) / len(draws)
             assert np.max(np.abs(state - expected)) < 1e-15
 
 
-def unit_draws(size, seed):
-    """The draws of ``size`` members at unit sigmas: the unit draws themselves."""
-    p = noise.ErrorParams(rf_spread=1.0, offset_spread_hz=1.0, ensemble_size=size)
-    return oracles.member_draws(p, seed)
+def unit_draws(size):
+    """The draws of ``size`` members at unit sigmas and ``CONTRACT_SEED``: the
+    unit draws themselves."""
+    p = noise.ErrorParams(rf_spread=1.0, offset_spread_hz=1.0, ensemble_size=size, seed=CONTRACT_SEED)
+    return oracles.member_draws(p)
 
 
 #: At both chunk sizes below, some prefix size of
@@ -505,14 +505,14 @@ class TestVectorisedDraws:
         return noise.CHUNK_SIZE
 
     def test_reruns_bit_identical(self, chunk):
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * chunk + 1)
-        first = list(noise._draw_chunks(p, CONTRACT_SEED))
-        second = list(noise._draw_chunks(p, CONTRACT_SEED))
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * chunk + 1, seed=CONTRACT_SEED)
+        first = list(noise._draw_chunks(p))
+        second = list(noise._draw_chunks(p))
         assert len(first) == len(second) == 3
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_unit_draws_within_three(self, chunk):
-        z = unit_draws(3 * chunk, CONTRACT_SEED)
+        z = unit_draws(3 * chunk)
         assert z.shape == (3 * chunk, 3)
         assert np.max(np.abs(z)) <= 3.0
 
@@ -520,22 +520,24 @@ class TestVectorisedDraws:
     def test_draw_chunks_equal_member_draws(self, chunk, rf_spread):
         """Prefix-stable: the first n member draws of any ensemble are the
         n-member ensemble, drawn in full chunks but the last."""
-        p = replace(noise.DEMO_PARAMS, rf_spread=rf_spread, ensemble_size=2 * chunk + 1)
-        full = oracles.member_draws(p, CONTRACT_SEED)
+        p = replace(noise.DEMO_PARAMS, rf_spread=rf_spread, ensemble_size=2 * chunk + 1, seed=CONTRACT_SEED)
+        full = oracles.member_draws(p)
         for size in (1, chunk // 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            chunks = list(noise._draw_chunks(replace(p, ensemble_size=size), CONTRACT_SEED))
+            chunks = list(noise._draw_chunks(replace(p, ensemble_size=size)))
             assert all(len(x) == chunk for x in chunks[:-1])
             assert np.array_equal(np.concatenate(chunks), full[:size])
 
     def test_chunks_are_not_copies(self, chunk):
-        z = unit_draws(2 * chunk + 1, CONTRACT_SEED)
+        z = unit_draws(2 * chunk + 1)
         assert len(np.unique(z, axis=0)) == len(z)
 
     def test_draws_scale_exactly_with_sigma(self, chunk):
-        unit = unit_draws(2 * chunk + 1, CONTRACT_SEED)
+        unit = unit_draws(2 * chunk + 1)
         for rf, offset in ((0.05, 30.0), (0.0, 150.0), (2.5, 0.0)):
-            p = noise.ErrorParams(rf_spread=rf, offset_spread_hz=offset, ensemble_size=len(unit))
-            got = oracles.member_draws(p, CONTRACT_SEED)
+            p = noise.ErrorParams(
+                rf_spread=rf, offset_spread_hz=offset, ensemble_size=len(unit), seed=CONTRACT_SEED
+            )
+            got = oracles.member_draws(p)
             assert np.array_equal(got, unit * [rf, offset, offset])
 
     def test_large_ensemble_contract(self):
@@ -545,11 +547,12 @@ class TestVectorisedDraws:
         p = replace(noise.DEMO_PARAMS, ensemble_size=20000)
         sigmas = np.array([p.rf_spread, p.offset_spread_hz, p.offset_spread_hz])
         for seed in (7, 2**100 + 3):
-            draws = np.concatenate(list(noise._draw_chunks(p, seed)))
-            again = np.concatenate(list(noise._draw_chunks(p, seed)))
+            p = replace(p, seed=seed)
+            draws = np.concatenate(list(noise._draw_chunks(p)))
+            again = np.concatenate(list(noise._draw_chunks(p)))
             assert draws.tobytes() == again.tobytes(), f"seed {seed}: not reproducible"
             assert draws.shape == (20000, 3) and np.all(np.abs(draws) <= 3.0 * sigmas), f"seed {seed}"
-            prefix = np.concatenate(list(noise._draw_chunks(replace(p, ensemble_size=5000), seed)))
+            prefix = np.concatenate(list(noise._draw_chunks(replace(p, ensemble_size=5000))))
             assert prefix.tobytes() == draws[:5000].tobytes(), f"seed {seed}: not prefix-stable"
 
     def test_no_warnings(self, monkeypatch):
@@ -560,7 +563,7 @@ class TestVectorisedDraws:
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
                 for seed in (0, CONTRACT_SEED, 2**130 + 9):
-                    list(noise._draw_chunks(p, seed))
+                    list(noise._draw_chunks(replace(p, seed=seed)))
 
 
 class TestUnbiasedAverage:
@@ -571,7 +574,8 @@ class TestUnbiasedAverage:
     def test_mean_within_five_standard_errors_of_quadrature(self, system):
         # large spreads, T2 off; 40 nodes per error come within 2e-12 of 32
         p = noise.ErrorParams(
-            rf_spread=0.25, calib_offset=0.01, offset_spread_hz=150.0, ensemble_size=100_000
+            rf_spread=0.25, calib_offset=0.01, offset_spread_hz=150.0, ensemble_size=100_000,
+            seed=noise.DEMO_PARAMS.seed,
         )
         start = qcore.basis_state(0)[:, None]
         programs = [
@@ -579,7 +583,7 @@ class TestUnbiasedAverage:
             for m, variant in ((4, BellVariant.MINUS_PSI), (2, BellVariant.PLUS_PHI),
                                (3, BellVariant.MINUS_PHI))
         ]
-        states = noise.mean_states(system, p, noise.DEMO_SEED, [()], programs, start)[0]
+        states = noise.mean_states(system, p, [()], programs, start)[0]
         for seq, state in zip(programs, states):
             mean, var = oracles.quadrature_moments(seq, system, p, start, 40)
             standard_error = np.sqrt(var / p.ensemble_size)
@@ -591,26 +595,28 @@ class TestRefocusing:
         p = noise.ErrorParams(offset_spread_hz=30.0, ensemble_size=100)
         seeds = range(5)
         with_refocus = np.mean([
-            bell_infidelity(system, nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=True), p, s)
+            bell_infidelity(system, nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=True),
+                            replace(p, seed=s))
             for s in seeds
         ])
         without = np.mean([
-            bell_infidelity(system, nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=False), p, s)
+            bell_infidelity(system, nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=False),
+                            replace(p, seed=s))
             for s in seeds
         ])
         assert with_refocus < without
 
     def test_static_offsets_cancel_exactly_with_perfect_pulses(self, system):
-        p = noise.ErrorParams(offset_spread_hz=50.0, ensemble_size=20)
+        p = noise.ErrorParams(offset_spread_hz=50.0, ensemble_size=20, seed=2)
         seq = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI, refocus=True)
-        assert bell_infidelity(system, seq, p, seed=2) < 1e-12
+        assert bell_infidelity(system, seq, p) < 1e-12
 
     def test_static_offsets_cancel_for_every_member(self, system):
         """Offsets alone: with refocusing, each member's propagator of every
         dense-coding program is the noise-free one up to a global phase;
         without it, some member's is far from it."""
-        p = noise.ErrorParams(offset_spread_hz=30.0, ensemble_size=500)
-        draws = np.concatenate(list(noise._draw_chunks(p, seed=4)))
+        p = noise.ErrorParams(offset_spread_hz=30.0, ensemble_size=500, seed=4)
+        draws = np.concatenate(list(noise._draw_chunks(p)))
 
         def worst(refocus):
             distance = 0.0
@@ -653,11 +659,11 @@ class TestSourcesThatDrawNothing:
         return [(prep, nmrsim.encoding_pulse(m), decode) for m in protocol.MESSAGES] + [(prep,)]
 
     @staticmethod
-    def oracle(system, epsilon, p, circuits):
+    def oracle(system, p, circuits):
         """Each circuit's mean over the three prefix runs, each run compiled
         by ``oracles.kron_compile`` with its pulse angles scaled, evolving the
         thermal state and T2-damped over its own total delay."""
-        rho_th = nmrsim.thermal_state(system, epsilon)
+        rho_th = nmrsim.thermal_state(system)
         averages = np.zeros((len(circuits), 4, 4), dtype=complex)
         for i, circuit in enumerate(circuits):
             for prefix in nmrsim.permutation_sequences(system):
@@ -673,18 +679,18 @@ class TestSourcesThatDrawNothing:
     @SOURCES
     def test_temporal_average_equals_oracle(self, system, p):
         circuits = self.circuits(system)
-        averages = experiment.temporal_average(system, 1e-5, circuits, p, seed=3)
-        assert np.max(np.abs(averages - self.oracle(system, 1e-5, p, circuits))) < 1e-12
+        averages = experiment.temporal_average(system, circuits, replace(p, seed=3))
+        assert np.max(np.abs(averages - self.oracle(system, p, circuits))) < 1e-12
 
     @SOURCES
     def test_fig4_panels_equal_oracle(self, system, p):
         """The panels are the oracle's rescaled deviations, projected where
         they dip (every panel, with the calibration offset)."""
-        epsilon = 1e-3
-        beta = nmrsim.pseudo_pure_beta(system, epsilon)
-        averages = self.oracle(system, epsilon, p, self.circuits(system)[:4])
+        system = replace(system, epsilon=1e-3)
+        beta = nmrsim.pseudo_pure_beta(system)
+        averages = self.oracle(system, p, self.circuits(system)[:4])
         expected = tomo.project_unphysical((averages - (1.0 - beta) * np.eye(4) / 4.0) / beta)
-        panels = experiment.fig4_panels(system, epsilon, p, seed=3)
+        panels = experiment.fig4_panels(system, replace(p, seed=3))
         assert np.max(np.abs([panel.experimental for panel in panels] - expected)) < 1e-12
 
 
@@ -696,12 +702,12 @@ class TestT2InSequence:
         """With noise-free pulses, phase damping after every delay puts
         fig4's largest relative error at 0.021 for T2 = 0.3 s; the
         library's T2 alone moves it by less than 1e-10."""
-        epsilon = nmrsim.DEFAULT_EPSILON
-        assert abs(oracles.t2_in_sequence_fig4_error(system, epsilon, 0.3) - 0.021) <= 0.002
+        assert system.epsilon == nmrsim.DEFAULT_EPSILON
+        assert abs(oracles.t2_in_sequence_fig4_error(system, 0.3) - 0.021) <= 0.002
 
         def worst(t2):
-            p = noise.ErrorParams(t2_a=t2, t2_b=t2)
-            return max(panel.error.relative for panel in experiment.fig4_panels(system, epsilon, p, 3))
+            p = noise.ErrorParams(t2_a=t2, t2_b=t2, seed=3)
+            return max(panel.error.relative for panel in experiment.fig4_panels(system, p))
 
         assert abs(worst(0.3) - worst(math.inf)) < 1e-10
 
@@ -714,7 +720,7 @@ class TestMonotonicity:
         p0 = noise.ErrorParams(ensemble_size=48)
         seq = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
         table = np.array([
-            [bell_infidelity(system, seq, replace(p0, rf_spread=s), seed) for seed in seeds]
+            [bell_infidelity(system, seq, replace(p0, rf_spread=s, seed=seed)) for seed in seeds]
             for s in spreads
         ])
         rng = np.random.default_rng(0)
@@ -729,28 +735,28 @@ class TestMonotonicity:
 
 def test_demo_parameters_land_in_error_band(system):
     params = replace(noise.DEMO_PARAMS, ensemble_size=300)
-    panels = experiment.fig4_panels(system, 1e-5, params, seed=noise.DEMO_SEED)
+    panels = experiment.fig4_panels(system, params)
     worst = max(p.error.relative for p in panels)
     assert 0.05 <= worst <= 0.15
 
 
 def test_simulated_experiment_zero_noise_recovers_ideal(system):
-    p = noise.ErrorParams(ensemble_size=2)
-    rho = experiment.fig4_panels(system, 1e-5, p, seed=4)[1].experimental
+    p = noise.ErrorParams(ensemble_size=2, seed=4)
+    rho = experiment.fig4_panels(system, p)[1].experimental
     ideal = experiment.ideal_output_density(2)
     assert np.max(np.abs(rho - ideal)) < 1e-7
 
 
-def reference_simulated_experiment(system, epsilon, params, m, seed, refocus):
+def reference_simulated_experiment(system, params, m, refocus):
     """The fig4 extraction with one whole-program ensemble average per
     prefix run."""
-    rho_th = nmrsim.thermal_state(system, epsilon)
+    rho_th = nmrsim.thermal_state(system)
     circuit = nmrsim.dense_coding_sequence(system, m, BellVariant.MINUS_PHI, refocus)
     total = np.zeros((4, 4), dtype=complex)
     for prefix in nmrsim.permutation_sequences(system, refocus=refocus):
-        total += mean_state((prefix, circuit), system, params, rho_th, seed=seed)
+        total += mean_state((prefix, circuit), system, params, rho_th)
     reconstructed = tomo.reconstruct(tomo.simulate_readouts(total / 3.0))
-    beta = nmrsim.pseudo_pure_beta(system, epsilon)
+    beta = nmrsim.pseudo_pure_beta(system)
     rho_exp = (reconstructed - (1.0 - beta) * np.eye(4) / 4.0) / beta
     rho_exp = (rho_exp + rho_exp.conj().T) / 2.0
     if float(np.min(np.linalg.eigvalsh(rho_exp))) < -1e-6:
@@ -761,25 +767,24 @@ def reference_simulated_experiment(system, epsilon, params, m, seed, refocus):
 @pytest.mark.parametrize("refocus", [True, False])
 def test_shared_block_composition_matches_per_program_averages(system, refocus):
     """Finite T2 pins each (message, prefix) run's own free-evolution time."""
-    params = replace(noise.DEMO_PARAMS, ensemble_size=64)
-    seed = 77
-    panels = experiment.fig4_panels(system, 1e-5, params, seed=seed, refocus=refocus)
+    params = replace(noise.DEMO_PARAMS, ensemble_size=64, seed=77)
+    panels = experiment.fig4_panels(system, params, refocus=refocus)
     for m, panel in zip(protocol.MESSAGES, panels):
-        expected = reference_simulated_experiment(system, 1e-5, params, m, seed, refocus)
+        expected = reference_simulated_experiment(system, params, m, refocus)
         assert np.max(np.abs(panel.experimental - expected)) < 1e-10
 
 
 def test_empty_block_leaves_runs_bit_identical(system):
     """An empty block (the first encoding) is skipped: the circuit with it
     gives the same states as the circuit without it, bit for bit."""
-    p = replace(noise.DEMO_PARAMS, ensemble_size=50)
-    v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+    p = replace(noise.DEMO_PARAMS, ensemble_size=50, seed=4)
+    v_th = qcore.psd_factor(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
     heads = nmrsim.permutation_sequences(system)
     prep = nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI)
     decode = nmrsim.decode_sequence(system)
     empty = nmrsim.encoding_pulse(1)
-    with_empty = noise.mean_states(system, p, 4, [(prep, empty, decode)], heads, v_th)
-    without = noise.mean_states(system, p, 4, [(prep, decode)], heads, v_th)
+    with_empty = noise.mean_states(system, p, [(prep, empty, decode)], heads, v_th)
+    without = noise.mean_states(system, p, [(prep, decode)], heads, v_th)
     assert np.array_equal(with_empty, without)
 
 
@@ -787,11 +792,11 @@ def test_noisy_output_density_from_the_pure_column(system, monkeypatch):
     """A noisy run over two chunks from the |00> column equals the same run
     from the factor ``psd_factor`` gives of |00><00|, bit for bit."""
     monkeypatch.setattr(noise, "CHUNK_SIZE", 16)
-    p = replace(noise.DEMO_PARAMS, ensemble_size=25)
+    p = replace(noise.DEMO_PARAMS, ensemble_size=25, seed=8)
     variant = BellVariant.MINUS_PSI
     seq = nmrsim.events(nmrsim.dense_coding_sequence(system, 3, variant))
-    got = experiment.noisy_output_density(system, p, 3, variant, seed=8)
-    expected = noise.mean_states(system, p, 8, [()], [seq], qcore.psd_factor(RHO00))[0, 0]
+    got = experiment.noisy_output_density(system, p, 3, variant)
+    expected = noise.mean_states(system, p, [()], [seq], qcore.psd_factor(RHO00))[0, 0]
     assert np.array_equal(got, expected)
 
 
@@ -808,9 +813,9 @@ def test_batched_pulse_protocol_states_match_compiled_programs(system):
 
 
 def test_fig4_panels_bit_identical_reruns(system):
-    params = replace(noise.DEMO_PARAMS, ensemble_size=64)
-    first = experiment.fig4_panels(system, 1e-5, params, seed=5)
-    second = experiment.fig4_panels(system, 1e-5, params, seed=5)
+    params = replace(noise.DEMO_PARAMS, ensemble_size=64, seed=5)
+    first = experiment.fig4_panels(system, params)
+    second = experiment.fig4_panels(system, params)
     for a, b in zip(first, second):
         assert np.array_equal(a.experimental, b.experimental)
 
@@ -858,12 +863,12 @@ class TestNestedBlocks:
         """From a random factor that is not a permutation (so its transpose
         is another matrix), over two full chunks and a shorter third."""
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5, seed=seed)
         rng = np.random.default_rng(seed)
         start = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         start /= np.linalg.norm(start)  # unit trace of start @ start^H
-        nested = noise.mean_states(system, p, seed, *fig4_inputs(system, refocus, True), start)
-        flat = noise.mean_states(system, p, seed, *fig4_inputs(system, refocus, False), start)
+        nested = noise.mean_states(system, p, *fig4_inputs(system, refocus, True), start)
+        flat = noise.mean_states(system, p, *fig4_inputs(system, refocus, False), start)
         assert nested.shape == (4, 3, 4, 4)
         assert np.max(np.abs(nested - flat)) < 1e-12
 
@@ -874,14 +879,14 @@ class TestNestedBlocks:
         propagated from the column, over two full chunks and a shorter
         third."""
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5, seed=seed)
         start = qcore.basis_state(0)[:, None]
         for block in (
             nmrsim.bell_prep_sequence(system, BellVariant.MINUS_PHI),
             nmrsim.dense_coding_sequence(system, 3, BellVariant.PLUS_PSI),
         ):
-            nested = noise.mean_states(system, p, seed, [()], [block], start)
-            flat = noise.mean_states(system, p, seed, [()], [nmrsim.events(block)], start)
+            nested = noise.mean_states(system, p, [()], [block], start)
+            flat = noise.mean_states(system, p, [()], [nmrsim.events(block)], start)
             assert np.max(np.abs(nested - flat)) < 1e-12
 
     def test_mean_states_equal_reference_engine_on_nested_blocks(self, system, monkeypatch):
@@ -889,10 +894,10 @@ class TestNestedBlocks:
         identity, from ``start`` or onward from a stack, replaced by the
         reference engine moves no bit."""
         monkeypatch.setattr(noise, "CHUNK_SIZE", 64)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5)
-        v_th = qcore.psd_factor(nmrsim.thermal_state(system, 1e-3))
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 64 + 5, seed=11)
+        v_th = qcore.psd_factor(nmrsim.thermal_state(replace(system, epsilon=1e-3)))
         circuits, heads = fig4_inputs(system, True, True)
-        got = noise.mean_states(system, p, 11, circuits, heads, v_th)
+        got = noise.mean_states(system, p, circuits, heads, v_th)
 
         def draws_only(table, sys, draws, calib_offset):
             return draws
@@ -903,7 +908,7 @@ class TestNestedBlocks:
 
         monkeypatch.setattr(noise, "_event_factors", draws_only)
         monkeypatch.setattr(noise, "_propagate", reference)
-        assert np.array_equal(got, noise.mean_states(system, p, 11, circuits, heads, v_th))
+        assert np.array_equal(got, noise.mean_states(system, p, circuits, heads, v_th))
 
     @pytest.mark.parametrize("refocus, events", [(True, 28), (False, 18)])
     def test_one_fig4_chunk_shares_each_cnot(self, system, monkeypatch, refocus, events):
@@ -912,10 +917,8 @@ class TestNestedBlocks:
         pseudo-Hadamard and the encodings applied in place (3 + 2 * cnot + 2
         + 3 event updates); 7 compositions build the blocks and 8 the runs
         on the two CNOT prefixes, and six products meet ``start``."""
-        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE)
-        counts = engine_work(
-            monkeypatch, lambda: experiment.fig4_panels(system, 1e-5, p, seed=1, refocus=refocus)
-        )
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE, seed=1)
+        counts = engine_work(monkeypatch, lambda: experiment.fig4_panels(system, p, refocus=refocus))
         assert counts == {"events": events, "compositions": 15, "products": 6}
 
     def test_pulse_protocol_check_shares_cnot_ba(self, system, monkeypatch):
@@ -932,10 +935,9 @@ class TestNestedBlocks:
     def test_noisy_run_propagates_one_flat_head(self, system, monkeypatch):
         """A noisy run is one program propagated event by event from the
         |00> column: no composition, no product with ``start``."""
-        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=noise.CHUNK_SIZE, seed=1)
         counts = engine_work(
-            monkeypatch,
-            lambda: experiment.noisy_output_density(system, p, 3, BellVariant.PLUS_PSI, seed=1),
+            monkeypatch, lambda: experiment.noisy_output_density(system, p, 3, BellVariant.PLUS_PSI)
         )
         assert counts == {"events": 26, "compositions": 0, "products": 0}
 
@@ -1069,14 +1071,13 @@ def package_plans(system, monkeypatch, run) -> list:
     return plans
 
 
-SMALL = replace(noise.DEMO_PARAMS, ensemble_size=8)
+SMALL = replace(noise.DEMO_PARAMS, ensemble_size=8, seed=1)
 PACKAGE_PATHS = {
-    "fig4": lambda system: experiment.fig4_panels(system, 1e-5, SMALL, seed=1),
-    "fig4 unrefocused": lambda system: experiment.fig4_panels(system, 1e-5, SMALL, 1, refocus=False),
-    "temporal averaging": lambda system: validation._check_temporal_averaging(system, 1e-5),
+    "fig4": lambda system: experiment.fig4_panels(system, SMALL),
+    "fig4 unrefocused": lambda system: experiment.fig4_panels(system, SMALL, refocus=False),
+    "temporal averaging": validation._check_temporal_averaging,
     "pulse protocol": validation._pulse_protocol_states,
-    "noisy run": lambda system: experiment.noisy_output_density(
-        system, SMALL, 3, BellVariant.PLUS_PSI, seed=1),
+    "noisy run": lambda system: experiment.noisy_output_density(system, SMALL, 3, BellVariant.PLUS_PSI),
 }
 
 _SYSTEM = SpinSystem()
@@ -1124,13 +1125,13 @@ class TestSharedWorkspace:
         plan = noise._plan(circuits, heads, k)
         replay(plan, circuits, heads, k)
         check_layout(plan)
-        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 16 + 3)
+        p = replace(noise.DEMO_PARAMS, ensemble_size=2 * 16 + 3, seed=5)
         rng = np.random.default_rng(k)
         start = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
         start /= np.linalg.norm(start)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(noise, "CHUNK_SIZE", 16)
-            got = noise.mean_states(_SYSTEM, p, 5, circuits, heads, start)
+            got = noise.mean_states(_SYSTEM, p, circuits, heads, start)
 
             def draws_only(table, sys, draws, calib_offset):
                 return draws
@@ -1141,7 +1142,7 @@ class TestSharedWorkspace:
 
             m.setattr(noise, "_event_factors", draws_only)
             m.setattr(noise, "_propagate", reference)
-            assert np.array_equal(got, noise.mean_states(_SYSTEM, p, 5, circuits, heads, start))
+            assert np.array_equal(got, noise.mean_states(_SYSTEM, p, circuits, heads, start))
 
     def test_fig4_block_stacks_share_eight_buffers(self, system):
         """fig4's 28 stacks (16 that make its blocks and 12 runs) fit in 8
@@ -1189,10 +1190,11 @@ class TestSharedWorkspace:
         pool with its block stacks, 7 four-wide buffers and one three-wide
         beside the 4-wide scratch."""
         circuits, _ = fig4_inputs(system, True, True)
-        experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
+        p = replace(noise.DEMO_PARAMS, seed=3)
+        experiment.temporal_average(system, circuits, p)
         tracemalloc.start()
         try:
-            experiment.temporal_average(system, 1e-5, circuits, noise.DEMO_PARAMS, seed=3)
+            experiment.temporal_average(system, circuits, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
